@@ -175,12 +175,10 @@ def cmd_analyze(args) -> int:
     }
     observers = scn.get("observers") or ([scn["observer"]] if "observer" in scn
                                          else list(range(1, n + 1)))
+    outputs = [(int(j), consensus._output_matrix(A, int(j))) for j in observers]
     for K in scn.get("sets", []):
-        for j in observers:
+        for j, C in outputs:
             B = consensus.input_matrix(n, sorted(int(a) for a in K))
-            idx = [i for i in range(n) if abs(A[j - 1, i]) > 1e-12]
-            C = np.zeros((len(idx), n))
-            C[np.arange(len(idx)), idx] = 1.0
             triple = sysan.Triple.from_matrices(A, B, C, observer=j)
             analysis = sysan.invariant_zeros(triple)
             entry = {

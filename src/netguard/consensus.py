@@ -49,15 +49,24 @@ class ConsensusMatrix:
 
     def output_matrix(self, j: int) -> np.ndarray:
         """Rows of the identity selecting the states observed by ``j``."""
-        idx = [i - 1 for i in self.observed_set(j)]
-        C = np.zeros((len(idx), self.n))
-        C[np.arange(len(idx)), idx] = 1.0
-        return C
+        return _output_matrix(self.A, j)
 
     def outputs(self, states: np.ndarray, j: int) -> np.ndarray:
         """Measurement sequence of observer ``j`` along a state trajectory."""
         idx = [i - 1 for i in self.observed_set(j)]
         return np.atleast_2d(states)[:, idx]
+
+
+def _output_matrix(A: np.ndarray, j: int) -> np.ndarray:
+    """Output matrix ``C_j`` of observer ``j``: the support of row ``j`` of A.
+
+    ``A`` need not be a consensus matrix, so that matrices failing
+    validation can still be analysed.
+    """
+    n = A.shape[0]
+    if not 1 <= j <= n:
+        raise ValueError(f"agent {j} outside 1..{n}")
+    return np.eye(n)[np.abs(A[j - 1]) > 1e-12]
 
 
 def input_matrix(n: int, agents) -> np.ndarray:

@@ -19,7 +19,7 @@ import scipy.optimize
 
 from . import fdi, graph as graphmod
 from .consensus import ConsensusMatrix, input_matrix
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_vector, image, subspace_intersect
 
 
 @dataclass
@@ -129,15 +129,22 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
     norms = {}
     for D in combinations(others, k):
         B_D = input_matrix(net.n, D)
-        report = fdi.synthesize_residual_generator(net.A, np.zeros((net.n, 0)),
-                                                   B_D, C)
-        gen = report.generator
-        if gen is None:
+        try:
+            report = fdi.synthesize_residual_generator(
+                net.A, np.zeros((net.n, 0)), B_D, C)
+        except RuntimeError:
+            # the dead-beat design failed numerically: no generator, as when
+            # the problem is unsolvable
+            report = None
+        if report is None or report.generator is None:
             unsolvable.append(((), D))
             fired[D] = None
             continue
+        gen = report.generator
+        # target i is isolable against D iff Im(B_i) meets S_M(D) trivially
         for i in (a for a in others if a not in D):
-            if not fdi.fdi_solvable(net.A, [input_matrix(net.n, [i]), B_D], C, 0):
+            if subspace_intersect(image(input_matrix(net.n, [i])),
+                                  report.S_M).dim:
                 unsolvable.append((i, D))
         res = fdi.run_residual(gen, ys)
         tail = res[min(gen.horizon, res.shape[0] - 1):]

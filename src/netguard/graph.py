@@ -2,17 +2,21 @@
 
 Vertex connectivity and vertex cuts via the node-splitting max-flow
 reduction (Menger), disjoint-path counts between vertex sets, and
-structural (generic) rank tests through bipartite matching.  Vertices
-are numbered 1..n to match agent identifiers.
+structural (generic) rank tests through bipartite matching.  Flows,
+reachability, strong connectivity and matchings are computed by
+``scipy.sparse.csgraph`` on CSR matrices built from the edge set.
+Vertices are numbered 1..n to match agent identifiers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import (breadth_first_order, connected_components,
+                                  maximum_bipartite_matching, maximum_flow)
 
 from .numerics import as_matrix
 
@@ -48,12 +52,9 @@ def from_matrix(A, tol: float = 1e-12) -> DiGraph:
     Self-loops are not recorded.
     """
     A = as_matrix(A)
-    n = A.shape[0]
-    if A.shape[1] != n:
+    if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    edges = {(j + 1, i + 1) for i in range(n) for j in range(n)
-             if i != j and abs(A[i, j]) > tol}
-    return DiGraph(n, frozenset(edges))
+    return StructurePattern.from_matrix(A, tol).digraph()
 
 
 def read_edge_list(text: str) -> DiGraph:
@@ -75,85 +76,54 @@ def write_edge_list(G: DiGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pattern(pairs, shape) -> csr_matrix:
+    """0/1 CSR matrix with ones at the given 0-based (row, col) pairs."""
+    rc = np.array(list(pairs), dtype=np.int32).reshape(-1, 2)
+    return csr_matrix((np.ones(len(rc)), (rc[:, 0], rc[:, 1])), shape=shape)
+
+
+def _induced(G: DiGraph, removed) -> tuple:
+    """Vertices of G minus ``removed`` (ascending) and their adjacency."""
+    alive = [v for v in G.vertices() if v not in removed]
+    index = {v: i for i, v in enumerate(alive)}
+    pairs = [(index[a], index[b]) for (a, b) in G.edges
+             if a in index and b in index]
+    return alive, _pattern(pairs, (len(alive), len(alive)))
+
+
 def _reachable(G: DiGraph, start: int, removed: set, reverse: bool = False) -> set:
     """Vertices reachable from ``start`` in G minus ``removed``."""
     if start in removed:
         return set()
-    adj = {v: [] for v in G.vertices()}
-    for (a, b) in G.edges:
-        if a in removed or b in removed:
-            continue
-        if reverse:
-            adj[b].append(a)
-        else:
-            adj[a].append(b)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+    alive, adj = _induced(G, removed)
+    order = breadth_first_order(adj.T if reverse else adj, alive.index(start),
+                                return_predecessors=False)
+    return {alive[i] for i in order}
 
 
 def is_strongly_connected(G: DiGraph, removed: set | None = None) -> bool:
-    removed = removed or set()
-    alive = [v for v in G.vertices() if v not in removed]
-    if len(alive) <= 1:
-        return True
-    root = alive[0]
-    fwd = _reachable(G, root, removed)
-    bwd = _reachable(G, root, removed, reverse=True)
-    return len(fwd) == len(alive) and len(bwd) == len(alive)
+    alive, adj = _induced(G, removed or set())
+    return len(alive) <= 1 or connected_components(
+        adj, connection="strong", return_labels=False) == 1
 
 
 # -- max-flow on the node-split network --------------------------------------
 
-_BIG = 1 << 20
 
+def _split_network(G: DiGraph, sources=(), sinks=()) -> csr_matrix:
+    """Node-split network: v_in = 2v - 2 -> v_out = 2v - 1 with capacity 1.
 
-def _split_network(G: DiGraph, s: int, t: int):
-    """Unit-vertex-capacity flow network: v_in = 2v, v_out = 2v + 1."""
-    cap = {}
-
-    def add(u, v, c):
-        cap.setdefault(u, {})[v] = cap.get(u, {}).get(v, 0) + c
-        cap.setdefault(v, {}).setdefault(u, 0)
-
-    for v in G.vertices():
-        add(2 * v, 2 * v + 1, _BIG if v in (s, t) else 1)
-    for (a, b) in G.edges:
-        add(2 * a + 1, 2 * b, _BIG)
-    return cap
-
-
-def _max_flow(cap: dict, source: int, sink: int):
-    """Edmonds-Karp; returns (value, residual capacities)."""
-    residual = {u: dict(nbrs) for u, nbrs in cap.items()}
-    flow = 0
-    while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v, c in residual[u].items():
-                if c > 0 and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            return flow, residual
-        path = []
-        v = sink
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        push = min(residual[u][v] for (u, v) in path)
-        for (u, v) in path:
-            residual[u][v] -= push
-            residual[v][u] += push
-        flow += push
+    Edge arcs a_out -> b_in get capacity n, above any flow they carry, so
+    minimum cuts consist of vertex arcs.  Node 2n feeds ``sources`` and
+    node 2n + 1 drains ``sinks`` through unit arcs.
+    """
+    n = G.n
+    arcs = [(2 * v - 2, 2 * v - 1, 1) for v in G.vertices()]
+    arcs += [(2 * a - 1, 2 * b - 2, n) for (a, b) in G.edges]
+    arcs += [(2 * n, 2 * s - 2, 1) for s in sources]
+    arcs += [(2 * t - 1, 2 * n + 1, 1) for t in sinks]
+    tails, heads, caps = np.array(arcs, dtype=np.int32).reshape(-1, 3).T
+    return csr_matrix((caps, (tails, heads)), shape=(2 * n + 2, 2 * n + 2))
 
 
 def local_vertex_connectivity(G: DiGraph, s: int, t: int):
@@ -164,53 +134,48 @@ def local_vertex_connectivity(G: DiGraph, s: int, t: int):
     """
     if G.has_edge(s, t):
         raise ValueError("local connectivity undefined for adjacent pair")
-    cap = _split_network(G, s, t)
-    value, residual = _max_flow(cap, 2 * s + 1, 2 * t)
-    # Min cut: saturated v_in -> v_out arcs crossing the residual-reachable set.
-    reach = {2 * s + 1}
-    queue = deque(reach)
-    while queue:
-        u = queue.popleft()
-        for v, c in residual[u].items():
-            if c > 0 and v not in reach:
-                reach.add(v)
-                queue.append(v)
-    cut = {v for v in G.vertices()
-           if 2 * v in reach and 2 * v + 1 not in reach}
-    return value, cut
+    net = _split_network(G)
+    result = maximum_flow(net, 2 * s - 1, 2 * t - 2)
+    # Min cut: vertex arcs leaving the set the residual reaches from the
+    # source, which is the same for every maximum flow.
+    residual = net - result.flow
+    residual.eliminate_zeros()
+    reach = set(breadth_first_order(residual, 2 * s - 1,
+                                    return_predecessors=False).tolist())
+    cut = {v for v in G.vertices() if 2 * v - 2 in reach and 2 * v - 1 not in reach}
+    return int(result.flow_value), cut
 
 
 def vertex_connectivity(G: DiGraph) -> int:
     """Minimum number of vertices whose removal breaks strong connectivity.
 
-    Computed as the minimum over non-adjacent ordered pairs of the
-    node-splitting max-flow value; a complete digraph has connectivity
-    ``n - 1`` by convention and a graph that is not strongly connected
-    has connectivity 0.
+    Even's scheme: one of v_1 .. v_{k+1} lies outside a minimum cut of
+    size k, so the minimum of the local connectivities to and from those
+    vertices is k; at most 2(k + 1)(n - 1) max-flows.  A complete digraph
+    has connectivity ``n - 1`` by convention and a graph that is not
+    strongly connected has connectivity 0.
     """
     n = G.n
-    if n <= 1:
+    if n <= 1 or not is_strongly_connected(G):
         return 0
-    if not is_strongly_connected(G):
-        return 0
+    net = _split_network(G)
     best = n - 1
-    for s in G.vertices():
-        for t in G.vertices():
-            if s == t or G.has_edge(s, t):
-                continue
-            value, _ = local_vertex_connectivity(G, s, t)
-            best = min(best, value)
-            if best == 0:
-                return 0
-    return best
+    for i in G.vertices():
+        if i > best + 1:
+            break
+        # pairs with an earlier vertex were taken when it was scanned
+        for w in range(i + 1, n + 1):
+            if not G.has_edge(i, w):
+                best = min(best, maximum_flow(net, 2 * i - 1, 2 * w - 2).flow_value)
+            if not G.has_edge(w, i):
+                best = min(best, maximum_flow(net, 2 * w - 1, 2 * i - 2).flow_value)
+    return int(best)
 
 
 def vertex_connectivity_bruteforce(G: DiGraph) -> int:
     """Exhaustive-removal connectivity, usable as an oracle for small n."""
     n = G.n
-    if n <= 1:
-        return 0
-    if not is_strongly_connected(G):
+    if n <= 1 or not is_strongly_connected(G):
         return 0
     for size in range(1, n - 1):
         for subset in combinations(G.vertices(), size):
@@ -241,29 +206,23 @@ def find_vertex_cut(G: DiGraph, k: int) -> VertexCut | None:
     if k < 0 or G.n - k < 2:
         return None
     if not is_strongly_connected(G):
-        base: set = set()
-        reach = _reachable(G, 1, base, reverse=True) | {1}
-        rest = [v for v in G.vertices() if v not in reach]
-        if not rest:
-            # vertex 1 reaches everything backwards; anchor on a vertex it
-            # cannot reach forward instead
-            fwd = _reachable(G, 1, base)
-            rest = [v for v in G.vertices() if v not in fwd]
-            reach = set(rest)
-            rest = [v for v in G.vertices() if v not in reach]
-        cut, sink_side, source_side = base, sorted(reach), sorted(rest)
-        return _pad_cut(G, set(cut), list(sink_side), list(source_side), k)
+        # the sink side is vertex 1 with everything that reaches it or, when
+        # that is every vertex, the vertices vertex 1 cannot reach
+        sink_side = _reachable(G, 1, set(), reverse=True)
+        if len(sink_side) == G.n:
+            sink_side = set(G.vertices()) - _reachable(G, 1, set())
+        source_side = [v for v in G.vertices() if v not in sink_side]
+        return _pad_cut(G, set(), sorted(sink_side), source_side, k)
     for s in G.vertices():
         for t in G.vertices():
             if s == t or G.has_edge(s, t):
                 continue
             value, cut = local_vertex_connectivity(G, s, t)
             if value <= k:
-                sink_side = sorted(_reachable(G, t, cut, reverse=True) | {t})
-                source_side = sorted(v for v in G.vertices()
-                                     if v not in cut and v not in sink_side)
-                padded = _pad_cut(G, set(cut), list(sink_side),
-                                  list(source_side), k)
+                sink_side = sorted(_reachable(G, t, cut, reverse=True))
+                source_side = [v for v in G.vertices()
+                               if v not in cut and v not in sink_side]
+                padded = _pad_cut(G, cut, sink_side, source_side, k)
                 if padded is not None:
                     return padded
     return None
@@ -274,9 +233,7 @@ def _pad_cut(G, cut: set, sink_side: list, source_side: list, k: int):
     while len(cut) < k:
         donor = source_side if len(source_side) >= len(sink_side) else sink_side
         if len(donor) <= 1:
-            donor = source_side if donor is sink_side else sink_side
-            if len(donor) <= 1:
-                return None
+            return None
         cut.add(donor.pop())
     if len(cut) != k or not sink_side or not source_side:
         return None
@@ -290,27 +247,8 @@ def disjoint_path_count(G: DiGraph, sources, sinks) -> int:
     Paths are disjoint including endpoints; a vertex belonging to both
     sets counts as a zero-length path.
     """
-    sources = set(sources)
-    sinks = set(sinks)
-    if not sources or not sinks:
-        return 0
-    cap = {}
-
-    def add(u, v, c):
-        cap.setdefault(u, {})[v] = cap.get(u, {}).get(v, 0) + c
-        cap.setdefault(v, {}).setdefault(u, 0)
-
-    super_s, super_t = 0, 1
-    for v in G.vertices():
-        add(2 * v, 2 * v + 1, 1)
-    for (a, b) in G.edges:
-        add(2 * a + 1, 2 * b, _BIG)
-    for v in sources:
-        add(super_s, 2 * v, 1)
-    for v in sinks:
-        add(2 * v + 1, super_t, 1)
-    value, _ = _max_flow(cap, super_s, super_t)
-    return value
+    net = _split_network(G, set(sources), set(sinks))
+    return int(maximum_flow(net, 2 * G.n, 2 * G.n + 1).flow_value)
 
 
 # -- structured systems -------------------------------------------------------
@@ -336,9 +274,9 @@ class StructurePattern:
     @classmethod
     def from_matrix(cls, A, tol: float = 1e-12) -> "StructurePattern":
         A = as_matrix(A)
-        free = {(i, j) for i in range(A.shape[0]) for j in range(A.shape[1])
-                if abs(A[i, j]) > tol}
-        return cls(A.shape[0], A.shape[1], frozenset(free))
+        rows, cols = np.nonzero(np.abs(A) > tol)
+        return cls(A.shape[0], A.shape[1],
+                   frozenset(zip(rows.tolist(), cols.tolist())))
 
     def digraph(self) -> DiGraph:
         if self.rows != self.cols:
@@ -361,37 +299,19 @@ def structural_generic_rank(P: StructurePattern) -> int:
     Rows are matched to columns across the free positions; the matching
     size equals the maximal rank over all numeric realizations.
     """
-    adj = [[] for _ in range(P.rows)]
-    for (r, c) in sorted(P.free):
-        adj[r].append(c)
-    match = [None] * P.cols
-
-    def augment(r, visited):
-        for c in adj[r]:
-            if not visited[c]:
-                visited[c] = True
-                if match[c] is None or augment(match[c], visited):
-                    match[c] = r
-                    return True
-        return False
-
-    size = 0
-    for r in range(P.rows):
-        if augment(r, [False] * P.cols):
-            size += 1
-    return size
+    match = maximum_bipartite_matching(_pattern(P.free, (P.rows, P.cols)),
+                                       perm_type="column")
+    return int(np.count_nonzero(match >= 0))
 
 
 def generically_no_zero_dynamics(Apat: StructurePattern,
-                                 Bpat: StructurePattern,
-                                 Cpat: StructurePattern | None = None) -> bool:
+                                 Bpat: StructurePattern) -> bool:
     """Sufficient structural test for absence of zero dynamics.
 
     True when the state pattern's digraph is k-connected and the input
     pattern has generic rank below k; under that condition almost every
     realization (consensus realizations included) has no invisible state
-    motion.  ``Cpat`` is accepted for interface symmetry; the criterion
-    depends on the network pattern and the input rank only.
+    motion.
     """
     k = vertex_connectivity(Apat.digraph())
     return structural_generic_rank(Bpat) < k

@@ -543,12 +543,3 @@ def _witness_outputs_match(net: ConsensusMatrix, w: UnidentifiabilityWitness,
     y1 = net.outputs(simulate(net, w.x0, atk1, w.horizon).states, j)
     y2 = net.outputs(simulate(net, np.zeros(net.n), atk2, w.horizon).states, j)
     return bool(np.max(np.abs(y1 - y2)) < tol)
-
-
-def batch_left_invertibility(net: ConsensusMatrix, size: int):
-    """Left-invertibility of every (K, j) pair with |K| = size."""
-    results = {}
-    for K in itertools.combinations(range(1, net.n + 1), size):
-        for j in range(1, net.n + 1):
-            results[(K, j)] = is_left_invertible(Triple.from_network(net, K, j))
-    return results

@@ -1,0 +1,96 @@
+import json
+
+import numpy as np
+import pytest
+
+from netguard import cli, consensus, sysan
+
+from fixtures import BENCH8_A, WEAK7_PARTITION, weak7_matrix
+
+
+def run(tmp_path, command, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    code = cli.main([command, "--scenario", str(path), "--out", str(out)])
+    return code, out
+
+
+def read_verdict(out):
+    return json.loads((out / "verdict.json").read_text())
+
+
+def test_identify_single_attacker_exits_ok(tmp_path):
+    code, out = run(tmp_path, "identify", {
+        "matrix": {"rows": BENCH8_A.tolist()}, "observer": 1, "k": 1,
+        "horizon": 24, "x0": {"random": {}},
+        "attacks": [{"agent": 3, "kind": "constant", "value": 1.0}]})
+    assert code == cli.EXIT_OK
+    verdict = read_verdict(out)
+    assert verdict["status"] == "identified" and verdict["identified"] == [3]
+
+
+def test_row_sum_error_exits_invalid(tmp_path):
+    A = BENCH8_A.copy()
+    A[0, 0] += 0.1
+    code, _ = run(tmp_path, "identify", {
+        "matrix": {"rows": A.tolist()}, "observer": 1, "k": 1})
+    assert code == cli.EXIT_INVALID
+
+
+@pytest.mark.parametrize("observer", [0, 9])
+def test_analyze_rejects_observer_out_of_range(tmp_path, observer):
+    code, out = run(tmp_path, "analyze", {
+        "matrix": {"rows": BENCH8_A.tolist()}, "observer": observer,
+        "sets": [[3]]})
+    assert code == cli.EXIT_INVALID
+    assert not (out / "report.json").exists()
+
+
+def test_analyze_uses_the_observer_rows(tmp_path):
+    code, out = run(tmp_path, "analyze", {
+        "matrix": {"rows": BENCH8_A.tolist()}, "observer": 8, "sets": [[3]]})
+    assert code == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    C = consensus.validate(BENCH8_A).output_matrix(8)
+    expected = sysan.invariant_zeros(
+        sysan.Triple.from_matrices(BENCH8_A, consensus.input_matrix(8, [3]), C))
+    assert [p["observer"] for p in report["pairs"]] == [8]
+    assert report["pairs"][0]["normal_rank"] == expected.normal_rank
+
+
+def test_indistinguishable_sets_exit_ambiguous(tmp_path):
+    net = consensus.validate(BENCH8_A)
+    w = sysan.unidentifiability_witness(net, (2, 3), (4, 5), 1, horizon=24)
+    assert w is not None
+    code, out = run(tmp_path, "identify", {
+        "matrix": {"rows": BENCH8_A.tolist()}, "observer": 1, "k": 2,
+        "horizon": 24, "x0": w.x0.tolist(),
+        "attacks": [{"agent": a, "kind": "sequence",
+                     "values": w.inputs_1[:, c].tolist()}
+                    for c, a in enumerate(w.K1)]})
+    assert code == cli.EXIT_AMBIGUOUS
+    assert read_verdict(out)["candidates"] == [[2, 3], [4, 5]]
+
+
+def test_local_identify_above_crossing_exits_calibration(tmp_path):
+    code, out = run(tmp_path, "local-identify", {
+        "matrix": {"rows": weak7_matrix(0.1).tolist()},
+        "partition": [list(b) for b in WEAK7_PARTITION], "observer": 1,
+        "block": 1, "k": 1, "horizon": 30,
+        "attacks": [{"agent": 2, "kind": "constant", "value": 0.5}]})
+    assert code == cli.EXIT_CALIBRATION
+    verdict = read_verdict(out)
+    assert verdict["status"] == "calibration_failure"
+    assert verdict["epsilon_star"] < verdict["epsilon"]
+
+
+def test_identify_survives_failed_synthesis(tmp_path):
+    # dead-beat synthesis raises on some candidates of this 20-node network
+    net = consensus.random_consensus_matrix(20, np.random.default_rng(0),
+                                            extra_edges=20)
+    code, out = run(tmp_path, "identify", {
+        "matrix": {"rows": net.A.tolist()}, "observer": 1, "k": 1,
+        "attacks": [{"agent": 3, "kind": "constant", "value": 1.0}]})
+    assert code in (cli.EXIT_OK, cli.EXIT_AMBIGUOUS)
+    assert [3] in read_verdict(out)["candidates"]

@@ -182,3 +182,63 @@ def test_edge_list_rejects_garbage():
         gm.read_edge_list("3\n1 2 3")
     with pytest.raises(ValueError):
         gm.read_edge_list("")
+
+
+def dense_digraph(rng, n):
+    p = rng.uniform(0.15, 0.6)
+    edges = {(i, i % n + 1) for i in range(1, n + 1)}
+    edges |= {(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+              if a != b and rng.random() < p}
+    return gm.DiGraph(n, frozenset(edges))
+
+
+def pairwise_networkx_connectivity(G):
+    """Minimum of networkx local_node_connectivity over non-adjacent pairs.
+
+    ``nx.node_connectivity`` itself is not used: on digraphs it can
+    overestimate (arcs 1->2, 2->3, 3->1, 3->2 give 2, though removing
+    vertex 2 leaves only 3->1).
+    """
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import (
+        build_auxiliary_node_connectivity, local_node_connectivity)
+    D = nx.DiGraph()
+    D.add_nodes_from(G.vertices())
+    D.add_edges_from(G.edges)
+    aux = build_auxiliary_node_connectivity(D)
+    return min((local_node_connectivity(D, s, t, auxiliary=aux)
+                for s in G.vertices() for t in G.vertices()
+                if s != t and not G.has_edge(s, t)), default=G.n - 1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_connectivity_and_cut_match_networkx(seed):
+    rng = np.random.default_rng(400 + seed)
+    G = dense_digraph(rng, int(rng.integers(10, 26)))
+    k = pairwise_networkx_connectivity(G)
+    assert gm.vertex_connectivity(G) == k
+    cut = gm.find_vertex_cut(G, k)
+    assert cut is not None and len(cut.cut) == k
+    assert not gm.is_strongly_connected(G, set(cut.cut))
+    assert gm.find_vertex_cut(G, k - 1) is None
+
+
+def test_pairwise_reference_on_networkx_counterexample():
+    G = gm.DiGraph(3, frozenset({(1, 2), (2, 3), (3, 1), (3, 2)}))
+    assert pairwise_networkx_connectivity(G) == 1
+    assert gm.vertex_connectivity(G) == gm.vertex_connectivity_bruteforce(G) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_connectivity_flow_count_is_linear(seed, monkeypatch):
+    rng = np.random.default_rng(500 + seed)
+    G = dense_digraph(rng, 20)
+    flow, calls = gm.maximum_flow, []
+
+    def counting_flow(*args, **kwargs):
+        calls.append(args)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(gm, "maximum_flow", counting_flow)
+    k = gm.vertex_connectivity(G)
+    assert 0 < len(calls) <= 2 * (k + 1) * (G.n - 1)
