@@ -411,12 +411,12 @@ def main(argv=None) -> int:
                        help="override the scenario seed")
         p.set_defaults(handler=handler)
     args = parser.parse_args(argv)
-    tol_env = os.environ.get("NETGUARD_TOL")
-    if tol_env:
-        numerics.set_rank_tolerance(float(tol_env))
     if args.command == "validate" and not (args.matrix or args.scenario):
         parser.error("validate needs --matrix or --scenario")
     try:
+        tol_env = os.environ.get("NETGUARD_TOL")
+        if tol_env:
+            numerics.set_rank_tolerance(float(tol_env))
         return args.handler(args)
     except (ValueError, consensus.ConsensusError, OSError,
             json.JSONDecodeError, KeyError) as exc:

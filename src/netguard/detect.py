@@ -16,6 +16,7 @@ from itertools import combinations
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 
 from . import fdi, graph as graphmod
 from .consensus import ConsensusMatrix, input_matrix
@@ -45,6 +46,11 @@ class DetectionFilter:
     C: np.ndarray
     observer: int
     z: np.ndarray = field(default=None)
+    # the loop matrix A + G C, fixed at construction
+    _closed: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._closed = self.A + self.G @ self.C
 
     @classmethod
     def from_network(cls, net: ConsensusMatrix, j: int) -> "DetectionFilter":
@@ -53,12 +59,12 @@ class DetectionFilter:
         G = -net.A[:, idx]
         H = C.T
         L = np.eye(net.n) - H @ C
-        closed = net.A + G @ C
-        radius = np.max(np.abs(np.linalg.eigvals(closed)))
+        filt = cls(A=net.A.copy(), G=G, H=H, L=L, C=C, observer=j,
+                   z=np.zeros(net.n))
+        radius = np.max(np.abs(np.linalg.eigvals(filt._closed)))
         if radius >= 1.0:
             raise ValueError("detection filter loop is not Schur stable")
-        return cls(A=net.A.copy(), G=G, H=H, L=L, C=C, observer=j,
-                   z=np.zeros(net.n))
+        return filt
 
     def reset(self):
         self.z = np.zeros(self.A.shape[0])
@@ -67,7 +73,7 @@ class DetectionFilter:
         """Consume one measurement, return the current state estimate."""
         y = as_vector(y)
         xhat = self.L @ self.z + self.H @ y
-        self.z = (self.A + self.G @ self.C) @ self.z - self.G @ y
+        self.z = self._closed @ self.z - self.G @ y
         return xhat
 
     def run(self, ys):
@@ -439,55 +445,101 @@ def _residual_coefficients(A_full, gen: fdi.ResidualGenerator, observed,
     return Psi_x, coeffs
 
 
-def _box_max(Psi_x, coeffs, active_boxes, x_max: float) -> float:
-    """Exact max of the residual sup-norm over the variable boxes."""
-    q = Psi_x.shape[0]
-    best = 0.0
-    for rho in range(q):
-        for sign in (1.0, -1.0):
-            total = x_max * np.sum(np.abs(Psi_x[rho]))
-            for a, (lo, hi) in active_boxes.items():
-                for tau in range(coeffs[a].shape[0]):
-                    c = sign * coeffs[a][tau, rho]
-                    total += max(c * lo, c * hi)
-            best = max(best, total)
-    return best
+def _box_max(Psi_x, samples, box, x_max: float) -> float:
+    """Exact max of the residual sup-norm over the variable boxes.
+
+    ``samples`` stacks the input-sample coefficient rows (one per sample,
+    ``q`` columns), every sample ranging over ``box``.  A linear form
+    peaks over a box at the vertex matching its signs, so each row and
+    sign is a closed-form sum.
+    """
+    lo, hi = box
+    base = x_max * np.sum(np.abs(Psi_x), axis=1)
+    up = np.sum(np.maximum(samples * lo, samples * hi), axis=0)
+    down = np.sum(np.maximum(-samples * lo, -samples * hi), axis=0)
+    return float(max(0.0, np.max(base + up), np.max(base + down)))
 
 
-def _box_min(Psi_x, coeffs, active_boxes, x_max: float) -> float:
-    """Exact min of the residual sup-norm over the variable boxes (an LP)."""
-    q = Psi_x.shape[0]
-    n = Psi_x.shape[1]
-    agents = sorted(active_boxes)
-    t_star = coeffs[agents[0]].shape[0] if agents else 0
-    nvar = n + len(agents) * t_star + 1
-    rows = []
-    for rho in range(q):
-        coef = np.zeros(nvar)
-        coef[:n] = Psi_x[rho]
-        for k, a in enumerate(agents):
-            coef[n + k * t_star:n + (k + 1) * t_star] = coeffs[a][:, rho]
-        rows.append(coef)
-    A_ub, b_ub = [], []
-    for coef in rows:
-        up = coef.copy()
-        up[-1] = -1.0
-        A_ub.append(up)
-        down = -coef
-        down[-1] = -1.0
-        A_ub.append(down)
-        b_ub.extend([0.0, 0.0])
-    bounds = [(-x_max, x_max)] * n
-    for a in agents:
-        bounds += [active_boxes[a]] * t_star
-    bounds.append((0.0, None))
-    c = np.zeros(nvar)
-    c[-1] = 1.0
-    res = scipy.optimize.linprog(c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-                                 bounds=bounds, method="highs")
+def _joint_box_min(blocks, box, x_max: float) -> float:
+    """Least, over the generators, of the min residual sup-norm (one LP).
+
+    ``blocks`` holds one ``(Psi_x, samples)`` pair per generator.  Each
+    generator's minimum is the LP min t s.t. -t <= K v <= t, with
+    ``K = [Psi_x, samples^T]`` and v ranging over the state and input
+    boxes.  The generators share no variable, so their LPs are stacked
+    block-diagonally into one LP minimizing the sum of the levels t_e;
+    a separable LP is optimal exactly when each block is, so every t_e
+    of the solution is its generator's own minimum.
+    """
+    if not blocks:
+        return np.inf
+    lo, hi = box
+    rows, cols, vals, lower, upper, levels = [], [], [], [], [], []
+    r0 = c0 = 0
+    for Psi_x, samples in blocks:
+        q, n = Psi_x.shape
+        m = samples.shape[0]
+        K = np.hstack([Psi_x, samples.T])
+        level = -np.ones((q, 1))
+        K = np.vstack([np.hstack([K, level]), np.hstack([-K, level])])
+        r, c = np.nonzero(K)
+        rows.append(r + r0)
+        cols.append(c + c0)
+        vals.append(K[r, c])
+        lower += [-x_max] * n + [lo] * m + [0.0]
+        upper += [x_max] * n + [hi] * m + [np.inf]
+        levels.append(c0 + n + m)
+        r0 += 2 * q
+        c0 += n + m + 1
+    A_ub = scipy.sparse.csc_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(r0, c0))
+    cost = np.zeros(c0)
+    cost[levels] = 1.0
+    res = scipy.optimize.linprog(cost, A_ub=A_ub, b_ub=np.zeros(r0),
+                                 bounds=np.column_stack([lower, upper]),
+                                 method="highs")
     if not res.success:
         raise RuntimeError(f"bound LP failed: {res.message}")
-    return float(res.fun)
+    return float(np.min(res.x[levels]))
+
+
+def _coefficient_maps(decomp: BlockDecomposition, bank: LocalBank,
+                      epsilon: float, outside):
+    """Decision-time coefficient maps of every bank generator at a coupling.
+
+    One ``(Psi_x, active, silent)`` triple per entry with a generator:
+    the state coefficient, and the stacked input-sample coefficients of
+    the agents acting when the target is active (the target plus
+    ``outside``) and when it is silent (the decoupled candidates plus
+    ``outside``; ``None`` when there are none).  The maps do not depend on
+    the input band, so one set serves every bound evaluation at this
+    coupling.
+    """
+    A_full = decomp.matrix_at(epsilon)
+    maps = []
+    for entry in bank.entries:
+        if entry.generator is None:
+            continue
+        active = sorted({entry.target, *outside})
+        silent = sorted({*entry.decouple, *outside})
+        Psi_x, coeffs = _residual_coefficients(
+            A_full, entry.generator, bank.observed,
+            sorted({*active, *silent}), bank.eval_time)
+        maps.append((Psi_x, np.vstack([coeffs[a] for a in active]),
+                     np.vstack([coeffs[a] for a in silent]) if silent else None))
+    return maps
+
+
+def _bounds_from_maps(maps, u_min: float, u_max: float, x_max: float):
+    """``(bound_misbehaving, bound_wellbehaving)`` over one input band."""
+    box = (u_min, u_max)
+    bound_mis = _joint_box_min([(Psi_x, active) for Psi_x, active, _ in maps],
+                               box, x_max)
+    bound_well = max((_box_max(Psi_x, silent, box, x_max)
+                      for Psi_x, _, silent in maps if silent is not None),
+                     default=0.0)
+    return bound_mis, bound_well
 
 
 def certified_bounds(decomp: BlockDecomposition, bank: LocalBank,
@@ -500,33 +552,18 @@ def certified_bounds(decomp: BlockDecomposition, bank: LocalBank,
     largest residual a well-behaving target's generator can show, over
     initial states bounded by ``x_max`` and inputs in ``[u_min, u_max]``
     for every acting agent (the bank's candidates plus ``outside``).
+
+    The decision-time residual of each generator is linear in the initial
+    state and the input samples.  Its largest sup-norm over the boxes has
+    a closed form (each row peaks at a box vertex).  Its smallest is an
+    LP; the per-generator LPs share no variable, so all of them are solved
+    as one block-diagonal LP whose objective sums their levels, which is
+    optimal exactly when every block is, so each level is that
+    generator's own minimum.
     """
     eps = decomp.epsilon if epsilon is None else float(epsilon)
-    A_full = decomp.matrix_at(eps)
-    t_star = bank.eval_time
-    box = (u_min, u_max)
-    bound_mis = np.inf
-    bound_well = 0.0
-    for entry in bank.entries:
-        if entry.generator is None:
-            continue
-        # target active: its input plus outside misbehavers
-        active = {entry.target: box}
-        for a in outside:
-            active[a] = box
-        Psi_x, coeffs = _residual_coefficients(
-            A_full, entry.generator, bank.observed, sorted(active), t_star)
-        bound_mis = min(bound_mis, _box_min(Psi_x, coeffs, active, x_max))
-        # target silent: decoupled candidates active plus outside misbehavers
-        active_w = {a: box for a in entry.decouple}
-        for a in outside:
-            active_w[a] = box
-        if active_w:
-            Psi_xw, coeffs_w = _residual_coefficients(
-                A_full, entry.generator, bank.observed, sorted(active_w), t_star)
-            bound_well = max(bound_well,
-                             _box_max(Psi_xw, coeffs_w, active_w, x_max))
-    return float(bound_mis), float(bound_well)
+    maps = _coefficient_maps(decomp, bank, eps, outside)
+    return _bounds_from_maps(maps, u_min, u_max, x_max)
 
 
 def bound_curves(decomp: BlockDecomposition, bank: LocalBank,
@@ -589,8 +626,8 @@ def calibrate_threshold(decomp: BlockDecomposition, bank: LocalBank,
     if not 0.0 <= u_min <= u_max:
         raise ValueError("need 0 <= u_min <= u_max")
     eps = decomp.epsilon
-    bound_mis, bound_well = certified_bounds(decomp, bank, u_min, u_max,
-                                             x_max, outside)
+    maps = _coefficient_maps(decomp, bank, eps, outside)
+    bound_mis, bound_well = _bounds_from_maps(maps, u_min, u_max, x_max)
     if bound_mis <= bound_well:
         eps_star, value = threshold_crossing(decomp, bank, u_min, u_max,
                                              x_max, outside)
@@ -600,7 +637,7 @@ def calibrate_threshold(decomp: BlockDecomposition, bank: LocalBank,
             f"{bound_well:.4g} (bounds cross at {eps_star:.4g})",
             epsilon_star=eps_star, crossing_value=value)
     alpha = u_min / (eps * u_max) if eps > 0 else 0.0
-    alpha_min = _smallest_separating_ratio(decomp, bank, u_max, x_max, outside)
+    alpha_min = _smallest_separating_ratio(maps, eps, u_max, x_max)
     return ThresholdCalibration(
         block=bank.block, alpha=alpha, alpha_min=alpha_min,
         u_min=u_min, u_max=u_max, x_max=x_max,
@@ -610,14 +647,14 @@ def calibrate_threshold(decomp: BlockDecomposition, bank: LocalBank,
         bound_misbehaving=bound_mis)
 
 
-def _smallest_separating_ratio(decomp, bank, u_max, x_max, outside,
+def _smallest_separating_ratio(maps, eps, u_max, x_max,
                                tol: float = 1e-4) -> float:
-    eps = decomp.epsilon
+    """Bisect the input floor on the coefficient maps built at ``eps``."""
     if eps == 0.0:
         return 0.0
 
     def separated(u_min):
-        lo, hi = certified_bounds(decomp, bank, u_min, u_max, x_max, outside)
+        lo, hi = _bounds_from_maps(maps, u_min, u_max, x_max)
         return lo > hi
 
     if not separated(u_max):

@@ -2,12 +2,16 @@
 
 The invariant-subspace oracles run the defining fixpoint iterations in
 exact rational arithmetic (sympy), entirely separate from the SVD-based
-implementations under test.
+implementations under test.  The residual-bound oracles solve one LP per
+generator and enumerate box vertices, where ``netguard.detect`` stacks
+the LPs and uses a closed form.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
+import scipy.optimize
 import sympy
 
 
@@ -159,3 +163,69 @@ def _refine(f, z, step, iters: int = 60):
         if width < 1e-13:
             break
     return best
+
+
+def _bound_columns(Psi_x, coeffs, active_boxes, x_max):
+    """Coefficient matrix [Psi_x, samples of each sorted agent] and its box."""
+    agents = sorted(active_boxes)
+    K = np.hstack([Psi_x] + [coeffs[a].T for a in agents])
+    box = [(-x_max, x_max)] * Psi_x.shape[1]
+    for a in agents:
+        box += [active_boxes[a]] * coeffs[a].shape[0]
+    return K, box
+
+
+def box_min_lp(Psi_x, coeffs, active_boxes, x_max: float) -> float:
+    """Min over the boxes of the residual sup-norm, one LP per generator.
+
+    min t  s.t.  -t <= Psi_x x + sum_a coeffs[a]^T u_a <= t, with x in
+    [-x_max, x_max]^n and each sample of agent a in ``active_boxes[a]``.
+    """
+    K, box = _bound_columns(Psi_x, coeffs, active_boxes, x_max)
+    q, nvar = K.shape
+    level = -np.ones((q, 1))
+    A_ub = np.vstack([np.hstack([K, level]), np.hstack([-K, level])])
+    c = np.zeros(nvar + 1)
+    c[-1] = 1.0
+    res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=np.zeros(2 * q),
+                                 bounds=box + [(0.0, None)], method="highs")
+    if not res.success:
+        raise RuntimeError(f"bound LP failed: {res.message}")
+    return float(res.fun)
+
+
+def box_max_vertices(Psi_x, coeffs, active_boxes, x_max: float) -> float:
+    """Max over the boxes of the residual sup-norm, by visiting every vertex."""
+    K, box = _bound_columns(Psi_x, coeffs, active_boxes, x_max)
+    vertices = np.array(list(product(*box)), dtype=float)
+    return float(max(0.0, np.max(np.abs(vertices @ K.T))))
+
+
+def certified_bounds_per_generator(residual_coefficients, decomp, bank,
+                                   u_min, u_max, x_max=1.0, outside=()):
+    """``(bound_misbehaving, bound_wellbehaving)`` generator by generator.
+
+    ``residual_coefficients`` builds the decision-time maps of one
+    generator; the bounds are the least :func:`box_min_lp` with the target
+    and ``outside`` active and the largest :func:`box_max_vertices` with
+    the decoupled candidates and ``outside`` active.
+    """
+    A_full = decomp.A
+    box = (u_min, u_max)
+    bound_mis, bound_well = np.inf, 0.0
+    for entry in bank.entries:
+        if entry.generator is None:
+            continue
+        active = {a: box for a in (entry.target, *outside)}
+        Psi_x, coeffs = residual_coefficients(
+            A_full, entry.generator, bank.observed, sorted(active),
+            bank.eval_time)
+        bound_mis = min(bound_mis, box_min_lp(Psi_x, coeffs, active, x_max))
+        silent = {a: box for a in (*entry.decouple, *outside)}
+        if silent:
+            Psi_x, coeffs = residual_coefficients(
+                A_full, entry.generator, bank.observed, sorted(silent),
+                bank.eval_time)
+            bound_well = max(bound_well,
+                             box_max_vertices(Psi_x, coeffs, silent, x_max))
+    return bound_mis, bound_well

@@ -1,0 +1,185 @@
+import numpy as np
+import pytest
+import scipy.optimize
+
+from netguard import detect, fdi
+
+from fixtures import LOCAL_GEN2, LOCAL_GEN3, WEAK7_PARTITION, weak7_matrix
+from oracles import (box_max_vertices, box_min_lp,
+                     certified_bounds_per_generator)
+
+
+def weak7(eps):
+    return detect.block_decompose(weak7_matrix(eps), WEAK7_PARTITION)
+
+
+def gen_bank():
+    """Block {1,2,3} seen from agent 1 with the two-step reference filters."""
+    entries = []
+    for gen, target, other in ((LOCAL_GEN2, 2, 3), (LOCAL_GEN3, 3, 2)):
+        g = fdi.ResidualGenerator(**{k: v.copy() for k, v in gen.items()},
+                                  horizon=2, target=(target,),
+                                  decoupled=(other,))
+        entries.append(detect.BankEntry(target=target, decouple=(other,),
+                                        generator=g, solvable=True))
+    return detect.LocalBank(block=1, observer=1, k_j=1, agents=(1, 2, 3),
+                            observed=(1, 2, 3), entries=tuple(entries),
+                            eval_time=2)
+
+
+def reference(decomp, bank, u_min, outside):
+    return certified_bounds_per_generator(detect._residual_coefficients,
+                                          decomp, bank, u_min, 1.0, 1.0,
+                                          outside)
+
+
+def assert_bounds_match(decomp, bank, u_min, outside):
+    got = detect.certified_bounds(decomp, bank, u_min, 1.0, 1.0, outside)
+    want = reference(decomp, bank, u_min, outside)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
+@pytest.mark.parametrize("u_min", [0.05, 0.1, 0.5])
+@pytest.mark.parametrize("block, observer, outside", [
+    (1, 1, ()), (1, 1, (4,)), (1, 1, (4, 7)),
+    (2, 4, ()), (2, 4, (2,)), (2, 4, (2, 3))])
+def test_certified_bounds_match_per_generator_lps(eps, u_min, block,
+                                                  observer, outside):
+    decomp = weak7(eps)
+    bank = detect.build_local_bank(decomp, block, observer, 1)
+    assert_bounds_match(decomp, bank, u_min, outside)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01, 0.05, 0.1])
+@pytest.mark.parametrize("u_min", [0.05, 0.5])
+@pytest.mark.parametrize("outside", [(), (4,), (4, 7)])
+def test_two_step_bank_bounds_match_per_generator_lps(eps, u_min, outside):
+    assert_bounds_match(weak7(eps), gen_bank(), u_min, outside)
+
+
+def test_two_step_filters_separate_without_coupling():
+    # dead-beat at t* = 2: the initial state and the decoupled agent drop
+    # out, and the target's samples u(0), u(1) reach the residual as
+    # (+-u(0) / 3, u(0) / 3 + u(1)), least at u = 0.1
+    mis, well = detect.certified_bounds(weak7(0.0), gen_bank(), 0.1, 1.0)
+    assert well == pytest.approx(0.0, abs=1e-12)
+    assert mis == pytest.approx(0.4 / 3, rel=1e-9)
+
+
+def test_residual_coefficients_reproduce_a_simulated_residual():
+    rng = np.random.default_rng(3)
+    A = weak7_matrix(0.05)
+    bank = gen_bank()
+    agents = [2, 3, 4]
+    x0 = rng.uniform(-1, 1, 7)
+    u = rng.uniform(-1, 1, (bank.eval_time, len(agents)))
+    states = [x0]
+    for t in range(bank.eval_time):
+        x = A @ states[-1]
+        x[[a - 1 for a in agents]] += u[t]
+        states.append(x)
+    ys = np.array(states)[:, [a - 1 for a in bank.observed]]
+    for entry in bank.entries:
+        r = fdi.run_residual(entry.generator, ys)[bank.eval_time]
+        Psi_x, coeffs = detect._residual_coefficients(
+            A, entry.generator, bank.observed, agents, bank.eval_time)
+        predicted = Psi_x @ x0 + sum(coeffs[a].T @ u[:, c]
+                                     for c, a in enumerate(agents))
+        np.testing.assert_allclose(predicted, r, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("q, n, m", [(1, 3, 1), (2, 7, 2), (3, 5, 6)])
+@pytest.mark.parametrize("box", [(0.1, 1.0), (-0.3, 0.7), (0.5, 0.5)])
+def test_box_max_equals_vertex_enumeration(q, n, m, box):
+    rng = np.random.default_rng(q * 100 + n * 10 + m)
+    Psi_x = rng.normal(size=(q, n))
+    samples = rng.normal(size=(m, q))
+    samples[0] = 0.0
+    coeffs = {a: samples[a:a + 1] for a in range(m)}
+    want = box_max_vertices(Psi_x, coeffs, {a: box for a in range(m)}, 0.7)
+    got = detect._box_max(Psi_x, samples, box, 0.7)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_joint_box_min_is_least_per_generator_minimum():
+    rng = np.random.default_rng(5)
+    box = (0.2, 0.9)
+    blocks, mins = [], []
+    for q, n, m in ((2, 4, 1), (3, 4, 2), (1, 4, 3)):
+        Psi_x = 0.05 * rng.normal(size=(q, n))
+        samples = rng.normal(size=(m, q))
+        blocks.append((Psi_x, samples))
+        coeffs = {a: samples[a:a + 1] for a in range(m)}
+        mins.append(box_min_lp(Psi_x, coeffs, {a: box for a in range(m)}, 1.0))
+    assert detect._joint_box_min(blocks, box, 1.0) == pytest.approx(
+        min(mins), rel=1e-9, abs=1e-12)
+    assert detect._joint_box_min([], box, 1.0) == np.inf
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_one_lp_per_bound_evaluation(monkeypatch):
+    decomp = weak7(0.01)
+    bank = detect.build_local_bank(decomp, 2, 4, 1)
+    assert len(bank.entries) == 6
+    lps = count_calls(monkeypatch, scipy.optimize, "linprog")
+    detect.certified_bounds(decomp, bank, 0.1, 1.0, outside=(2,))
+    assert len(lps) == 1
+
+
+def test_calibration_builds_the_maps_once(monkeypatch):
+    decomp = weak7(0.01)
+    bank = detect.build_local_bank(decomp, 1, 1, 1)
+    maps = count_calls(monkeypatch, detect, "_residual_coefficients")
+    lps = count_calls(monkeypatch, scipy.optimize, "linprog")
+    detect.calibrate_threshold(decomp, bank, u_max=1.0, u_min=0.1)
+    assert len(maps) == len(bank.entries)
+    assert len(lps) > 10
+
+
+def test_failed_bound_lp_raises(monkeypatch):
+    class Failed:
+        success = False
+        message = "infeasible"
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: Failed())
+    decomp = weak7(0.01)
+    bank = detect.build_local_bank(decomp, 1, 1, 1)
+    with pytest.raises(RuntimeError, match="bound LP failed"):
+        detect.certified_bounds(decomp, bank, 0.1, 1.0)
+
+
+# Reference values of WEAK7 block 1 seen from agent 1, k = 1, inputs in
+# [0.1, 1], |x0| <= 1, measured before the bound LPs were stacked.
+def test_weak7_calibration_below_crossing():
+    decomp = weak7(0.01)
+    bank = detect.build_local_bank(decomp, 1, 1, 1)
+    assert detect.certified_bounds(decomp, bank, 0.1, 1.0) == pytest.approx(
+        (0.08, 0.02), rel=1e-9)
+    cal = detect.calibrate_threshold(decomp, bank, u_max=1.0, u_min=0.1)
+    assert cal.eval_time == 1
+    assert cal.T_h == pytest.approx(0.05, rel=1e-9)
+    assert cal.bound_misbehaving == pytest.approx(0.08, rel=1e-9)
+    assert cal.bound_wellbehaving == pytest.approx(0.02, rel=1e-9)
+    assert cal.alpha == pytest.approx(10.0, rel=1e-9)
+    assert cal.alpha_min == pytest.approx(4.0039, abs=1e-4)
+
+
+def test_weak7_calibration_above_crossing():
+    decomp = weak7(0.1)
+    bank = detect.build_local_bank(decomp, 1, 1, 1)
+    with pytest.raises(detect.CalibrationError) as err:
+        detect.calibrate_threshold(decomp, bank, u_max=1.0, u_min=0.1)
+    assert err.value.epsilon_star == pytest.approx(0.0250, abs=1e-4)
+    assert err.value.crossing_value == pytest.approx(0.0500, abs=1e-4)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from netguard import cli, consensus, sysan
+from netguard import cli, consensus, numerics, sysan
 
 from fixtures import BENCH8_A, WEAK7_PARTITION, weak7_matrix
 
@@ -94,3 +94,26 @@ def test_identify_survives_failed_synthesis(tmp_path):
         "attacks": [{"agent": 3, "kind": "constant", "value": 1.0}]})
     assert code in (cli.EXIT_OK, cli.EXIT_AMBIGUOUS)
     assert [3] in read_verdict(out)["candidates"]
+
+
+@pytest.mark.parametrize("value", ["-1", "abc"])
+def test_malformed_tolerance_exits_invalid(tmp_path, monkeypatch, capsys,
+                                           value):
+    policy = numerics.get_policy()
+    monkeypatch.setattr(policy, "rank_rel", policy.rank_rel)
+    monkeypatch.setenv("NETGUARD_TOL", value)
+    code, out = run(tmp_path, "analyze", {
+        "matrix": {"rows": BENCH8_A.tolist()}, "observer": 1, "sets": [[3]]})
+    assert code == cli.EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_tolerance_from_environment_is_applied(tmp_path, monkeypatch):
+    policy = numerics.get_policy()
+    monkeypatch.setattr(policy, "rank_rel", policy.rank_rel)
+    monkeypatch.setenv("NETGUARD_TOL", "1e-8")
+    code, _ = run(tmp_path, "analyze", {
+        "matrix": {"rows": BENCH8_A.tolist()}, "observer": 1, "sets": [[3]]})
+    assert code == cli.EXIT_OK
+    assert policy.rank_rel == 1e-8

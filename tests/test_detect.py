@@ -35,3 +35,38 @@ def test_unsolvable_pairs_match_fdi_solvable(A, k):
     assert len(expected) == (20 if A is RING9_A else 0)
     assert set(verdict.unsolvable) == expected
     assert verdict.unsolvable == tuple(sorted(expected))
+
+
+def naive_filter(A, G, H, L, C, ys):
+    """The filter recursion written out step by step."""
+    z = np.zeros(A.shape[0])
+    estimates = []
+    for y in ys:
+        estimates.append(L @ z + H @ y)
+        z = (A + G @ C) @ z - G @ y
+    residuals = [estimates[t + 1] - A @ estimates[t]
+                 for t in range(len(estimates) - 1)]
+    return np.array(estimates), np.array(residuals)
+
+
+@pytest.mark.parametrize("attacks, persistent", [
+    ((), False), ((consensus.Attack.constant(3, 1.0),), True)])
+def test_detection_filter_run(attacks, persistent):
+    net = consensus.validate(BENCH8_A)
+    rng = np.random.default_rng(0)
+    traj = consensus.simulate(net, rng.uniform(-1, 1, net.n), attacks, 200)
+    ys = net.outputs(traj.states, 1)
+    filt = detect.DetectionFilter.from_network(net, 1)
+    estimates, residuals = filt.run(ys)
+    want_est, want_res = naive_filter(filt.A, filt.G, filt.H, filt.L, filt.C, ys)
+    np.testing.assert_allclose(estimates, want_est, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(residuals, want_res, rtol=1e-12, atol=1e-12)
+    assert residuals.shape == (200, net.n)
+    tail = np.max(np.abs(residuals[-50:]), axis=1)
+    if persistent:
+        assert np.min(tail) > 0.1
+    else:
+        assert np.max(tail) < 1e-9
+    # a second run starts again from z = 0
+    again, _ = filt.run(ys)
+    np.testing.assert_array_equal(again, estimates)
