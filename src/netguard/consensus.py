@@ -312,15 +312,12 @@ def exponential_input_bound(net: ConsensusMatrix, K, z: float, u0) -> np.ndarray
 
 def unobservable_subspace(net: ConsensusMatrix, j: int):
     """Kernel of the observability map of ``(A, C_j)``."""
+    from .fdi import _window_maps
     from .numerics import kernel
 
-    C = net.output_matrix(j)
-    blocks = [C]
-    power = np.eye(net.n)
-    for _ in range(net.n - 1):
-        power = power @ net.A
-        blocks.append(C @ power)
-    return kernel(np.vstack(blocks))
+    O, _ = _window_maps(net.A, np.zeros((net.n, 0)), net.output_matrix(j),
+                        net.n - 1)
+    return kernel(O)
 
 
 def unobservable_offset_is_neutral(net: ConsensusMatrix, j: int, v,

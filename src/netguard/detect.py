@@ -2,11 +2,12 @@
 
 Three layers: a cheap per-agent detection filter whose innovation flags
 any active misbehavior asymptotically; complete identification, which
-runs a bank of dead-beat residual generators over every candidate
-misbehaving set and identifies by exclusion in finite time; and local
-identification on weakly coupled networks, which designs the bank
-against the block-diagonal part only and separates misbehaving from
-well-behaving residuals with a calibrated threshold.
+runs a bank of parity-space residual generators (shift registers of the
+last few outputs, one per candidate misbehaving set) and identifies by
+exclusion in finite time; and local identification on weakly coupled
+networks, which designs the bank against the block-diagonal part only
+and separates misbehaving from well-behaving residuals with a calibrated
+threshold.
 """
 
 from __future__ import annotations
@@ -113,12 +114,15 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
                             residual_floor: float = 1e-7) -> IdentificationVerdict:
     """Identify up to ``k`` misbehaving agents from observer ``j``'s data.
 
-    One dead-beat residual generator is synthesized per candidate
-    decoupled k-subset of the other agents; a candidate misbehaving set
-    is consistent when every generator decoupling it stays below the
-    residual floor past its horizon.  The unique minimal consistent set
-    is returned; several minimal survivors (colluding agents riding an
-    invisible motion) yield an ambiguous verdict.
+    One parity-space residual generator is synthesized per candidate
+    decoupled k-subset of the other agents: a parity relation on the
+    shortest output window that cancels the initial state and the
+    decoupled inputs.  A candidate misbehaving set is consistent when
+    every generator decoupling it stays, past its horizon, below
+    ``residual_floor`` times the largest measured magnitude.  The unique
+    minimal consistent set is returned; several minimal survivors
+    (colluding agents riding an invisible motion) yield an ambiguous
+    verdict.  The verdict's ``horizon`` is the longest parity window.
 
     Requires network connectivity at least ``k + 1``; identification of
     malicious sets is only guaranteed from ``2k + 1``.
@@ -127,6 +131,7 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
     if conn < k + 1:
         raise ValueError(f"connectivity {conn} below required {k + 1}")
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    floor = residual_floor * float(np.max(np.abs(ys), initial=0.0))
     others = [a for a in range(1, net.n + 1) if a != j]
     C = net.output_matrix(j)
     fired = {}
@@ -135,14 +140,9 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
     norms = {}
     for D in combinations(others, k):
         B_D = input_matrix(net.n, D)
-        try:
-            report = fdi.synthesize_residual_generator(
-                net.A, np.zeros((net.n, 0)), B_D, C)
-        except RuntimeError:
-            # the dead-beat design failed numerically: no generator, as when
-            # the problem is unsolvable
-            report = None
-        if report is None or report.generator is None:
+        report = fdi.synthesize_residual_generator(
+            net.A, np.zeros((net.n, 0)), B_D, C)
+        if report.generator is None:
             unsolvable.append(((), D))
             fired[D] = None
             continue
@@ -155,7 +155,7 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
         res = fdi.run_residual(gen, ys)
         tail = res[min(gen.horizon, res.shape[0] - 1):]
         level = float(np.max(np.abs(tail))) if tail.size else 0.0
-        fired[D] = level > residual_floor
+        fired[D] = level > floor
         norms[D] = np.max(np.abs(res), axis=1)
         horizons.append(gen.horizon)
     unsolvable_pairs = {(i, D) for (i, D) in unsolvable}

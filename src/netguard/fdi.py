@@ -2,7 +2,7 @@
 
 Maximal output-nulling controlled invariants, minimal conditioned
 invariants, the unobservability subspace they span, the solvability test
-for isolating one input against the others, and dead-beat residual
+for isolating one input against the others, and parity-space residual
 generator synthesis.  A residual generator is a filter driven by the
 measurements only,
 
@@ -10,7 +10,10 @@ measurements only,
 
 whose residual is identically zero after a finite horizon whenever its
 target input stays zero, for every initial condition and every input of
-the decoupled set.
+the decoupled set.  The filters built here are shift registers of the
+last L outputs: the residual is a parity relation ``W [y(t-L); ...;
+y(t)]`` whose weights annihilate the window's observability and
+decoupled-input maps (Chow and Willsky, IEEE TAC 1984).
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import numerics
 from .numerics import (Subspace, apply_map, as_matrix, image, kernel,
                        preimage, subspace_equal, subspace_intersect,
-                       subspace_sum, zero_subspace)
+                       subspace_sum)
 
 
 def max_controlled_invariant(A, B, C, tol: float | None = None) -> Subspace:
@@ -118,7 +122,7 @@ def _output_or_empty(C, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResidualGenerator:
-    """Dead-beat residual filter (F, E, M, H) driven by measurements only.
+    """Finite-horizon residual filter (F, E, M, H) driven by measurements only.
 
     ``F`` is nilpotent, so the residual converges exactly within
     ``horizon`` steps.  ``target`` and ``decoupled`` record the input
@@ -193,126 +197,82 @@ def run_residual(gen: ResidualGenerator, ys) -> np.ndarray:
     return residuals
 
 
-def _conditioned_closure(A, S: Subspace, kerC: Subspace,
-                         tol: float | None = None) -> Subspace:
-    """Smallest conditioned-invariant subspace containing ``S``."""
-    n = A.shape[0]
-    current = S
-    for _ in range(n + 1):
-        nxt = subspace_sum(current,
-                           apply_map(A, subspace_intersect(current, kerC, tol), tol),
-                           tol)
-        if nxt.dim == current.dim:
-            return nxt
-        current = nxt
-    return current
+def _window_maps(A, B, C, L: int):
+    """Maps of an output window of ``L + 1`` steps.
+
+    Returns ``(O, T)`` with ``[y(t-L); ...; y(t)] = O x(t-L) + T [u(t-L);
+    ...; u(t)]``: ``O`` stacks ``C A^s`` for ``s = 0..L`` and ``T`` is block
+    Toeplitz, its block ``(s, tau)`` being ``C A^(s-tau-1) B`` below the
+    diagonal and zero on and above it.
+    """
+    p, m = C.shape[0], B.shape[1]
+    rows = [C]
+    for _ in range(L):
+        rows.append(rows[-1] @ A)
+    markov = [CA @ B for CA in rows[:L]]
+    T = np.zeros(((L + 1) * p, (L + 1) * m))
+    for s in range(1, L + 1):
+        for tau in range(s):
+            T[s * p:(s + 1) * p, tau * m:(tau + 1) * m] = markov[s - tau - 1]
+    return np.vstack(rows), T
 
 
-def _invariant_injection(A, C, S: Subspace) -> np.ndarray:
-    """Output injection G with ``(A + G C) S <= S``.
+def _parity_weights(A, Bd, watched, C, tol: float | None = None):
+    """Shortest parity relation ignoring ``Bd`` that sees every watched input.
 
-    Exists because ``S`` is conditioned invariant; solved columnwise by
-    least squares on the complement of ``S``.
+    For ``L = 1..n`` the rows of ``W`` span the left null space of
+    ``[O_L, T_L Bd]``, so ``W`` applied to the last ``L + 1`` outputs
+    cancels the state and the decoupled inputs; the first ``L`` at which
+    ``W T_L b`` is nonzero, relative to ``T_L b``, for each watched column
+    ``b`` is returned with ``W``.  ``None`` when no window up to ``n``
+    does.
     """
     n = A.shape[0]
-    if S.dim == 0 or S.dim == n:
-        return np.zeros((n, C.shape[0]))
-    Vs = S.basis
-    P_perp = S.perp_projector()
-    Y = C @ Vs
-    Z = -P_perp @ A @ Vs
-    G, *_ = np.linalg.lstsq(Y.T, Z.T, rcond=None)
-    return G.T
-
-
-def _unobservable_subspace_pair(Cbar, Abar, tol: float | None = None) -> Subspace:
-    """Kernel of the observability map of the pair (Cbar, Abar)."""
-    n = Abar.shape[0]
-    if Cbar.shape[0] == 0:
-        return numerics.full_subspace(n, tol)
-    blocks = [Cbar]
-    power = np.eye(n)
-    for _ in range(n - 1):
-        power = power @ Abar
-        blocks.append(Cbar @ power)
-    return kernel(np.vstack(blocks), tol)
-
-
-def _output_annihilator(C, S: Subspace, tol: float | None = None) -> np.ndarray:
-    """Orthonormal rows spanning {h : h C S = 0}."""
-    CS = C @ S.basis if S.dim else np.zeros((C.shape[0], 0))
-    ann = kernel(CS.T, tol)
-    return ann.basis.T
-
-
-def _nilpotency_defect(F: np.ndarray) -> float:
-    d = F.shape[0]
-    defect = np.linalg.norm(np.linalg.matrix_power(F, d))
-    return defect / max(1.0, np.linalg.norm(F)) ** d
-
-
-def _deadbeat_injection(Abar, Cbar, seed: int = 0,
-                        tries: int = 25) -> np.ndarray:
-    """Gain making ``Abar + G Cbar`` nilpotent, for an observable pair.
-
-    When the factor output has full column rank the pseudoinverse gain
-    cancels the dynamics outright (one-step convergence).  Otherwise the
-    pair is reduced to a single synthetic output through a random
-    combination and the dead-beat variant of the classic single-output
-    formula applies; among the exact draws the smallest gain is kept to
-    avoid needlessly amplified transients.
-    """
-    d = Abar.shape[0]
-    if d == 0:
-        return np.zeros((0, Cbar.shape[0]))
-    direct = -Abar @ np.linalg.pinv(Cbar)
-    if _nilpotency_defect(Abar + direct @ Cbar) < 1e-12:
-        return direct
-    rng = np.random.default_rng(seed)
-    best, best_gain = None, np.inf
-    for _ in range(tries):
-        G0 = 0.1 * rng.standard_normal((d, Cbar.shape[0]))
-        A1 = Abar + G0 @ Cbar
-        w = rng.standard_normal(Cbar.shape[0])
-        c = w @ Cbar
-        obs = np.vstack([c @ np.linalg.matrix_power(A1, k) for k in range(d)])
-        if numerics.rank(obs) < d:
+    p, md = C.shape[0], Bd.shape[1]
+    atol = numerics.get_policy().membership
+    for L in range(1, n + 1):
+        O, T = _window_maps(A, np.hstack([Bd, watched]), C, L)
+        T = T.reshape(T.shape[0], L + 1, -1)
+        decoupled = T[:, :, :md].reshape(T.shape[0], -1)
+        W = kernel(np.hstack([O, decoupled]).T, tol).basis.T
+        if W.shape[0] == 0:
             continue
-        rhs = np.zeros(d)
-        rhs[-1] = 1.0
-        q = np.linalg.solve(obs, rhs)
-        g1 = -np.linalg.matrix_power(A1, d) @ q
-        G = G0 + np.outer(g1, w)
-        if (_nilpotency_defect(Abar + G @ Cbar) < 1e-12
-                and np.linalg.norm(G) < best_gain):
-            best, best_gain = G, np.linalg.norm(G)
-    if best is None:
-        raise RuntimeError("failed to find a dead-beat injection; "
-                           "factor pair appears unobservable")
-    return best
+        seen = [T[:, :, c] for c in range(md, T.shape[2])]
+        if all(np.linalg.norm(W @ Tb) > atol * np.linalg.norm(Tb)
+               for Tb in seen):
+            return L, W
+    return None
 
 
-def _nilpotency_index(F: np.ndarray, tol: float = 1e-8) -> int:
-    d = F.shape[0]
-    power = np.eye(d)
-    for h in range(d + 1):
-        if np.linalg.norm(power) <= tol:
-            return h
-        power = power @ F
-    return d
+def _echelon(W: np.ndarray, p: int) -> np.ndarray:
+    """Rows of ``W`` recombined so its last ``p`` columns hold an identity.
+
+    Applies when that block ``H`` has full row rank; the identity sits on
+    pivot columns of ``H`` chosen by pivoted QR, so the residual no longer
+    depends on the basis the null-space solver returned.
+    """
+    H = W[:, -p:]
+    q = W.shape[0]
+    if q > p or numerics.rank(H) < q:
+        return W
+    _, _, piv = scipy.linalg.qr(H, pivoting=True)
+    return np.linalg.solve(H[:, np.sort(piv[:q])], W)
 
 
 def synthesize_residual_generator(A, B_target, B_decouple, C,
-                                  tol: float | None = None,
-                                  seed: int = 0) -> SynthesisReport:
-    """Design a dead-beat filter isolating the target inputs.
+                                  tol: float | None = None) -> SynthesisReport:
+    """Design a parity-space filter isolating the target inputs.
 
-    The decoupled inputs' unobservability subspace is made invariant by
-    output injection, the dynamics are factored over it, and the factor
-    observer is assigned a nilpotent spectrum; the residual is the
-    factor innovation.  When the target image meets the unobservability
-    subspace the problem is unsolvable and the report carries no
-    generator.
+    The residual is a parity relation ``W [y(t-L); ...; y(t)]`` on the
+    shortest window whose weights annihilate the initial state and the
+    decoupled inputs yet see every target column (with no target, every
+    coordinate direction outside the unobservability subspace).  The
+    filter is a shift register of the last ``L`` outputs, so ``F`` is
+    nilpotent by construction and the residual depends on the targets
+    alone from step ``L`` on.  When the target image meets the
+    unobservability subspace the problem is unsolvable and the report
+    carries no generator; so it does when no window up to ``n`` separates
+    the targets numerically.
     """
     A = as_matrix(A)
     n = A.shape[0]
@@ -322,37 +282,22 @@ def synthesize_residual_generator(A, B_target, B_decouple, C,
     V_star = max_controlled_invariant(A, Bd, C, tol)
     S_star = min_conditioned_invariant(A, Bd, C, tol)
     S_M = subspace_sum(V_star, S_star, tol)
-    kerC = kernel(C, tol)
-
-    S_hat = _conditioned_closure(A, S_M, kerC, tol)
-    G = _invariant_injection(A, C, S_hat)
-    # Enlarge to the unobservable subspace of the injected pair until the
-    # factor observer is observable; each enlargement stays invariant.
-    for _ in range(n + 1):
-        H0 = _output_annihilator(C, S_hat, tol)
-        N = _unobservable_subspace_pair(H0 @ C, A + G @ C, tol)
-        merged = subspace_sum(S_hat, N, tol)
-        if merged.dim == S_hat.dim:
-            break
-        S_hat = merged
-
-    solvable = subspace_intersect(image(Bt, tol), S_hat, tol).dim == 0
-    if Bt.shape[1] == 0:
-        solvable = S_hat.dim < n and H0.shape[0] > 0
-    report_stub = SynthesisReport(V_star=V_star, S_star=S_star, S_M=S_M,
-                                  solvable=False, generator=None)
-    if not solvable or H0.shape[0] == 0 or S_hat.dim == n:
-        return report_stub
-
-    P = kernel(S_hat.basis.T, tol).basis  # orthonormal basis of the complement
-    Abar = P.T @ (A + G @ C) @ P
-    Cbar = H0 @ C @ P
-    Gbar = _deadbeat_injection(Abar, Cbar, seed=seed)
-    F = Abar + Gbar @ Cbar
-    E = -P.T @ G - Gbar @ H0
-    M = Cbar
-    H = -H0
-    horizon = _nilpotency_index(F)
-    gen = ResidualGenerator(F=F, E=E, M=M, H=H, horizon=horizon)
+    if Bt.shape[1]:
+        solvable = subspace_intersect(image(Bt, tol), S_M, tol).dim == 0
+        watched = Bt
+    else:
+        solvable = S_M.dim < n
+        eye = np.eye(n)
+        watched = eye[:, [i for i in range(n) if not S_M.contains(eye[i])]]
+    found = _parity_weights(A, Bd, watched, C, tol) if solvable else None
+    if found is None:
+        return SynthesisReport(V_star=V_star, S_star=S_star, S_M=S_M,
+                               solvable=False, generator=None)
+    L, W = found
+    p = C.shape[0]
+    W = _echelon(W, p)
+    F = np.eye(L * p, k=p)
+    E = np.vstack([np.zeros(((L - 1) * p, p)), np.eye(p)])
+    gen = ResidualGenerator(F=F, E=E, M=W[:, :-p], H=W[:, -p:], horizon=L)
     return SynthesisReport(V_star=V_star, S_star=S_star, S_M=S_M,
                            solvable=True, generator=gen)

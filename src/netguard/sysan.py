@@ -517,15 +517,14 @@ def unidentifiability_witness(net: ConsensusMatrix, K1, K2, j: int,
 
 def _toeplitz_kernel_input(A, B, C, horizon: int):
     """Nonzero input sequence invisible in the output, from the zero state."""
+    from .fdi import _window_maps
+
     n, m = B.shape
     p = C.shape[0]
     L = min(horizon, 2 * n + 2)
-    T = np.zeros((p * L, m * L))
-    markov = [C @ np.linalg.matrix_power(A, k) @ B for k in range(L)]
-    for t in range(L):
-        for tau in range(t + 1):
-            T[t * p:(t + 1) * p, tau * m:(tau + 1) * m] = markov[t - tau]
-    null = numerics.kernel(T)
+    # outputs y(1..L) against inputs u(0..L-1)
+    _, T = _window_maps(A, B, C, L)
+    null = numerics.kernel(T[p:, :L * m])
     if null.dim == 0:
         return None
     w = null.basis[:, 0].reshape(L, m)

@@ -117,3 +117,17 @@ def test_tolerance_from_environment_is_applied(tmp_path, monkeypatch):
         "matrix": {"rows": BENCH8_A.tolist()}, "observer": 1, "sets": [[3]]})
     assert code == cli.EXIT_OK
     assert policy.rank_rel == 1e-8
+
+
+@pytest.mark.parametrize("n", [20, 30])
+@pytest.mark.parametrize("attacked", [[], [3]])
+def test_identify_on_larger_networks(tmp_path, n, attacked):
+    net = consensus.random_consensus_matrix(n, np.random.default_rng(0),
+                                            extra_edges=n)
+    code, out = run(tmp_path, "identify", {
+        "matrix": {"rows": net.A.tolist()}, "observer": 1, "k": 1,
+        "horizon": 3 * n, "x0": {"random": {}},
+        "attacks": [{"agent": a, "kind": "constant", "value": 1.0}
+                    for a in attacked]})
+    assert code == cli.EXIT_OK
+    assert read_verdict(out)["identified"] == attacked

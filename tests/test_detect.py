@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netguard import consensus, detect, fdi
 
@@ -70,3 +71,44 @@ def test_detection_filter_run(attacks, persistent):
     # a second run starts again from z = 0
     again, _ = filt.run(ys)
     np.testing.assert_array_equal(again, estimates)
+
+
+# Leakage of the exact residual scales with the data; an absolute floor
+# flags clean data at 1e9 and misses the attacker at 1e-9.
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+@pytest.mark.parametrize("attacked", [(), (3,)])
+def test_identification_is_scale_invariant(scale, attacked):
+    net = consensus.random_consensus_matrix(
+        12, np.random.default_rng(0), extra_edges=72, min_connectivity=3)
+    x0 = np.random.default_rng(1).uniform(-1, 1, net.n)
+    attacks = [consensus.Attack.constant(a, scale) for a in attacked]
+    traj = consensus.simulate(net, scale * x0, attacks, 36)
+    verdict = detect.complete_identification(net, 1, 1,
+                                             net.outputs(traj.states, 1))
+    assert verdict.status == "identified"
+    assert verdict.identified == attacked
+
+
+# Identification of k malicious agents from a (2k+1)-connected network:
+# the exclusion verdict is exactly the attacked set.
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 2), n=st.integers(8, 14))
+def test_identifies_attackers_on_2k_plus_1_connected_networks(data, k, n):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=n * n // 2 if k == 1 else n * n,
+        min_connectivity=2 * k + 1)
+    j = data.draw(st.integers(1, n), label="observer")
+    others = [a for a in range(1, n + 1) if a != j]
+    attacked = tuple(sorted(data.draw(
+        st.lists(st.sampled_from(others), max_size=k, unique=True),
+        label="attacked")))
+    attacks = [consensus.Attack.constant(a, rng.choice([-1, 1])
+                                         * rng.uniform(0.5, 2.0))
+               for a in attacked]
+    traj = consensus.simulate(net, rng.uniform(-1, 1, n), attacks, 3 * n)
+    verdict = detect.complete_identification(net, j, k,
+                                             net.outputs(traj.states, j))
+    assert verdict.status == "identified"
+    assert verdict.identified == attacked
