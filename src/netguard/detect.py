@@ -21,7 +21,7 @@ import scipy.sparse
 
 from . import fdi, graph as graphmod
 from .consensus import ConsensusMatrix, input_matrix
-from .numerics import as_matrix, as_vector, image, subspace_intersect
+from .numerics import as_matrix, as_vector
 
 
 @dataclass
@@ -138,6 +138,7 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
     horizons = [1]
     unsolvable = []
     norms = {}
+    eye = np.eye(net.n)
     for D in combinations(others, k):
         B_D = input_matrix(net.n, D)
         report = fdi.synthesize_residual_generator(
@@ -147,10 +148,9 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
             fired[D] = None
             continue
         gen = report.generator
-        # target i is isolable against D iff Im(B_i) meets S_M(D) trivially
+        # i is isolable against D iff e_i is outside S_M(D), as in synthesis
         for i in (a for a in others if a not in D):
-            if subspace_intersect(image(input_matrix(net.n, [i])),
-                                  report.S_M).dim:
+            if report.S_M.contains(eye[i - 1]):
                 unsolvable.append((i, D))
         res = fdi.run_residual(gen, ys)
         tail = res[min(gen.horizon, res.shape[0] - 1):]

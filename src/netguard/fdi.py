@@ -3,8 +3,10 @@
 Maximal output-nulling controlled invariants, minimal conditioned
 invariants, the unobservability subspace they span, the solvability test
 for isolating one input against the others, and parity-space residual
-generator synthesis.  A residual generator is a filter driven by the
-measurements only,
+generator synthesis.  Each invariant fixpoint step is one kernel or one
+image (Wonham, *Linear Multivariable Control*; Basile and Marro,
+*Controlled and Conditioned Invariants*, 1992).  A residual generator is
+a filter driven by the measurements only,
 
     w(t+1) = F w(t) + E y(t),      r(t) = M w(t) + H y(t),
 
@@ -25,27 +27,27 @@ import numpy as np
 import scipy.linalg
 
 from . import numerics
-from .numerics import (Subspace, apply_map, as_matrix, image, kernel,
-                       preimage, subspace_equal, subspace_intersect,
+from .numerics import (Subspace, as_matrix, image, kernel, subspace_intersect,
                        subspace_sum)
 
 
 def max_controlled_invariant(A, B, C, tol: float | None = None) -> Subspace:
     """Largest subspace V in Ker C with ``A V <= V + Im B``.
 
-    Fixpoint of ``V_0 = Ker C``, ``V_{k+1} = Ker C ^ A^{-1}(V_k + Im B)``;
-    reached in at most n steps.
+    Fixpoint of ``V_0 = Ker C``, ``V_{k+1} = Ker [C; P_k A]``, which is
+    ``Ker C ^ A^{-1}(V_k + Im B)`` with ``P_k`` projecting onto the
+    complement of ``V_k + Im B``.  The iterates shrink, so the first step
+    that keeps the dimension is the fixpoint, reached in at most n steps.
     """
     A = as_matrix(A)
     n = A.shape[0]
     B = _input_or_empty(B, n)
     C = _output_or_empty(C, n)
-    kerC = kernel(C, tol) if C.shape[0] else numerics.full_subspace(n, tol)
-    imB = image(B, tol)
-    V = kerC
+    V = kernel(C, tol)
     for _ in range(n + 1):
-        nxt = subspace_intersect(kerC, preimage(A, subspace_sum(V, imB, tol), tol), tol)
-        if nxt.dim == V.dim and subspace_equal(nxt, V):
+        P = image(np.hstack([V.basis, B]), tol).perp_projector()
+        nxt = kernel(np.vstack([C, P @ A]), tol)
+        if nxt.dim == V.dim:
             return nxt
         V = nxt
     return V
@@ -54,18 +56,19 @@ def max_controlled_invariant(A, B, C, tol: float | None = None) -> Subspace:
 def min_conditioned_invariant(A, B, C, tol: float | None = None) -> Subspace:
     """Smallest subspace S containing Im B with ``A(S ^ Ker C) <= S``.
 
-    Fixpoint of ``S_0 = Im B``, ``S_{k+1} = Im B + A (S_k ^ Ker C)``.
+    Fixpoint of ``S_0 = Im B``, ``S_{k+1} = Im [B, A S_k Ker(C S_k)]``, as
+    ``S_k Ker(C S_k)`` spans ``S_k ^ Ker C``.  The iterates grow, so the
+    first step that keeps the dimension is the fixpoint.
     """
     A = as_matrix(A)
     n = A.shape[0]
     B = _input_or_empty(B, n)
     C = _output_or_empty(C, n)
-    kerC = kernel(C, tol) if C.shape[0] else numerics.full_subspace(n, tol)
-    imB = image(B, tol)
-    S = imB
+    S = image(B, tol)
     for _ in range(n + 1):
-        nxt = subspace_sum(imB, apply_map(A, subspace_intersect(S, kerC, tol), tol), tol)
-        if nxt.dim == S.dim and subspace_equal(nxt, S):
+        meet = S.basis @ kernel(C @ S.basis, tol).basis
+        nxt = image(np.hstack([B, A @ meet]), tol)
+        if nxt.dim == S.dim:
             return nxt
         S = nxt
     return S

@@ -228,16 +228,6 @@ def preimage(A, S: Subspace, tol: float | None = None) -> Subspace:
     return kernel(S.perp_projector() @ A, tol)
 
 
-def apply_map(A, S: Subspace, tol: float | None = None) -> Subspace:
-    """Image of a subspace under a linear map."""
-    A = as_matrix(A)
-    if A.shape[1] != S.ambient_dim:
-        raise ValueError("map domain does not match subspace ambient space")
-    if S.is_zero:
-        return zero_subspace(A.shape[0], tol)
-    return image(A @ S.basis, tol)
-
-
 def contains(S: Subspace, x, tol: float | None = None) -> bool:
     """Membership of a vector in a subspace (projection residual test)."""
     return S.contains(x, tol)

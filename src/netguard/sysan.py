@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import csgraph, csr_matrix
 
 from . import numerics
 from .consensus import Attack, ConsensusMatrix, input_matrix, simulate
@@ -310,19 +311,22 @@ def zero_dynamics_stability(T: Triple, tol: float = 1e-12) -> ZeroDynamicsReport
 def first_markov_index(T: Triple):
     """Smallest ``nu`` with ``C A^nu B`` nonzero, with that parameter.
 
-    Exists (and is below n*n) whenever the network matrix is
-    irreducible and the input set is nonempty.
+    ``nu`` is the length of the shortest walk from an input agent to a
+    measured agent in the digraph of ``A``.  For a nonnegative ``A`` no
+    walk weights cancel, so this is exact, and at most n - 1 whenever a
+    walk exists.  Raises ``ValueError`` when there are no inputs or no
+    walk.
     """
     if T.m == 0:
         raise ValueError("triple has no inputs")
-    power = np.eye(T.n)
-    for nu in range(T.n * T.n + 1):
-        markov = T.C @ power @ T.B
-        if np.max(np.abs(markov)) > 1e-12:
-            return nu, markov
-        power = power @ T.A
-    raise ValueError("no nonzero Markov parameter found; "
-                     "state matrix appears reducible")
+    # arc a -> b wherever A[b, a] is nonzero: x_b reads x_a
+    dist = csgraph.shortest_path(csr_matrix(T.A.T != 0), unweighted=True,
+                                 indices=np.argmax(T.B, axis=0))
+    hops = dist[:, np.argmax(T.C, axis=1)].min(initial=np.inf)
+    if not np.isfinite(hops):
+        raise ValueError("no walk from the inputs to the measured agents")
+    nu = int(hops)
+    return nu, T.C @ np.linalg.matrix_power(T.A, nu) @ T.B
 
 
 def output_zeroing_input(T: Triple, x0, check_horizon: int | None = None):

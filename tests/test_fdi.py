@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netguard import cli, consensus, fdi, numerics
 
@@ -25,6 +26,48 @@ def test_invariants_match_exact_fixpoints(A, K, j):
         reference = numerics.image(exact)
         assert numeric.dim == reference.dim
         assert numerics.subspace_equal(numeric, reference)
+
+
+# Bidirectional ring with self-loops plus random arcs, integer weights 1-3
+# and rows normalised: the entries are small-denominator rationals, which
+# the sympy oracles recover exactly.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(4, 8))
+def test_invariants_match_exact_fixpoints_on_random_networks(data, n):
+    mask = np.eye(n, dtype=bool)
+    ring = np.arange(n)
+    mask[ring, (ring + 1) % n] = mask[ring, (ring - 1) % n] = True
+    arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=n),
+                     label="arcs")
+    for a, b in arcs:
+        mask[a, b] = True
+    weights = data.draw(st.lists(st.integers(1, 3), min_size=n * n,
+                                 max_size=n * n), label="weights")
+    A = np.where(mask, np.reshape(weights, (n, n)), 0).astype(float)
+    A /= A.sum(axis=1, keepdims=True)
+    K = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=2,
+                           unique=True), label="K")
+    j = data.draw(st.integers(1, n), label="observer")
+    test_invariants_match_exact_fixpoints(A, K, j)
+
+
+@pytest.mark.parametrize("A, j", [(BENCH8_A, 1), (RING9_A, 1), (SYMMETRIC4_A, 1)])
+def test_controlled_invariant_without_inputs_is_unobservable_subspace(A, j):
+    net = consensus.validate(A)
+    V = fdi.max_controlled_invariant(net.A, np.zeros((net.n, 0)),
+                                     net.output_matrix(j))
+    assert numerics.subspace_equal(V, consensus.unobservable_subspace(net, j))
+
+
+@pytest.mark.parametrize("A, K", [
+    (BENCH8_A, (3, 7)), (RING9_A, (1,)), (SYMMETRIC4_A, (1,))])
+def test_conditioned_invariant_without_outputs_is_reachable_subspace(A, K):
+    n = A.shape[0]
+    B = consensus.input_matrix(n, K)
+    S = fdi.min_conditioned_invariant(A, B, np.zeros((0, n)))
+    krylov = np.hstack([np.linalg.matrix_power(A, s) @ B for s in range(n)])
+    assert numerics.subspace_equal(S, numerics.image(krylov))
 
 
 def test_bench8_unobservability_subspace_matches_reference():

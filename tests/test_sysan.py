@@ -229,6 +229,22 @@ def test_first_markov_index_benchmark_pair(bench8):
         first_markov_index(Triple.from_network(bench8, (), 1))
 
 
+def test_first_markov_index_sees_tiny_parameters():
+    # uniform bidirectional ring: C A^26 B is about 4e-13, below an absolute
+    # floor of 1e-12, yet nonzero
+    n = 54
+    A = np.eye(n) + np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)
+    net = validate(A / 3)
+    nu, markov = first_markov_index(Triple.from_network(net, (28,), 1))
+    assert nu == 26 and np.max(markov) > 0
+
+
+def test_first_markov_index_without_a_walk():
+    T = Triple.from_matrices(np.eye(2), [[1], [0]], [[0, 1]])
+    with pytest.raises(ValueError):
+        first_markov_index(T)
+
+
 def test_output_zeroing_trivial_from_origin(unstable_triple):
     gen = output_zeroing_input(unstable_triple, np.zeros(8))
     useq = take_inputs(gen, 10)
