@@ -185,6 +185,28 @@ class Attack:
             return 0.0
         raise ValueError(f"unknown attack kind {self.kind!r}")
 
+    def inputs(self, T: int) -> np.ndarray:
+        """The inputs at t = 0..T-1 of an attack that ignores the state.
+
+        Equal entry by entry to :meth:`input_at`; state-feedback inputs
+        depend on the trajectory and raise ``ValueError``.
+        """
+        if self.kind == "constant":
+            return np.full(T, self.value)
+        if self.kind == "exponential":
+            # Python's float power: numpy's differs in the last bit
+            return self.value * np.array([self.rate ** t for t in range(T)])
+        if self.kind == "sequence":
+            out = np.zeros(T)
+            m = min(T, len(self.values))
+            out[:m] = self.values[:m]
+            return out
+        if self.kind == "initial_offset":
+            return np.zeros(T)
+        if self.kind == "state_feedback":
+            raise ValueError("state-feedback inputs depend on the state")
+        raise ValueError(f"unknown attack kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -226,18 +248,26 @@ def simulate(net: ConsensusMatrix, x0, attacks=(), T: int = 100) -> Trajectory:
     active = [a for a in attacks if a.kind != "initial_offset"]
     agents = tuple(sorted({a.agent for a in active}))
     col = {a: k for k, a in enumerate(agents)}
-    states = np.zeros((T + 1, n))
+    # feedback needs x(t), so an agent under state feedback has all its
+    # inputs summed step by step; the other agents' inputs are summed here
+    # as whole columns.  Both sum in list order, so u_K(t) is the same
+    # float as when every input is evaluated per step.
+    closed = {a.agent for a in active if a.kind == "state_feedback"}
+    looped = [(col[a.agent], a) for a in active if a.agent in closed]
     inputs = np.zeros((T, len(agents)))
+    for atk in active:
+        if atk.agent not in closed:
+            inputs[:, col[atk.agent]] += atk.inputs(T)
+    drive = np.zeros((T, n))
+    drive[:, [a - 1 for a in agents]] = inputs
+    states = np.zeros((T + 1, n))
     states[0] = x
-    for t in range(T):
-        u = np.zeros(len(agents))
-        for atk in active:
-            u[col[atk.agent]] += atk.input_at(t, states[t])
-        nxt = A @ states[t]
-        for a, k in col.items():
-            nxt[a - 1] += u[k]
-        states[t + 1] = nxt
-        inputs[t] = u
+    for t, (x, nxt, d) in enumerate(zip(states[:-1], states[1:], drive)):
+        for k, atk in looped:
+            inputs[t, k] += atk.input_at(t, x)
+            d[atk.agent - 1] = inputs[t, k]
+        np.dot(A, x, out=nxt)
+        np.add(nxt, d, out=nxt)
     states.setflags(write=False)
     inputs.setflags(write=False)
     return Trajectory(states=states, input_agents=agents, inputs=inputs)

@@ -82,11 +82,17 @@ class DetectionFilter:
 
         Returns ``(estimates, residuals)`` with ``residuals[t] =
         xhat(t+1) - A xhat(t)``; the residual sequence is one step
-        shorter than the estimate sequence.
+        shorter than the estimate sequence.  The run starts from
+        ``z = 0`` and leaves ``z`` where stepping through ``ys`` would.
         """
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        self.reset()
-        estimates = np.array([self.step(y) for y in ys])
+        ys = as_matrix(ys, "output sequence")
+        drive = -(ys @ self.G.T)
+        zs = np.zeros((ys.shape[0] + 1, self.A.shape[0]))
+        for z, nxt, d in zip(zs[:-1], zs[1:], drive):
+            np.dot(self._closed, z, out=nxt)
+            np.add(nxt, d, out=nxt)
+        self.z = zs[-1].copy()
+        estimates = zs[:-1] @ self.L.T + ys @ self.H.T
         residuals = estimates[1:] - estimates[:-1] @ self.A.T
         return estimates, residuals
 

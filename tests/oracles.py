@@ -4,7 +4,9 @@ The invariant-subspace oracles run the defining fixpoint iterations in
 exact rational arithmetic (sympy), entirely separate from the SVD-based
 implementations under test.  The residual-bound oracles solve one LP per
 generator and enumerate box vertices, where ``netguard.detect`` stacks
-the LPs and uses a closed form.
+the LPs and uses a closed form.  :func:`simulate_reference` is the
+step-by-step simulation loop that ``netguard.consensus.simulate``
+replaced with precomputed input columns.
 """
 
 from fractions import Fraction
@@ -13,6 +15,9 @@ from itertools import product
 import numpy as np
 import scipy.optimize
 import sympy
+
+from netguard.consensus import Trajectory
+from netguard.numerics import as_vector
 
 
 def _span(cols):
@@ -110,6 +115,41 @@ def _to_numpy_basis(basis, n):
     return np.array(sympy.Matrix.hstack(*basis), dtype=float)
 
 
+def simulate_reference(net, x0, attacks=(), T: int = 100) -> Trajectory:
+    """``x(t+1) = A x(t) + B_K u_K(t)``, every input evaluated per step."""
+    if T < 1:
+        raise ValueError("horizon must be at least 1")
+    A = net.A
+    n = net.n
+    x = as_vector(x0, "initial state").copy()
+    if x.size != n:
+        raise ValueError("initial state dimension mismatch")
+    attacks = list(attacks)
+    for atk in attacks:
+        if not 1 <= atk.agent <= n:
+            raise ValueError(f"attack agent {atk.agent} outside 1..{n}")
+        if atk.kind == "initial_offset":
+            x[atk.agent - 1] += atk.value
+    active = [a for a in attacks if a.kind != "initial_offset"]
+    agents = tuple(sorted({a.agent for a in active}))
+    col = {a: k for k, a in enumerate(agents)}
+    states = np.zeros((T + 1, n))
+    inputs = np.zeros((T, len(agents)))
+    states[0] = x
+    for t in range(T):
+        u = np.zeros(len(agents))
+        for atk in active:
+            u[col[atk.agent]] += atk.input_at(t, states[t])
+        nxt = A @ states[t]
+        for a, k in col.items():
+            nxt[a - 1] += u[k]
+        states[t + 1] = nxt
+        inputs[t] = u
+    states.setflags(write=False)
+    inputs.setflags(write=False)
+    return Trajectory(states=states, input_agents=agents, inputs=inputs)
+
+
 def grid_zero_scan(A, B, C, radius: float = 3.0, points: int = 100,
                    drop_tol: float = 1e-7):
     """Coarse scan + local refinement of pencil rank drops.
@@ -130,19 +170,24 @@ def grid_zero_scan(A, B, C, radius: float = 3.0, points: int = 100,
 
     grid = np.linspace(-radius, radius, points)
     step = grid[1] - grid[0]
+    sigma = np.array([[sigma_min(complex(re, im)) for im in grid]
+                      for re in grid])
+    padded = np.pad(sigma, 1, constant_values=np.inf)
+    neighbours = [padded[1 + di:1 + di + points, 1 + dj:1 + dj + points]
+                  for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+    # sigma_min is 1-Lipschitz in z, so the grid point nearest a zero
+    # trips the threshold, and so does the local minimum over the 8
+    # neighbours that a descent on the grid from that point reaches
+    starts = (sigma <= np.min(neighbours, axis=0)) & (sigma <= 0.75 * step)
     hits = []
-    for re in grid:
-        for im in grid:
-            z = complex(re, im)
-            if any(abs(z - h) < 2 * step for h in hits):
-                continue
-            # sigma_min is 1-Lipschitz in z, so every zero within the
-            # covering radius of the grid trips this threshold
-            if sigma_min(z) <= 0.75 * step:
-                z_ref = _refine(sigma_min, z, step)
-                if z_ref is not None and sigma_min(z_ref) < drop_tol:
-                    if not any(abs(z_ref - h) < 1e-5 for h in hits):
-                        hits.append(z_ref)
+    for a, b in zip(*np.nonzero(starts)):
+        z = complex(grid[a], grid[b])
+        if any(abs(z - h) < 2 * step for h in hits):
+            continue
+        z_ref = _refine(sigma_min, z, step)
+        if z_ref is not None and sigma_min(z_ref) < drop_tol:
+            if not any(abs(z_ref - h) < 1e-5 for h in hits):
+                hits.append(z_ref)
     return sorted(hits, key=lambda w: (w.real, w.imag))
 
 

@@ -86,14 +86,16 @@ def test_local_identify_above_crossing_exits_calibration(tmp_path):
 
 
 def test_identify_survives_failed_synthesis(tmp_path):
-    # dead-beat synthesis raises on some candidates of this 20-node network
+    # dead-beat synthesis used to fail on some candidates of this 20-node
+    # network; the parity bank builds a generator for every candidate and
+    # identifies the attacker at the default horizon from x0 = 0
     net = consensus.random_consensus_matrix(20, np.random.default_rng(0),
                                             extra_edges=20)
     code, out = run(tmp_path, "identify", {
         "matrix": {"rows": net.A.tolist()}, "observer": 1, "k": 1,
         "attacks": [{"agent": 3, "kind": "constant", "value": 1.0}]})
-    assert code in (cli.EXIT_OK, cli.EXIT_AMBIGUOUS)
-    assert [3] in read_verdict(out)["candidates"]
+    assert code == cli.EXIT_OK
+    assert read_verdict(out)["identified"] == [3]
 
 
 @pytest.mark.parametrize("value", ["-1", "abc"])
@@ -131,3 +133,51 @@ def test_identify_on_larger_networks(tmp_path, n, attacked):
                     for a in attacked]})
     assert code == cli.EXIT_OK
     assert read_verdict(out)["identified"] == attacked
+
+
+def read_trace(out):
+    """Header and rows of ``trace.csv``, checking its CRLF line endings."""
+    text = (out / "trace.csv").read_bytes().decode("utf-8")
+    assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", "")
+    header, *rows = [line.split(",") for line in text.split("\r\n")[:-1]]
+    assert all(len(row) == len(header) for row in rows)
+    return header, rows
+
+
+_X0 = np.random.default_rng(7).uniform(-1, 1, 8)
+_ATTACKS = [{"agent": 3, "kind": "constant", "value": 0.5},
+            {"agent": 5, "kind": "exponential", "rate": 0.9, "value": 1.0}]
+TRACE_SCENARIOS = {
+    "simulate": {"matrix": {"rows": BENCH8_A.tolist()}, "horizon": 30,
+                 "x0": _X0.tolist(), "attacks": _ATTACKS},
+    "detect": {"matrix": {"rows": BENCH8_A.tolist()}, "observer": 1,
+               "horizon": 30, "x0": _X0.tolist(), "attacks": _ATTACKS},
+    "identify": {"matrix": {"rows": BENCH8_A.tolist()}, "observer": 1,
+                 "k": 1, "horizon": 24, "x0": _X0.tolist(),
+                 "attacks": _ATTACKS[:1]},
+    "local-identify": {"matrix": {"rows": weak7_matrix(0.01).tolist()},
+                       "partition": [list(b) for b in WEAK7_PARTITION],
+                       "observer": 1, "block": 1, "k": 1, "horizon": 30,
+                       "attacks": [{"agent": 2, "kind": "constant",
+                                    "value": 0.5}]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACE_SCENARIOS))
+def test_trace_cells_read_back_as_floats(tmp_path, command):
+    scenario = TRACE_SCENARIOS[command]
+    code, out = run(tmp_path, command, scenario)
+    assert code == cli.EXIT_OK
+    header, rows = read_trace(out)
+    assert header[0] == "t" and rows
+    table = np.array([[float(cell) for name, cell in zip(header, row)
+                       if name != "candidate_set"] for row in rows])
+    if command != "simulate":
+        return
+    net = consensus.validate(BENCH8_A)
+    attacks = [consensus.Attack.constant(3, 0.5),
+               consensus.Attack.exponential(5, 0.9, 1.0)]
+    traj = consensus.simulate(net, _X0, attacks, 30)
+    assert header == ["t"] + [f"x{i}" for i in range(1, 9)]
+    assert np.array_equal(table[:, 0], np.arange(31))
+    assert table[:, 1:].tobytes() == traj.states.tobytes()

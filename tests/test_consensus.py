@@ -10,6 +10,7 @@ from netguard.consensus import (Attack, ConsensusError, attack_effect_constant,
                                 unobservable_offset_is_neutral, validate)
 
 from fixtures import BENCH8_A, SYMMETRIC4_A, directed_cycle
+from oracles import simulate_reference
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,35 @@ def test_simulate_recursion_exact(bench8):
     for t in range(30):
         predicted = bench8.A @ traj.states[t] + B @ traj.inputs[t]
         assert np.max(np.abs(traj.states[t + 1] - predicted)) == 0.0
+
+
+_SEQ = np.random.default_rng(5).uniform(-1, 1, 60)
+
+
+@pytest.mark.parametrize("attacks", [
+    [Attack.constant(3, 0.7)],
+    [Attack.exponential(5, -0.9, 1.3)],
+    [Attack.state_feedback(3, -BENCH8_A[2], offset=2.5)],
+    [Attack.sequence(7, _SEQ)],
+    [Attack.initial_offset(2, 1.5)],
+    [Attack.sequence(7, _SEQ[:17])],
+    [Attack.constant(4, 0.3), Attack.exponential(4, 0.8, 0.6),
+     Attack.sequence(4, _SEQ[:25])],
+    [Attack.state_feedback(2, BENCH8_A[5], offset=-0.4),
+     Attack.exponential(6, 0.95, 1.0), Attack.constant(8, -0.2)],
+    [Attack.constant(2, 0.1), Attack.state_feedback(2, BENCH8_A[0]),
+     Attack.sequence(2, _SEQ), Attack.initial_offset(2, -1.0),
+     Attack.initial_offset(5, 0.25)],
+], ids=["constant", "exponential", "state_feedback", "sequence",
+        "initial_offset", "short_sequence", "three_on_one_agent",
+        "feedback_and_open_loop", "feedback_mixed_on_one_agent"])
+def test_simulate_matches_step_loop(bench8, attacks):
+    x0 = np.random.default_rng(6).uniform(-1, 1, 8)
+    got = simulate(bench8, x0, attacks, 40)
+    want = simulate_reference(bench8, x0, attacks, 40)
+    assert got.input_agents == want.input_agents
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.inputs, want.inputs)
 
 
 def test_stubborn_agent_steers_network(bench8):

@@ -73,6 +73,23 @@ def test_detection_filter_run(attacks, persistent):
     np.testing.assert_array_equal(again, estimates)
 
 
+@pytest.mark.parametrize("A", [BENCH8_A, RING9_A])
+@pytest.mark.parametrize("j", [1, 4])
+def test_run_matches_stepping(A, j):
+    net = consensus.validate(A)
+    traj = consensus.simulate(
+        net, np.random.default_rng(1).uniform(-1, 1, net.n),
+        [consensus.Attack.constant(3, 1.0),
+         consensus.Attack.exponential(5, 0.9, 2.0)], 300)
+    ys = net.outputs(traj.states, j)
+    filt = detect.DetectionFilter.from_network(net, j)
+    estimates, _ = filt.run(ys)
+    stepper = detect.DetectionFilter.from_network(net, j)
+    stepped = np.array([stepper.step(y) for y in ys])
+    assert np.max(np.abs(estimates - stepped)) <= 1e-12 * np.max(np.abs(ys))
+    assert np.array_equal(filt.z, stepper.z)
+
+
 # Leakage of the exact residual scales with the data; an absolute floor
 # flags clean data at 1e9 and misses the attacker at 1e-9.
 @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
