@@ -28,7 +28,7 @@ from .graph import (DiGraph, ResilienceReport, StructurePattern,
                     generically_no_zero_dynamics, read_edge_list,
                     resilience_bounds, structural_generic_rank,
                     vertex_connectivity, write_edge_list)
-from .numerics import (Subspace, TolerancePolicy, contains, image, kernel,
+from .numerics import (Subspace, TolerancePolicy, image, kernel,
                        left_fixed_vector, preimage, set_rank_tolerance,
                        subspace_equal, subspace_intersect, subspace_sum)
 from .sysan import (InvariantZero, PencilAnalysis, Triple,

@@ -417,6 +417,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "validate" and not (args.matrix or args.scenario):
         parser.error("validate needs --matrix or --scenario")
+    # NETGUARD_TOL holds for this command only
+    rank_rel = numerics.get_policy().rank_rel
     try:
         tol_env = os.environ.get("NETGUARD_TOL")
         if tol_env:
@@ -426,6 +428,8 @@ def main(argv=None) -> int:
             json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        numerics.set_rank_tolerance(rank_rel)
 
 
 if __name__ == "__main__":

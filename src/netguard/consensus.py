@@ -37,15 +37,13 @@ class ConsensusMatrix:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def observed_set(self, j: int, tol: float = 1e-12) -> tuple:
+    def observed_set(self, j: int) -> tuple:
         """Agents whose state observer ``j`` measures.
 
         These are the in-neighbors of ``j`` including ``j`` itself when
-        its self-weight is nonzero: exactly the support of row ``j``.
+        its self-weight is nonzero: the rows of :meth:`output_matrix`.
         """
-        if not 1 <= j <= self.n:
-            raise ValueError(f"agent {j} outside 1..{self.n}")
-        return tuple(i + 1 for i in range(self.n) if abs(self.A[j - 1, i]) > tol)
+        return tuple(int(i) + 1 for i in np.argmax(self.output_matrix(j), axis=1))
 
     def output_matrix(self, j: int) -> np.ndarray:
         """Rows of the identity selecting the states observed by ``j``."""
@@ -243,6 +241,9 @@ def simulate(net: ConsensusMatrix, x0, attacks=(), T: int = 100) -> Trajectory:
     for atk in attacks:
         if not 1 <= atk.agent <= n:
             raise ValueError(f"attack agent {atk.agent} outside 1..{n}")
+        if atk.kind == "state_feedback" and atk.row.size != n:
+            raise ValueError(f"attack agent {atk.agent}: feedback row has "
+                             f"{atk.row.size} entries, not {n}")
         if atk.kind == "initial_offset":
             x[atk.agent - 1] += atk.value
     active = [a for a in attacks if a.kind != "initial_offset"]

@@ -20,7 +20,7 @@ import scipy.optimize
 import scipy.sparse
 
 from . import fdi, graph as graphmod
-from .consensus import ConsensusMatrix, input_matrix
+from .consensus import ConsensusMatrix, _output_matrix, input_matrix
 from .numerics import as_matrix, as_vector
 
 
@@ -340,10 +340,7 @@ def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
     if n_h > 1 and conn < k_j + 1:
         raise ValueError(f"block connectivity {conn} below required {k_j + 1}")
     pos = {a: idx for idx, a in enumerate(agents)}
-    j_loc = pos[j]
-    observed_loc = [idx for idx in range(n_h) if abs(A_h[j_loc, idx]) > 1e-12]
-    C_loc = np.zeros((len(observed_loc), n_h))
-    C_loc[np.arange(len(observed_loc)), observed_loc] = 1.0
+    C_loc = _output_matrix(A_h, pos[j] + 1)
     entries = []
     horizons = [1]
     candidates = [a for a in agents if a != j]
@@ -365,9 +362,9 @@ def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
                 horizons.append(gen.horizon)
             entries.append(BankEntry(target=c, decouple=tuple(D),
                                      generator=gen, solvable=gen is not None))
-    observed_full = tuple(agents[idx] for idx in observed_loc)
+    observed = tuple(agents[idx] for idx in np.argmax(C_loc, axis=1))
     return LocalBank(block=h, observer=j, k_j=k_j, agents=agents,
-                     observed=observed_full, entries=tuple(entries),
+                     observed=observed, entries=tuple(entries),
                      eval_time=max(horizons))
 
 

@@ -31,7 +31,7 @@ from .numerics import (Subspace, as_matrix, image, kernel, subspace_intersect,
                        subspace_sum)
 
 
-def max_controlled_invariant(A, B, C, tol: float | None = None) -> Subspace:
+def max_controlled_invariant(A, B, C) -> Subspace:
     """Largest subspace V in Ker C with ``A V <= V + Im B``.
 
     Fixpoint of ``V_0 = Ker C``, ``V_{k+1} = Ker [C; P_k A]``, which is
@@ -43,17 +43,17 @@ def max_controlled_invariant(A, B, C, tol: float | None = None) -> Subspace:
     n = A.shape[0]
     B = _input_or_empty(B, n)
     C = _output_or_empty(C, n)
-    V = kernel(C, tol)
+    V = kernel(C)
     for _ in range(n + 1):
-        P = image(np.hstack([V.basis, B]), tol).perp_projector()
-        nxt = kernel(np.vstack([C, P @ A]), tol)
+        P = image(np.hstack([V.basis, B])).perp_projector()
+        nxt = kernel(np.vstack([C, P @ A]))
         if nxt.dim == V.dim:
             return nxt
         V = nxt
     return V
 
 
-def min_conditioned_invariant(A, B, C, tol: float | None = None) -> Subspace:
+def min_conditioned_invariant(A, B, C) -> Subspace:
     """Smallest subspace S containing Im B with ``A(S ^ Ker C) <= S``.
 
     Fixpoint of ``S_0 = Im B``, ``S_{k+1} = Im [B, A S_k Ker(C S_k)]``, as
@@ -64,29 +64,29 @@ def min_conditioned_invariant(A, B, C, tol: float | None = None) -> Subspace:
     n = A.shape[0]
     B = _input_or_empty(B, n)
     C = _output_or_empty(C, n)
-    S = image(B, tol)
+    S = image(B)
     for _ in range(n + 1):
-        meet = S.basis @ kernel(C @ S.basis, tol).basis
-        nxt = image(np.hstack([B, A @ meet]), tol)
+        meet = S.basis @ kernel(C @ S.basis).basis
+        nxt = image(np.hstack([B, A @ meet]))
         if nxt.dim == S.dim:
             return nxt
         S = nxt
     return S
 
 
-def unobservability_subspace(A, B_others, C, tol: float | None = None) -> Subspace:
+def unobservability_subspace(A, B_others, C) -> Subspace:
     """Sum of the two invariant-subspace fixpoints for the decoupled inputs.
 
     This is the carrier of everything a residual cannot be made to see:
     a target input is isolable against ``B_others`` exactly when its
     image meets this subspace trivially.
     """
-    V = max_controlled_invariant(A, B_others, C, tol)
-    S = min_conditioned_invariant(A, B_others, C, tol)
-    return subspace_sum(V, S, tol)
+    V = max_controlled_invariant(A, B_others, C)
+    S = min_conditioned_invariant(A, B_others, C)
+    return subspace_sum(V, S)
 
 
-def fdi_solvable(A, B_all, C, i: int, tol: float | None = None) -> bool:
+def fdi_solvable(A, B_all, C, i: int) -> bool:
     """Can input ``i`` of the list be isolated against all the others?
 
     True iff ``Im(B_i)`` intersects the unobservability subspace of the
@@ -98,8 +98,8 @@ def fdi_solvable(A, B_all, C, i: int, tol: float | None = None) -> bool:
         raise ValueError("target index out of range")
     others = [b for k, b in enumerate(mats) if k != i]
     B_others = np.hstack(others) if others else np.zeros((A.shape[0], 0))
-    S_M = unobservability_subspace(A, B_others, C, tol)
-    inter = subspace_intersect(image(mats[i], tol), S_M, tol)
+    S_M = unobservability_subspace(A, B_others, C)
+    inter = subspace_intersect(image(mats[i]), S_M)
     return inter.dim == 0
 
 
@@ -220,7 +220,7 @@ def _window_maps(A, B, C, L: int):
     return np.vstack(rows), T
 
 
-def _parity_weights(A, Bd, watched, C, tol: float | None = None):
+def _parity_weights(A, Bd, watched, C):
     """Shortest parity relation ignoring ``Bd`` that sees every watched input.
 
     For ``L = 1..n`` the rows of ``W`` span the left null space of
@@ -237,7 +237,7 @@ def _parity_weights(A, Bd, watched, C, tol: float | None = None):
         O, T = _window_maps(A, np.hstack([Bd, watched]), C, L)
         T = T.reshape(T.shape[0], L + 1, -1)
         decoupled = T[:, :, :md].reshape(T.shape[0], -1)
-        W = kernel(np.hstack([O, decoupled]).T, tol).basis.T
+        W = kernel(np.hstack([O, decoupled]).T).basis.T
         if W.shape[0] == 0:
             continue
         seen = [T[:, :, c] for c in range(md, T.shape[2])]
@@ -262,8 +262,7 @@ def _echelon(W: np.ndarray, p: int) -> np.ndarray:
     return np.linalg.solve(H[:, np.sort(piv[:q])], W)
 
 
-def synthesize_residual_generator(A, B_target, B_decouple, C,
-                                  tol: float | None = None) -> SynthesisReport:
+def synthesize_residual_generator(A, B_target, B_decouple, C) -> SynthesisReport:
     """Design a parity-space filter isolating the target inputs.
 
     The residual is a parity relation ``W [y(t-L); ...; y(t)]`` on the
@@ -282,17 +281,17 @@ def synthesize_residual_generator(A, B_target, B_decouple, C,
     Bt = _input_or_empty(B_target, n)
     Bd = _input_or_empty(B_decouple, n)
     C = _output_or_empty(C, n)
-    V_star = max_controlled_invariant(A, Bd, C, tol)
-    S_star = min_conditioned_invariant(A, Bd, C, tol)
-    S_M = subspace_sum(V_star, S_star, tol)
+    V_star = max_controlled_invariant(A, Bd, C)
+    S_star = min_conditioned_invariant(A, Bd, C)
+    S_M = subspace_sum(V_star, S_star)
     if Bt.shape[1]:
-        solvable = subspace_intersect(image(Bt, tol), S_M, tol).dim == 0
+        solvable = subspace_intersect(image(Bt), S_M).dim == 0
         watched = Bt
     else:
         solvable = S_M.dim < n
         eye = np.eye(n)
         watched = eye[:, [i for i in range(n) if not S_M.contains(eye[i])]]
-    found = _parity_weights(A, Bd, watched, C, tol) if solvable else None
+    found = _parity_weights(A, Bd, watched, C) if solvable else None
     if found is None:
         return SynthesisReport(V_star=V_star, S_star=S_star, S_M=S_M,
                                solvable=False, generator=None)

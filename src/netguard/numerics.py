@@ -2,9 +2,13 @@
 
 Every geometric computation in the package funnels through this module.
 Subspaces are always carried as orthonormal bases (never raw spanning
-sets); the zero subspace is a basis with zero columns.  All rank
-decisions share a single tolerance policy so that the invariant-subspace
-fixpoint iterations elsewhere stay mutually consistent.
+sets); the zero subspace is a basis with zero columns.  Every rank and
+membership threshold is read from the one tolerance policy, set through
+:func:`set_rank_tolerance` or the ``NETGUARD_TOL`` environment variable
+of the command line; no function takes a tolerance of its own, so the
+invariant-subspace fixpoint iterations elsewhere stay mutually
+consistent.  ``image``, ``kernel`` and ``rank`` accept complex matrices
+as well as real ones.
 """
 
 from __future__ import annotations
@@ -71,13 +75,16 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
-def _resolve_tol(tol: float | None) -> float:
-    return _POLICY.rank_rel if tol is None else float(tol)
+def _operand(M) -> np.ndarray:
+    """``M`` as a 2-d array: complex input stays complex, any other is
+    coerced by :func:`as_matrix`."""
+    M = np.asarray(M)
+    return np.atleast_2d(M) if np.iscomplexobj(M) else as_matrix(M)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of R^n held as an orthonormal basis.
+    """A linear subspace of R^n (or C^n) held as an orthonormal basis.
 
     Attributes
     ----------
@@ -85,14 +92,12 @@ class Subspace:
         Dimension n of the surrounding space.
     basis : (n, r) ndarray
         Orthonormal columns spanning the subspace; ``r == 0`` encodes
-        the zero subspace.
-    tol : float
-        Relative rank tolerance that produced this basis.
+        the zero subspace.  A complex basis is orthonormal under the
+        conjugate transpose, which every method uses.
     """
 
     ambient_dim: int
     basis: np.ndarray
-    tol: float
 
     def __post_init__(self):
         b = self.basis
@@ -101,7 +106,7 @@ class Subspace:
         if b.shape[1] > self.ambient_dim:
             raise ValueError("basis has more columns than ambient dimension")
         if b.shape[1]:
-            gram = b.T @ b
+            gram = b.conj().T @ b
             if not np.allclose(gram, np.eye(b.shape[1]), atol=1e-8):
                 raise ValueError("basis columns are not orthonormal")
         b.setflags(write=False)
@@ -116,95 +121,77 @@ class Subspace:
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the subspace."""
-        return self.basis @ self.basis.T
+        return self.basis @ self.basis.conj().T
 
     def perp_projector(self) -> np.ndarray:
         """Orthogonal projector onto the orthogonal complement."""
         return np.eye(self.ambient_dim) - self.projector()
 
-    def contains(self, x, tol: float | None = None) -> bool:
+    def contains(self, x) -> bool:
         """Membership test by projection residual."""
-        v = as_vector(x)
+        v = np.ravel(x) if np.iscomplexobj(x) else as_vector(x)
         if v.size != self.ambient_dim:
             raise ValueError("vector dimension does not match ambient space")
         norm = np.linalg.norm(v)
         if norm == 0.0:
             return True
-        atol = _POLICY.membership if tol is None else float(tol)
-        resid = v - self.basis @ (self.basis.T @ v)
-        return np.linalg.norm(resid) <= atol * max(1.0, norm)
+        resid = v - self.basis @ (self.basis.conj().T @ v)
+        return np.linalg.norm(resid) <= _POLICY.membership * max(1.0, norm)
 
 
-def zero_subspace(n: int, tol: float | None = None) -> Subspace:
-    return Subspace(n, np.zeros((n, 0)), _resolve_tol(tol))
+def zero_subspace(n: int) -> Subspace:
+    return Subspace(n, np.zeros((n, 0)))
 
 
-def full_subspace(n: int, tol: float | None = None) -> Subspace:
-    return Subspace(n, np.eye(n), _resolve_tol(tol))
+def full_subspace(n: int) -> Subspace:
+    return Subspace(n, np.eye(n))
 
 
-def _numeric_rank(s: np.ndarray, tol: float) -> int:
+def _numeric_rank(s: np.ndarray) -> int:
+    """Singular values above ``rank_rel`` times the largest, and above
+    ``zero_abs``."""
     if s.size == 0:
         return 0
-    thresh = max(s[0] * tol, _POLICY.zero_abs)
+    thresh = max(s[0] * _POLICY.rank_rel, _POLICY.zero_abs)
     return int(np.sum(s > thresh))
 
 
-def image(M, tol: float | None = None) -> Subspace:
-    """Orthonormal basis of the column space of ``M``.
-
-    Rank is decided by singular values exceeding ``tol`` times the
-    largest singular value.
-    """
-    M = as_matrix(M)
-    tol = _resolve_tol(tol)
+def image(M) -> Subspace:
+    """Orthonormal basis of the column space of ``M``."""
+    M = _operand(M)
     n = M.shape[0]
     if M.shape[1] == 0 or not np.any(M):
-        return zero_subspace(n, tol)
+        return zero_subspace(n)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = _numeric_rank(s, tol)
-    return Subspace(n, U[:, :r].copy(), tol)
+    return Subspace(n, U[:, :_numeric_rank(s)].copy())
 
 
-def kernel(M, tol: float | None = None) -> Subspace:
+def kernel(M) -> Subspace:
     """Orthonormal basis of the null space of ``M``."""
-    M = as_matrix(M)
-    tol = _resolve_tol(tol)
+    M = _operand(M)
     rows, cols = M.shape
     if rows == 0 or not np.any(M):
-        return full_subspace(cols, tol)
-    _, s, Vt = np.linalg.svd(M, full_matrices=True)
-    r = _numeric_rank(s, tol)
-    return Subspace(cols, Vt[r:].T.copy(), tol)
+        return full_subspace(cols)
+    _, s, Vh = np.linalg.svd(M, full_matrices=True)
+    return Subspace(cols, Vh[_numeric_rank(s):].conj().T.copy())
 
 
-def rank(M, tol: float | None = None) -> int:
-    """Numeric rank of ``M`` (real or complex) under the shared policy."""
-    M = np.atleast_2d(np.asarray(M))
+def rank(M) -> int:
+    """Numeric rank of ``M`` under the shared policy."""
+    M = _operand(M)
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return _numeric_rank(s, _resolve_tol(tol))
+    return _numeric_rank(np.linalg.svd(M, compute_uv=False))
 
 
-def from_span(columns, ambient_dim: int | None = None,
-              tol: float | None = None) -> Subspace:
-    """Build a subspace from a raw (possibly dependent) spanning set."""
-    M = as_matrix(columns)
-    if ambient_dim is not None and M.shape != (ambient_dim, M.shape[1]):
-        raise ValueError("spanning set rows do not match ambient dimension")
-    return image(M, tol)
-
-
-def subspace_sum(S1: Subspace, S2: Subspace, tol: float | None = None) -> Subspace:
+def subspace_sum(S1: Subspace, S2: Subspace) -> Subspace:
     """Smallest subspace containing both arguments."""
     if S1.ambient_dim != S2.ambient_dim:
         raise ValueError("subspace ambient dimensions differ")
-    return image(np.hstack([S1.basis, S2.basis]), tol)
+    return image(np.hstack([S1.basis, S2.basis]))
 
 
-def subspace_intersect(S1: Subspace, S2: Subspace,
-                       tol: float | None = None) -> Subspace:
+def subspace_intersect(S1: Subspace, S2: Subspace) -> Subspace:
     """Largest subspace contained in both arguments.
 
     Computed as the kernel of the stacked projectors onto the two
@@ -213,10 +200,10 @@ def subspace_intersect(S1: Subspace, S2: Subspace,
     if S1.ambient_dim != S2.ambient_dim:
         raise ValueError("subspace ambient dimensions differ")
     stacked = np.vstack([S1.perp_projector(), S2.perp_projector()])
-    return kernel(stacked, tol)
+    return kernel(stacked)
 
 
-def preimage(A, S: Subspace, tol: float | None = None) -> Subspace:
+def preimage(A, S: Subspace) -> Subspace:
     """Inverse image {x : A x in S}.
 
     Equals the kernel of ``P_perp @ A`` where ``P_perp`` projects onto
@@ -225,29 +212,23 @@ def preimage(A, S: Subspace, tol: float | None = None) -> Subspace:
     A = as_matrix(A)
     if A.shape[0] != S.ambient_dim:
         raise ValueError("map codomain does not match subspace ambient space")
-    return kernel(S.perp_projector() @ A, tol)
+    return kernel(S.perp_projector() @ A)
 
 
-def contains(S: Subspace, x, tol: float | None = None) -> bool:
-    """Membership of a vector in a subspace (projection residual test)."""
-    return S.contains(x, tol)
-
-
-def subspace_leq(S1: Subspace, S2: Subspace, tol: float | None = None) -> bool:
+def subspace_leq(S1: Subspace, S2: Subspace) -> bool:
     """True when ``S1`` is contained in ``S2`` within tolerance."""
     if S1.ambient_dim != S2.ambient_dim:
         raise ValueError("subspace ambient dimensions differ")
     if S1.is_zero:
         return True
-    atol = _POLICY.membership if tol is None else float(tol)
-    resid = S1.basis - S2.basis @ (S2.basis.T @ S1.basis)
-    return np.linalg.norm(resid, ord=2) <= atol
+    resid = S1.basis - S2.basis @ (S2.basis.conj().T @ S1.basis)
+    return np.linalg.norm(resid, ord=2) <= _POLICY.membership
 
 
-def subspace_equal(S1: Subspace, S2: Subspace, tol: float | None = None) -> bool:
+def subspace_equal(S1: Subspace, S2: Subspace) -> bool:
     """Equality of subspaces within tolerance."""
-    return (S1.dim == S2.dim and subspace_leq(S1, S2, tol)
-            and subspace_leq(S2, S1, tol))
+    return (S1.dim == S2.dim and subspace_leq(S1, S2)
+            and subspace_leq(S2, S1))
 
 
 def principal_angles(S1: Subspace, S2: Subspace) -> np.ndarray:

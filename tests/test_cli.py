@@ -114,11 +114,30 @@ def test_malformed_tolerance_exits_invalid(tmp_path, monkeypatch, capsys,
 def test_tolerance_from_environment_is_applied(tmp_path, monkeypatch):
     policy = numerics.get_policy()
     monkeypatch.setattr(policy, "rank_rel", policy.rank_rel)
-    monkeypatch.setenv("NETGUARD_TOL", "1e-8")
-    code, _ = run(tmp_path, "analyze", {
-        "matrix": {"rows": BENCH8_A.tolist()}, "observer": 1, "sets": [[3]]})
-    assert code == cli.EXIT_OK
-    assert policy.rank_rel == 1e-8
+    scenario = {"matrix": {"rows": BENCH8_A.tolist()}, "observer": 1,
+                "sets": [[3]]}
+
+    def normal_rank():
+        code, out = run(tmp_path, "analyze", scenario)
+        assert code == cli.EXIT_OK
+        return json.loads((out / "report.json").read_text())["pairs"][0]["normal_rank"]
+
+    # at rank_rel 0.1 one singular value of the pencil counts as zero
+    monkeypatch.setenv("NETGUARD_TOL", "0.1")
+    assert normal_rank() == 8
+    assert policy.rank_rel == 1e-9
+    monkeypatch.delenv("NETGUARD_TOL")
+    assert normal_rank() == 9
+
+
+def test_feedback_row_of_wrong_length_exits_invalid(tmp_path, capsys):
+    code, out = run(tmp_path, "simulate", {
+        "matrix": {"rows": BENCH8_A.tolist()}, "horizon": 5,
+        "attacks": [{"agent": 2, "kind": "state_feedback", "row": [0.1] * 12}]})
+    assert code == cli.EXIT_INVALID
+    assert ("attack agent 2: feedback row has 12 entries, not 8"
+            in capsys.readouterr().err)
+    assert not (out / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("n", [20, 30])

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from netguard.numerics import (Subspace, contains, from_span, image, kernel,
-                               left_fixed_vector, preimage, principal_angles,
+from netguard.consensus import input_matrix
+from netguard.numerics import (Subspace, image, kernel, left_fixed_vector,
+                               preimage, principal_angles, rank,
                                subspace_equal, subspace_intersect,
                                subspace_sum, zero_subspace)
+from netguard.sysan import Triple, pencil
 
-from fixtures import BENCH8_A
+from fixtures import (BENCH8_A, UNSTABLE_ZEROS_A, UNSTABLE_ZEROS_INPUTS,
+                      UNSTABLE_ZEROS_OBSERVER, observer_matrix)
 
 
 def e(i, n=3):
@@ -46,13 +49,13 @@ def test_kernel_row_vector():
 
 
 def test_sum_of_axes():
-    S = subspace_sum(from_span(e(0).reshape(3, 1)), from_span(e(1).reshape(3, 1)))
+    S = subspace_sum(image(e(0).reshape(3, 1)), image(e(1).reshape(3, 1)))
     assert S.dim == 2
     assert S.contains(e(0)) and S.contains(e(1))
 
 
 def test_sum_idempotent_and_with_zero():
-    S = from_span(np.array([[1.0, 0], [1, 1], [0, 1]]))
+    S = image(np.array([[1.0, 0], [1, 1], [0, 1]]))
     assert subspace_equal(subspace_sum(S, S), S)
     assert subspace_equal(subspace_sum(S, zero_subspace(3)), S)
 
@@ -63,65 +66,65 @@ def test_sum_dimension_mismatch():
 
 
 def test_intersection_of_planes():
-    S1 = from_span(np.column_stack([e(0), e(1)]))
-    S2 = from_span(np.column_stack([e(1), e(2)]))
+    S1 = image(np.column_stack([e(0), e(1)]))
+    S2 = image(np.column_stack([e(1), e(2)]))
     inter = subspace_intersect(S1, S2)
     assert inter.dim == 1
     assert inter.contains(e(1))
 
 
 def test_intersection_with_zero_and_self():
-    S = from_span(np.column_stack([e(0), e(2)]))
+    S = image(np.column_stack([e(0), e(2)]))
     assert subspace_intersect(S, zero_subspace(3)).dim == 0
     assert subspace_equal(subspace_intersect(S, S), S)
 
 
 def test_preimage_identity_and_zero_map():
-    S = from_span(np.column_stack([e(0)]))
+    S = image(np.column_stack([e(0)]))
     assert subspace_equal(preimage(np.eye(3), S), S)
     assert preimage(np.zeros((3, 3)), S).dim == 3
 
 
 def test_preimage_nilpotent_shift():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    S = from_span(np.array([[1.0], [0.0]]))
+    S = image(np.array([[1.0], [0.0]]))
     assert preimage(A, S).dim == 2
 
 
 def test_preimage_invertible_matches_direct_image():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-    S = from_span(rng.standard_normal((5, 2)))
+    S = image(rng.standard_normal((5, 2)))
     direct = image(np.linalg.solve(A, S.basis))
     assert subspace_equal(preimage(A, S), direct)
 
 
 def test_contains_basics():
-    S = from_span(np.column_stack([e(0)]))
-    assert contains(S, e(0))
-    assert not contains(S, e(1))
+    S = image(np.column_stack([e(0)]))
+    assert S.contains(e(0))
+    assert not S.contains(e(1))
     assert not zero_subspace(3).contains(e(0))
     assert zero_subspace(3).contains(np.zeros(3))
 
 
 def test_subspace_equal_different_bases():
-    S1 = from_span(np.column_stack([e(0), e(1)]))
-    S2 = from_span(np.column_stack([e(0) + e(1), e(0) - e(1)]))
+    S1 = image(np.column_stack([e(0), e(1)]))
+    S2 = image(np.column_stack([e(0) + e(1), e(0) - e(1)]))
     assert subspace_equal(S1, S2)
-    assert not subspace_equal(S1, from_span(np.column_stack([e(0), e(2)])))
+    assert not subspace_equal(S1, image(np.column_stack([e(0), e(2)])))
 
 
 def test_orthonormality_enforced():
     with pytest.raises(ValueError):
-        Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-9)
+        Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_dimension_formula_sum_intersection(seed):
     rng = np.random.default_rng(seed)
     n = 6
-    S1 = from_span(rng.standard_normal((n, rng.integers(1, 4))))
-    S2 = from_span(rng.standard_normal((n, rng.integers(1, 4))))
+    S1 = image(rng.standard_normal((n, rng.integers(1, 4))))
+    S2 = image(rng.standard_normal((n, rng.integers(1, 4))))
     total = subspace_sum(S1, S2)
     inter = subspace_intersect(S1, S2)
     assert total.dim + inter.dim == S1.dim + S2.dim
@@ -166,5 +169,45 @@ def test_left_fixed_vector_rejects_nonstochastic():
 
 
 def test_principal_angles_of_identical_spans():
-    S = from_span(np.random.default_rng(3).standard_normal((6, 3)))
+    S = image(np.random.default_rng(3).standard_normal((6, 3)))
     assert np.max(principal_angles(S, S)) < 1e-9
+
+
+def _complex_rank_deficient(rng, rows, cols, r):
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return draw((rows, r)) @ draw((r, cols))
+
+
+def _unstable_pencil_at(z):
+    B = input_matrix(8, UNSTABLE_ZEROS_INPUTS)
+    C = observer_matrix(UNSTABLE_ZEROS_A, UNSTABLE_ZEROS_OBSERVER)
+    return pencil(Triple.from_matrices(UNSTABLE_ZEROS_A, B, C), z)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_kernel_of_complex_matrix(case):
+    if case < 5:
+        rng = np.random.default_rng(900 + case)
+        rows, cols = rng.integers(2, 8), rng.integers(3, 8)
+        M = _complex_rank_deficient(rng, rows, cols,
+                                    int(rng.integers(1, min(rows, cols - 1) + 1)))
+    else:
+        # -2 is an invariant zero of the unstable fixture: the pencil drops rank
+        M = _unstable_pencil_at(-2.0)
+    K = kernel(M)
+    cols = M.shape[1]
+    assert K.dim == cols - rank(M) > 0
+    assert np.allclose(K.basis.conj().T @ K.basis, np.eye(K.dim), atol=1e-12)
+    assert np.linalg.norm(M @ K.basis) < 1e-10 * np.linalg.norm(M)
+
+
+def test_complex_subspace_uses_conjugate_transpose():
+    S = image(np.array([[1.0], [1j]]))
+    v = np.array([1.0, 1j])
+    # with a plain transpose, b.T @ v = (1 + i*i)/sqrt(2) = 0
+    assert S.contains(v)
+    assert not S.contains(np.array([1.0, -1j]))
+    assert np.allclose(S.projector() @ v, v)
+    assert np.allclose(S.projector(), S.projector().conj().T)
+    assert np.allclose(S.perp_projector() @ v, 0.0)
