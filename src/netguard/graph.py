@@ -2,7 +2,10 @@
 
 Vertex connectivity and vertex cuts via the node-splitting max-flow
 reduction (Menger), disjoint-path counts between vertex sets, and
-structural (generic) rank tests through bipartite matching.  Flows,
+structural (generic) rank tests through bipartite matching.  Many local
+connectivities are solved by one max-flow on disjoint copies of the
+split network: one flow per vertex Even's scheme scans, and one per
+source vertex of a cut search.  Flows,
 reachability, strong connectivity and matchings are computed by
 ``scipy.sparse.csgraph`` on CSR matrices built from the edge set.
 Vertices are numbered 1..n to match agent identifiers.
@@ -109,6 +112,12 @@ def is_strongly_connected(G: DiGraph, removed: set | None = None) -> bool:
 
 # -- max-flow on the node-split network --------------------------------------
 
+# Most arcs one ``maximum_flow`` call of ``_local_connectivities`` holds.
+# It bounds the union's memory and keeps its int32 indices small.  Every
+# Dinic phase scans the whole union, copies already saturated included, so
+# much larger unions also run slower than the same pairs in a few chunks.
+_UNION_ARCS = 1 << 16
+
 
 def _split_network(G: DiGraph, sources=(), sinks=()) -> csr_matrix:
     """Node-split network: v_in = 2v - 2 -> v_out = 2v - 1 with capacity 1.
@@ -146,30 +155,64 @@ def local_vertex_connectivity(G: DiGraph, s: int, t: int):
     return int(result.flow_value), cut
 
 
+def _local_connectivities(G: DiGraph, pairs) -> np.ndarray:
+    """Local connectivity of each non-adjacent ``(s, t)`` in ``pairs``.
+
+    Every pair gets its own copy of the node-split network, the copies
+    laid side by side with index offsets.  A super source feeds each
+    copy's s_out and each copy's t_in drains to a super sink through arcs
+    of capacity n, above any local connectivity.  A maximum flow on a
+    disjoint union is a maximum flow on every component, so the flow on
+    copy p's source arc is the connectivity of pair p, and one
+    ``maximum_flow`` call answers a whole chunk of at most ``_UNION_ARCS``
+    arcs.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    net = _split_network(G).tocoo()
+    width = 2 * G.n
+    chunk = max(1, _UNION_ARCS // (net.nnz + 2))
+    values = np.empty(len(pairs), dtype=np.int64)
+    for lo in range(0, len(pairs), chunk):
+        s, t = pairs[lo:lo + chunk].T
+        offset = width * np.arange(len(s))
+        source, sink = width * len(s), width * len(s) + 1
+        s_out, t_in = offset + 2 * s - 1, offset + 2 * t - 2
+        tails = np.concatenate([(offset[:, None] + net.row).ravel(),
+                                np.full(len(s), source), t_in])
+        heads = np.concatenate([(offset[:, None] + net.col).ravel(),
+                                s_out, np.full(len(s), sink)])
+        caps = np.concatenate([np.tile(net.data, len(s)),
+                               np.full(2 * len(s), G.n, dtype=net.data.dtype)])
+        union = csr_matrix((caps, (tails, heads)), shape=(sink + 1, sink + 1))
+        flow = maximum_flow(union, source, sink).flow
+        values[lo:lo + len(s)] = flow[source].toarray().ravel()[s_out]
+    return values
+
+
 def vertex_connectivity(G: DiGraph) -> int:
     """Minimum number of vertices whose removal breaks strong connectivity.
 
     Even's scheme: one of v_1 .. v_{k+1} lies outside a minimum cut of
     size k, so the minimum of the local connectivities to and from those
-    vertices is k; at most 2(k + 1)(n - 1) max-flows.  A complete digraph
-    has connectivity ``n - 1`` by convention and a graph that is not
-    strongly connected has connectivity 0.
+    vertices is k.  The pairs of one scanned vertex share one max-flow
+    on disjoint copies of the split network, so at most k + 1 max-flows
+    run (more only when a round is split to bound its size).  A complete
+    digraph has connectivity ``n - 1`` by convention and a graph that is
+    not strongly connected has connectivity 0.
     """
     n = G.n
     if n <= 1 or not is_strongly_connected(G):
         return 0
-    net = _split_network(G)
     best = n - 1
     for i in G.vertices():
         if i > best + 1:
             break
         # pairs with an earlier vertex were taken when it was scanned
-        for w in range(i + 1, n + 1):
-            if not G.has_edge(i, w):
-                best = min(best, maximum_flow(net, 2 * i - 1, 2 * w - 2).flow_value)
-            if not G.has_edge(w, i):
-                best = min(best, maximum_flow(net, 2 * w - 1, 2 * i - 2).flow_value)
-    return int(best)
+        pairs = [(i, w) for w in range(i + 1, n + 1) if not G.has_edge(i, w)]
+        pairs += [(w, i) for w in range(i + 1, n + 1) if not G.has_edge(w, i)]
+        if pairs:
+            best = min(best, int(_local_connectivities(G, pairs).min()))
+    return best
 
 
 def vertex_connectivity_bruteforce(G: DiGraph) -> int:
@@ -213,12 +256,14 @@ def find_vertex_cut(G: DiGraph, k: int) -> VertexCut | None:
             sink_side = set(G.vertices()) - _reachable(G, 1, set())
         source_side = [v for v in G.vertices() if v not in sink_side]
         return _pad_cut(G, set(), sorted(sink_side), source_side, k)
+    # one max-flow per source vertex keeps the early return cheap when a
+    # cut exists; the cut itself is computed only for pairs that can give one
     for s in G.vertices():
-        for t in G.vertices():
-            if s == t or G.has_edge(s, t):
-                continue
-            value, cut = local_vertex_connectivity(G, s, t)
+        targets = [t for t in G.vertices() if t != s and not G.has_edge(s, t)]
+        values = _local_connectivities(G, [(s, t) for t in targets])
+        for t, value in zip(targets, values):
             if value <= k:
+                _, cut = local_vertex_connectivity(G, s, t)
                 sink_side = sorted(_reachable(G, t, cut, reverse=True))
                 source_side = [v for v in G.vertices()
                                if v not in cut and v not in sink_side]

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 
 @dataclass
@@ -244,7 +245,10 @@ def left_fixed_vector(A, tol: float = 1e-8) -> np.ndarray:
     """Stationary left vector of a row-stochastic irreducible matrix.
 
     Returns the unique nonnegative row vector ``pi`` with
-    ``pi @ A == pi`` and ``sum(pi) == 1``.
+    ``pi @ A == pi`` and ``sum(pi) == 1``: the right singular vector of
+    ``A.T - I`` for its smallest singular value.  Uniqueness is read from
+    the pattern of ``A`` (exactly one closed strongly connected class),
+    so it does not depend on the rank tolerance.
 
     Raises
     ------
@@ -261,10 +265,14 @@ def left_fixed_vector(A, tol: float = 1e-8) -> np.ndarray:
     row_err = np.max(np.abs(A.sum(axis=1) - 1.0)) if n else 0.0
     if row_err > tol:
         raise ValueError(f"matrix is not row-stochastic: row sum error {row_err:.2e}")
-    fixed = kernel(A.T - np.eye(n))
-    if fixed.dim != 1:
+    # one stationary vector per closed class: a class no positive entry leaves
+    pattern = A > 0
+    count, labels = connected_components(pattern, connection="strong")
+    rows, cols = np.nonzero(pattern)
+    leaving = labels[rows][labels[rows] != labels[cols]]
+    if count - len(np.unique(leaving)) != 1:
         raise ValueError("stationary vector is not unique; matrix is reducible")
-    pi = fixed.basis[:, 0]
+    pi = np.linalg.svd(A.T - np.eye(n))[2][-1]
     pi = pi / pi.sum()
     if np.min(pi) < -1e-10:
         raise ValueError("stationary vector has negative entries")

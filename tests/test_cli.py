@@ -130,6 +130,26 @@ def test_tolerance_from_environment_is_applied(tmp_path, monkeypatch):
     assert normal_rank() == 9
 
 
+def test_tolerance_leaves_consensus_validation_alone(tmp_path, monkeypatch):
+    policy = numerics.get_policy()
+    monkeypatch.setattr(policy, "rank_rel", policy.rank_rel)
+    scenario = {"matrix": {"rows": BENCH8_A.tolist()}, "observer": 1,
+                "sets": [[3], [6]]}
+
+    def stationary_vector():
+        code, out = run(tmp_path, "analyze", scenario)
+        assert code == cli.EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["consensus_valid"]
+        return np.array(report["stationary_vector"])
+
+    # 0.5 makes the rank decision on A^T - I see more than one fixed vector
+    monkeypatch.setenv("NETGUARD_TOL", "0.5")
+    loose = stationary_vector()
+    monkeypatch.delenv("NETGUARD_TOL")
+    assert np.max(np.abs(loose - stationary_vector())) <= 1e-12
+
+
 def test_feedback_row_of_wrong_length_exits_invalid(tmp_path, capsys):
     code, out = run(tmp_path, "simulate", {
         "matrix": {"rows": BENCH8_A.tolist()}, "horizon": 5,

@@ -229,10 +229,7 @@ def test_pairwise_reference_on_networkx_counterexample():
     assert gm.vertex_connectivity(G) == gm.vertex_connectivity_bruteforce(G) == 1
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_connectivity_flow_count_is_linear(seed, monkeypatch):
-    rng = np.random.default_rng(500 + seed)
-    G = dense_digraph(rng, 20)
+def count_flows(monkeypatch):
     flow, calls = gm.maximum_flow, []
 
     def counting_flow(*args, **kwargs):
@@ -240,5 +237,79 @@ def test_connectivity_flow_count_is_linear(seed, monkeypatch):
         return flow(*args, **kwargs)
 
     monkeypatch.setattr(gm, "maximum_flow", counting_flow)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_connectivity_flow_count_is_linear(seed, monkeypatch):
+    rng = np.random.default_rng(500 + seed)
+    G = dense_digraph(rng, 20)
+    calls = count_flows(monkeypatch)
     k = gm.vertex_connectivity(G)
-    assert 0 < len(calls) <= 2 * (k + 1) * (G.n - 1)
+    # one max-flow per scanned vertex v_1 .. v_{k+1}
+    assert 0 < len(calls) <= k + 1
+
+
+def non_adjacent_pairs(G):
+    return [(s, t) for s in G.vertices() for t in G.vertices()
+            if s != t and not G.has_edge(s, t)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_local_connectivities_match_single_pair_flows(seed):
+    rng = np.random.default_rng(600 + seed)
+    G = random_digraph(rng, int(rng.integers(2, 12)))
+    pairs = non_adjacent_pairs(G)
+    expected = [gm.local_vertex_connectivity(G, s, t)[0] for s, t in pairs]
+    assert gm._local_connectivities(G, pairs).tolist() == expected
+    if not pairs:
+        return
+    # a single pair, a pair repeated, and pairs sharing their source or sink
+    picks = [int(rng.integers(len(pairs))) for _ in range(3)]
+    p = picks[0]
+    assert gm._local_connectivities(G, [pairs[p]]).tolist() == [expected[p]]
+    assert gm._local_connectivities(G, [pairs[p]] * 3).tolist() == [expected[p]] * 3
+    for shared in (0, 1):
+        chosen = [q for q in range(len(pairs))
+                  if pairs[q][shared] == pairs[p][shared]] + picks
+        assert gm._local_connectivities(G, [pairs[q] for q in chosen]).tolist() \
+            == [expected[q] for q in chosen]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_local_connectivities_chunked(seed, monkeypatch):
+    rng = np.random.default_rng(700 + seed)
+    G = dense_digraph(rng, 12)
+    pairs = non_adjacent_pairs(G)
+    whole = gm._local_connectivities(G, pairs)
+    k = gm.vertex_connectivity(G)
+    # room for three copies of the split network per max-flow
+    monkeypatch.setattr(gm, "_UNION_ARCS", 3 * (G.n + len(G.edges) + 2))
+    calls = count_flows(monkeypatch)
+    assert gm._local_connectivities(G, pairs).tolist() == whole.tolist()
+    assert len(calls) == -(-len(pairs) // 3)
+    assert gm.vertex_connectivity(G) == k
+
+
+def find_vertex_cut_pairwise(G, k):
+    """``find_vertex_cut`` on a strongly connected G, one max-flow per pair."""
+    if k < 0 or G.n - k < 2:
+        return None
+    for s, t in non_adjacent_pairs(G):
+        value, cut = gm.local_vertex_connectivity(G, s, t)
+        if value <= k:
+            sink_side = sorted(gm._reachable(G, t, cut, reverse=True))
+            source_side = [v for v in G.vertices()
+                           if v not in cut and v not in sink_side]
+            padded = gm._pad_cut(G, cut, sink_side, source_side, k)
+            if padded is not None:
+                return padded
+    return None
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_find_vertex_cut_matches_pairwise_scan(seed):
+    rng = np.random.default_rng(800 + seed)
+    G = random_digraph(rng, int(rng.integers(3, 10)))
+    for k in range(-1, G.n + 1):
+        assert gm.find_vertex_cut(G, k) == find_vertex_cut_pairwise(G, k)

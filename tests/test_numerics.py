@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from netguard.consensus import input_matrix
-from netguard.numerics import (Subspace, image, kernel, left_fixed_vector,
-                               preimage, principal_angles, rank,
-                               subspace_equal, subspace_intersect,
+from netguard.numerics import (Subspace, get_policy, image, kernel,
+                               left_fixed_vector, preimage, principal_angles,
+                               rank, subspace_equal, subspace_intersect,
                                subspace_sum, zero_subspace)
 from netguard.sysan import Triple, pencil
 
@@ -166,6 +166,20 @@ def test_left_fixed_vector_rejects_nonstochastic():
         left_fixed_vector(np.array([[0.5, 0.2], [0.3, 0.7]]))
     with pytest.raises(ValueError):
         left_fixed_vector(np.array([[1.5, -0.5], [0.0, 1.0]]))
+
+
+def test_left_fixed_vector_uniqueness_is_structural(monkeypatch):
+    policy = get_policy()
+    monkeypatch.setattr(policy, "rank_rel", 0.5)
+    pi = left_fixed_vector(BENCH8_A)
+    assert np.max(np.abs(pi @ BENCH8_A - pi)) < 1e-10
+    # two closed classes: two stochastic diagonal blocks
+    block = np.array([[0.5, 0.5], [0.25, 0.75]])
+    A = np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), block]])
+    with pytest.raises(ValueError, match="not unique"):
+        left_fixed_vector(A)
+    # one closed class reached from a transient state
+    assert np.allclose(left_fixed_vector([[0.5, 0.5], [0.0, 1.0]]), [0.0, 1.0])
 
 
 def test_principal_angles_of_identical_spans():
