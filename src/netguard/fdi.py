@@ -4,9 +4,10 @@ Maximal output-nulling controlled invariants, minimal conditioned
 invariants, the unobservability subspace they span, the solvability test
 for isolating one input against the others, and parity-space residual
 generator synthesis.  Each invariant fixpoint step is one kernel or one
-image (Wonham, *Linear Multivariable Control*; Basile and Marro,
-*Controlled and Conditioned Invariants*, 1992).  A residual generator is
-a filter driven by the measurements only,
+image, and each V* iterate is built inside the last (Wonham, *Linear
+Multivariable Control*; Basile and Marro, *Controlled and Conditioned
+Invariants*, 1992).  A residual generator is a filter driven by the
+measurements only,
 
     w(t+1) = F w(t) + E y(t),      r(t) = M w(t) + H y(t),
 
@@ -34,23 +35,25 @@ from .numerics import (Subspace, as_matrix, image, kernel, subspace_intersect,
 def max_controlled_invariant(A, B, C) -> Subspace:
     """Largest subspace V in Ker C with ``A V <= V + Im B``.
 
-    Fixpoint of ``V_0 = Ker C``, ``V_{k+1} = Ker [C; P_k A]``, which is
-    ``Ker C ^ A^{-1}(V_k + Im B)`` with ``P_k`` projecting onto the
-    complement of ``V_k + Im B``.  The iterates shrink, so the first step
-    that keeps the dimension is the fixpoint, reached in at most n steps.
+    Fixpoint of ``V_0 = Ker C``, ``V_{k+1} = V_k Ker(P_k A V_k)`` with
+    ``P_k`` projecting onto the complement of ``V_k + Im B``: the set
+    ``Ker C ^ A^{-1}(V_k + Im B)``, built inside ``V_k`` so that the
+    iterates are nested in floating point too.  The first step that keeps
+    the dimension is then the fixpoint, reached in at most n steps.
     """
     A = as_matrix(A)
     n = A.shape[0]
     B = _input_or_empty(B, n)
     C = _output_or_empty(C, n)
-    V = kernel(C)
-    for _ in range(n + 1):
-        P = image(np.hstack([V.basis, B])).perp_projector()
-        nxt = kernel(np.vstack([C, P @ A]))
-        if nxt.dim == V.dim:
-            return nxt
-        V = nxt
-    return V
+    V = kernel(C).basis
+    while V.shape[1]:
+        Q = image(np.hstack([V, B])).basis
+        AV = A @ V
+        inner = kernel(AV - Q @ (Q.T @ AV)).basis
+        if inner.shape[1] == V.shape[1]:
+            break
+        V = V @ inner
+    return Subspace(n, V)
 
 
 def min_conditioned_invariant(A, B, C) -> Subspace:

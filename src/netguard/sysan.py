@@ -1,9 +1,13 @@
 """System-theoretic analysis of observer triples (A, B_K, C_j).
 
-Normal rank and left-invertibility via the system pencil, invariant
-zeros with verified directions, eigenvector (PBH) tests, zero-dynamics
-stability classification from the network structure, and explicit
-construction of undetectable and unidentifiable misbehaviors.
+The pencil's normal rank, left-invertibility and invariant zeros are all
+read from one object, the zero dynamics on V*, the maximal output-nulling
+controlled invariant: the triple is left-invertible iff no input drives
+the state inside V*, and its zeros are then the eigenvalues of the friend
+map on V*, each verified by a rank drop of the pencil with its directions.
+Also eigenvector (PBH) tests, zero-dynamics stability classification from
+the network structure, and explicit construction of undetectable and
+unidentifiable misbehaviors.
 """
 
 from __future__ import annotations
@@ -12,16 +16,15 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse import csgraph, csr_matrix
 
-from . import numerics
+from . import fdi, graph, numerics
 from .consensus import Attack, ConsensusMatrix, input_matrix, simulate
 from .numerics import as_matrix, as_vector
 
-_NORMAL_RANK_SEED = 20260811
-_NORMAL_RANK_RADIUS = 2.7
-_NORMAL_RANK_EVALS = 3
+_WITNESS_SEED = 20260811
+# eigenvalues this close to the unit circle count as not asymptotically stable
+_UNIT_CIRCLE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,68 +128,63 @@ class PencilAnalysis:
     zeros: tuple | None
 
 
-def pencil_normal_rank(T: Triple) -> int:
-    """Rank of the pencil at random evaluation points off the spectrum.
+def _friend_realization(A, B, V):
+    """Coordinates (X, U) with A V = V X + B U, and the fit's residual."""
+    stacked = np.hstack([V, B])
+    sol, *_ = np.linalg.lstsq(stacked, A @ V, rcond=None)
+    r = V.shape[1]
+    X, U = sol[:r], sol[r:]
+    resid = np.linalg.norm(stacked @ sol - A @ V)
+    return X, U, resid
 
-    Evaluates at points on a complex circle of radius 2.7 and requires
-    the observed ranks to agree.
+
+def _zero_dynamics(T: Triple):
+    """V* of the triple and ``d = dim B^{-1} V*``.
+
+    ``d = dim V* + m - rank [V*, B]`` counts the inputs that drive the
+    state inside V*, so it is ``dim(V* ^ Im B)`` plus the dimension of
+    Ker B.  It is the dimension of the pencil's rational null space, and
+    it vanishes exactly when the triple is left-invertible (Basile and
+    Marro, *Controlled and Conditioned Invariants*, 1992).
     """
-    rng = np.random.default_rng(_NORMAL_RANK_SEED)
-    ranks = []
-    for _ in range(_NORMAL_RANK_EVALS):
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        z = _NORMAL_RANK_RADIUS * np.exp(1j * theta)
-        ranks.append(numerics.rank(pencil(T, z)))
-    return max(ranks)
+    V = fdi.max_controlled_invariant(T.A, T.B, T.C)
+    return V, V.dim + T.m - numerics.rank(np.hstack([V.basis, T.B]))
+
+
+def pencil_normal_rank(T: Triple) -> int:
+    """Rank of the pencil at all but finitely many points: ``n + m - d``."""
+    return T.n + T.m - _zero_dynamics(T)[1]
 
 
 def is_left_invertible(T: Triple) -> bool:
     """No two distinct inputs can produce the same output sequence."""
-    return pencil_normal_rank(T) == T.n + T.m
-
-
-def _candidate_zero_values(T: Triple) -> np.ndarray:
-    """Generalized eigenvalues of a square compression of the pencil."""
-    n, m, p = T.n, T.m, T.p
-    N = np.zeros((n + p, n + m))
-    N[:n, :n] = T.A
-    N[:n, n:] = -T.B
-    N[n:, :n] = -T.C
-    M = np.zeros((n + p, n + m))
-    M[:n, :n] = np.eye(n)
-    if p == m:
-        WN, WM = N, M
-    else:
-        rng = np.random.default_rng(_NORMAL_RANK_SEED)
-        W = rng.standard_normal((n + m, n + p))
-        WN, WM = W @ N, W @ M
-    alpha, beta = scipy.linalg.eig(WN, WM, right=False, homogeneous_eigvals=True)
-    finite = np.abs(beta) > 1e-10 * (np.abs(alpha) + np.abs(beta) + 1e-300)
-    return (alpha[finite] / beta[finite]).ravel()
+    return _zero_dynamics(T)[1] == 0
 
 
 def invariant_zeros(T: Triple) -> PencilAnalysis:
     """All finite invariant zeros of a left-invertible triple.
 
-    The non-square pencil is compressed to a square generalized
-    eigenproblem by a seeded random row compression; every candidate is
-    verified by an actual rank drop of the pencil, and the directions
-    are recovered from its null space.  A non-left-invertible triple is
-    reported with ``zeros=None`` (infinitely many zeros).
+    The zeros are the eigenvalues of the zero dynamics: the map X of the
+    friend fit ``A V* = V* X + B U``, which is unique when the triple is
+    left-invertible.  Every candidate is verified by an actual rank drop
+    of the pencil, and the directions are recovered from its null space.
+    A non-left-invertible triple is reported with ``zeros=None``
+    (infinitely many zeros).
     """
-    nr = pencil_normal_rank(T)
-    left_inv = nr == T.n + T.m
-    if not left_inv:
+    V, d = _zero_dynamics(T)
+    nr = T.n + T.m - d
+    if d:
         return PencilAnalysis(normal_rank=nr, left_invertible=False, zeros=None)
+    X = _friend_realization(T.A, T.B, V.basis)[0]
     found: list[InvariantZero] = []
-    for z in _candidate_zero_values(T):
+    for z in np.linalg.eigvals(X):
         if abs(z.imag) < 1e-9:
             z = complex(z.real, 0.0)
         if any(abs(z - other.z) < 1e-6 * max(1.0, abs(z)) for other in found):
             continue
         P = pencil(T, z)
-        # most candidates are no zeros: a singular-values-only SVD rules
-        # them out at a third of the cost of the kernel's full one
+        # a singular-values-only SVD rules a candidate out at a third of
+        # the cost of the kernel's full one
         if numerics.rank(P) >= nr:
             continue
         zero = _verify_zero_direction(T, z, numerics.kernel(P).basis)
@@ -216,24 +214,24 @@ def _verify_zero_direction(T: Triple, z: complex,
     return None
 
 
-def pbh_detectable(A, C, tol: float = 1e-9) -> bool:
+def pbh_detectable(A, C) -> bool:
     """Eigenvector test on all eigenvalues of modulus >= 1."""
     A, C = as_matrix(A), as_matrix(C)
     n = A.shape[0]
     for lam in np.linalg.eigvals(A):
-        if abs(lam) >= 1.0 - tol:
+        if abs(lam) >= 1.0 - _UNIT_CIRCLE_MARGIN:
             stacked = np.vstack([lam * np.eye(n) - A, C.astype(complex)])
             if numerics.rank(stacked) < n:
                 return False
     return True
 
 
-def pbh_stabilizable(A, B, tol: float = 1e-9) -> bool:
+def pbh_stabilizable(A, B) -> bool:
     """Dual eigenvector test: rank of ``[lam I - A, B]`` at unstable modes.
 
     ``(A, B)`` is stabilizable exactly when ``(A^T, B^T)`` is detectable.
     """
-    return pbh_detectable(as_matrix(A).T, as_matrix(B).T, tol)
+    return pbh_detectable(as_matrix(A).T, as_matrix(B).T)
 
 
 def local_observer_gain(net: ConsensusMatrix, j: int) -> np.ndarray:
@@ -273,24 +271,23 @@ class ZeroDynamicsReport:
     moduli: tuple = ()
 
 
-def zero_dynamics_stability(T: Triple, tol: float = 1e-12) -> ZeroDynamicsReport:
+def zero_dynamics_stability(T: Triple) -> ZeroDynamicsReport:
     """Classify zero-dynamics stability from the attacker/observer layout."""
     K = set(T.agents)
     Nj = set(T.measured)
     outside = [v for v in range(1, T.n + 1) if v not in K and v not in Nj]
-    left_inv = is_left_invertible(T)
+    analysis = invariant_zeros(T)
+    edges = graph.from_matrix(T.A).edges
 
     def has_edge(src_set, dst_set):
-        return any(abs(T.A[d - 1, s - 1]) > tol
-                   for s in src_set for d in dst_set if s != d)
+        return any((s, d) in edges for s in src_set for d in dst_set)
 
-    if left_inv and not has_edge(K, outside):
+    if analysis.left_invertible and not has_edge(K, outside):
         return ZeroDynamicsReport(case="stable_case1")
-    if left_inv and not has_edge(outside, Nj):
+    if analysis.left_invertible and not has_edge(outside, Nj):
         return ZeroDynamicsReport(case="stable_case2")
     if K <= Nj:
         return ZeroDynamicsReport(case="stable_case3")
-    analysis = invariant_zeros(T)
     zeros = analysis.zeros
     moduli = tuple(abs(w.z) for w in zeros) if zeros is not None else ()
     return ZeroDynamicsReport(case="unknown", zeros=zeros, moduli=moduli)
@@ -395,9 +392,7 @@ def construct_undetectable_attack(net: ConsensusMatrix, cutK, extra, j: int,
     if j in cutK:
         raise ValueError("observer cannot be part of the cut")
     removed = set(cutK)
-    from .graph import _reachable
-
-    observer_side = sorted((_reachable(net.graph, j, removed, reverse=True)
+    observer_side = sorted((graph._reachable(net.graph, j, removed, reverse=True)
                             | {j}) - removed)
     free_side = sorted(v for v in net.graph.vertices()
                        if v not in removed and v not in observer_side)
@@ -442,16 +437,6 @@ class UnidentifiabilityWitness:
     horizon: int
 
 
-def _friend_realization(A, B, V):
-    """Coordinates (X, U) with A V = V X + B U, and the fit's residual."""
-    stacked = np.hstack([V, B])
-    sol, *_ = np.linalg.lstsq(stacked, A @ V, rcond=None)
-    r = V.shape[1]
-    X, U = sol[:r], sol[r:]
-    resid = np.linalg.norm(stacked @ sol - A @ V)
-    return X, U, resid
-
-
 def unidentifiability_witness(net: ConsensusMatrix, K1, K2, j: int,
                               horizon: int = 50,
                               rng: np.random.Generator | None = None):
@@ -463,21 +448,19 @@ def unidentifiability_witness(net: ConsensusMatrix, K1, K2, j: int,
     witness from the zero state.  Returns None when the joint system has
     no such motion (every input of ``K1`` is identifiable against ``K2``).
     """
-    from . import fdi
-
     K1 = tuple(sorted(set(K1)))
     K2 = tuple(sorted(set(K2)))
     if K1 == K2:
         raise ValueError("candidate sets must differ")
     if rng is None:
-        rng = np.random.default_rng(_NORMAL_RANK_SEED)
+        rng = np.random.default_rng(_WITNESS_SEED)
     n = net.n
     B1 = input_matrix(n, K1)
     B2 = input_matrix(n, K2)
     B = np.hstack([B1, B2])
     C = net.output_matrix(j)
     m1 = len(K1)
-    V_star = fdi.max_controlled_invariant(net.A, B, C)
+    V_star, d = _zero_dynamics(Triple.from_matrices(net.A, B, C))
     if V_star.dim > 0:
         V = V_star.basis
         X, U, resid = _friend_realization(net.A, B, V)
@@ -495,8 +478,7 @@ def unidentifiability_witness(net: ConsensusMatrix, K1, K2, j: int,
             if _witness_outputs_match(net, witness, j):
                 return witness
     # No invisible initial state: look for distinct inputs from the origin.
-    T_joint = Triple.from_matrices(net.A, B, C)
-    if not is_left_invertible(T_joint):
+    if d:
         w = _toeplitz_kernel_input(net.A, B, C, horizon)
         if w is not None:
             witness = UnidentifiabilityWitness(

@@ -115,19 +115,19 @@ def test_tolerance_from_environment_is_applied(tmp_path, monkeypatch):
     policy = numerics.get_policy()
     monkeypatch.setattr(policy, "rank_rel", policy.rank_rel)
     scenario = {"matrix": {"rows": BENCH8_A.tolist()}, "observer": 1,
-                "sets": [[3]]}
+                "targets": [6], "decouple": [3, 7]}
 
-    def normal_rank():
-        code, out = run(tmp_path, "analyze", scenario)
+    def dim_s_star():
+        code, out = run(tmp_path, "synthesize", scenario)
         assert code == cli.EXIT_OK
-        return json.loads((out / "report.json").read_text())["pairs"][0]["normal_rank"]
+        return json.loads((out / "report.json").read_text())["dim_S_star"]
 
-    # at rank_rel 0.1 one singular value of the pencil counts as zero
-    monkeypatch.setenv("NETGUARD_TOL", "0.1")
-    assert normal_rank() == 8
+    # at rank_rel 0.3 two directions of the S* fixpoint count as zero
+    monkeypatch.setenv("NETGUARD_TOL", "0.3")
+    assert dim_s_star() == 3
     assert policy.rank_rel == 1e-9
     monkeypatch.delenv("NETGUARD_TOL")
-    assert normal_rank() == 9
+    assert dim_s_star() == 5
 
 
 def test_tolerance_leaves_consensus_validation_alone(tmp_path, monkeypatch):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from netguard import consensus, sysan
+from netguard import consensus, graph, sysan
 from netguard.consensus import Attack, input_matrix, simulate, validate
 from netguard.sysan import (Triple, construct_undetectable_attack,
                             first_markov_index, invariant_zeros,
@@ -110,6 +111,50 @@ def test_complete_graph_single_intruder_no_zeros():
     assert analysis.left_invertible and analysis.zeros == ()
     hits = grid_zero_scan(T.A, T.B, T.C, radius=3.0, points=61)
     assert hits == []
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_bench8_far_pair_has_no_zeros(bench8, j):
+    # V* is zero, so there are no zero dynamics; at moduli of 1e4 and more
+    # (zI - A) swamps the pencil's relative rank tolerance, so a rank drop
+    # alone would pass spurious zeros there
+    T = Triple.from_network(bench8, (3, 7), j)
+    analysis = invariant_zeros(T)
+    assert analysis.left_invertible and analysis.zeros == ()
+
+
+def test_left_invertible_where_the_pencil_is_badly_scaled():
+    # at |z| = 2.7 the pencil's sigma_min / sigma_max is 5.2e-10, below
+    # the rank tolerance, though the triple is left-invertible: two
+    # disjoint paths join K to the three measured agents
+    net = consensus.random_consensus_matrix(40, np.random.default_rng(6),
+                                            extra_edges=40)
+    T = Triple.from_network(net, (10, 20), 1)
+    assert graph.disjoint_path_count(net.graph, T.agents, T.measured) == 2
+    analysis = invariant_zeros(T)
+    assert analysis.normal_rank == 42 and analysis.left_invertible
+    assert pencil_normal_rank(T) == 42 and is_left_invertible(T)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(5, 25))
+def test_pencil_properties_on_random_networks(data, n):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=data.draw(st.integers(0, 2 * n), label="extra"))
+    j = data.draw(st.integers(1, n), label="observer")
+    K = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=3,
+                           unique=True), label="K")
+    T = Triple.from_network(net, K, j)
+    analysis = invariant_zeros(T)
+    # the generic rank is n plus the maximal linking from K to the outputs
+    linking = graph.disjoint_path_count(net.graph, T.agents, T.measured)
+    assert analysis.normal_rank <= n + linking
+    for w in analysis.zeros or ():
+        assert w.residual <= 1e-8
+    if set(T.agents) <= set(T.measured):
+        assert analysis.left_invertible
 
 
 @pytest.mark.parametrize("seed", range(8))
