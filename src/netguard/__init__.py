@@ -29,8 +29,7 @@ from .graph import (DiGraph, ResilienceReport, StructurePattern,
                     resilience_bounds, structural_generic_rank,
                     vertex_connectivity, write_edge_list)
 from .numerics import (Subspace, TolerancePolicy, image, kernel,
-                       left_fixed_vector, preimage, set_rank_tolerance,
-                       subspace_equal, subspace_intersect, subspace_sum)
+                       left_fixed_vector, set_rank_tolerance, subspace_sum)
 from .sysan import (InvariantZero, PencilAnalysis, Triple,
                     construct_undetectable_attack, first_markov_index,
                     invariant_zeros, is_left_invertible, local_observer_gain,

@@ -144,7 +144,6 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
     horizons = [1]
     unsolvable = []
     norms = {}
-    eye = np.eye(net.n)
     for D in combinations(others, k):
         B_D = input_matrix(net.n, D)
         report = fdi.synthesize_residual_generator(
@@ -154,10 +153,9 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
             fired[D] = None
             continue
         gen = report.generator
-        # i is isolable against D iff e_i is outside S_M(D), as in synthesis
-        for i in (a for a in others if a not in D):
-            if report.S_M.contains(eye[i - 1]):
-                unsolvable.append((i, D))
+        # i is isolable against D iff e_i meets S_M(D) trivially
+        unsolvable.extend((i, D) for i in others
+                          if i not in D and i - 1 not in report.outside)
         res = fdi.run_residual(gen, ys)
         tail = res[min(gen.horizon, res.shape[0] - 1):]
         level = float(np.max(np.abs(tail))) if tail.size else 0.0

@@ -1,13 +1,19 @@
 """Geometric fault detection machinery.
 
 Maximal output-nulling controlled invariants, minimal conditioned
-invariants, the unobservability subspace they span, the solvability test
-for isolating one input against the others, and parity-space residual
-generator synthesis.  Each invariant fixpoint step is one kernel or one
-image, and each V* iterate is built inside the last (Wonham, *Linear
-Multivariable Control*; Basile and Marro, *Controlled and Conditioned
-Invariants*, 1992).  A residual generator is a filter driven by the
-measurements only,
+invariants, the unobservability subspace S_M they span, the solvability
+test for isolating one input against the others, and parity-space
+residual generator synthesis.  An input image ``Im U`` is isolable
+against a decoupled set exactly when it meets S_M only in zero
+(Massoumnia, Verghese and Willsky, IEEE TAC 1989); every such decision
+here, in :func:`fdi_solvable` and in synthesis, is made by one rule: the
+smallest singular value of ``(I - Q Q^T) U``, for orthonormal bases
+``Q`` of S_M and ``U`` of the input image, exceeds the ``membership``
+tolerance of the shared policy.  Each invariant fixpoint step is one
+kernel or one image, and each V* iterate is built inside the last
+(Wonham, *Linear Multivariable Control*; Basile and Marro, *Controlled
+and Conditioned Invariants*, 1992).  A residual generator is a filter
+driven by the measurements only,
 
     w(t+1) = F w(t) + E y(t),      r(t) = M w(t) + H y(t),
 
@@ -28,8 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from . import numerics
-from .numerics import (Subspace, as_matrix, image, kernel, subspace_intersect,
-                       subspace_sum)
+from .numerics import Subspace, as_matrix, image, kernel, subspace_sum
 
 
 def max_controlled_invariant(A, B, C) -> Subspace:
@@ -89,11 +94,30 @@ def unobservability_subspace(A, B_others, C) -> Subspace:
     return subspace_sum(V, S)
 
 
+def _meets_trivially(S_M: Subspace, bases: np.ndarray) -> np.ndarray:
+    """Which of the subspaces ``Im bases[g]`` meet ``S_M`` only in zero.
+
+    ``bases`` stacks orthonormal ``(n, r)`` bases as a ``(g, n, r)`` array.
+    Each is projected off ``S_M`` once, as ``(I - Q Q^T) U`` with ``Q`` the
+    basis of ``S_M``; its image meets ``S_M`` trivially exactly when the
+    smallest singular value of that projection exceeds the membership
+    tolerance of the shared policy.  For one unit vector this is its
+    residual norm, the negation of ``Subspace.contains``; an empty basis
+    meets everything trivially.
+    """
+    Q = S_M.basis
+    projected = bases - Q @ (Q.T @ bases)
+    sigma = np.linalg.svd(projected, compute_uv=False)
+    return np.min(sigma, axis=-1, initial=np.inf) > numerics.get_policy().membership
+
+
 def fdi_solvable(A, B_all, C, i: int) -> bool:
     """Can input ``i`` of the list be isolated against all the others?
 
-    True iff ``Im(B_i)`` intersects the unobservability subspace of the
-    remaining inputs trivially.
+    True iff ``Im(B_i)`` meets the unobservability subspace of the
+    remaining inputs only in zero, decided by the rule synthesis uses:
+    the smallest singular value of ``Im(B_i)``'s projection off that
+    subspace exceeds the membership tolerance.
     """
     A = as_matrix(A)
     mats = [_input_or_empty(b, A.shape[0]) for b in B_all]
@@ -102,8 +126,7 @@ def fdi_solvable(A, B_all, C, i: int) -> bool:
     others = [b for k, b in enumerate(mats) if k != i]
     B_others = np.hstack(others) if others else np.zeros((A.shape[0], 0))
     S_M = unobservability_subspace(A, B_others, C)
-    inter = subspace_intersect(image(mats[i]), S_M)
-    return inter.dim == 0
+    return bool(_meets_trivially(S_M, image(mats[i]).basis[None])[0])
 
 
 def _input_or_empty(B, n: int) -> np.ndarray:
@@ -181,12 +204,17 @@ class SynthesisReport:
 
     Carries the two invariant subspaces and their sum for the decoupled
     input set, the solvability verdict, and the filter itself (None when
-    the target cannot be isolated).
+    the target cannot be isolated).  ``outside`` lists the coordinates
+    ``i`` (from 0) whose unit vector ``e_i`` meets ``S_M`` only in zero,
+    so an input entering there is isolable against the decoupled set.
+    It and ``solvable`` are decided by one rule: the smallest singular
+    value of the projection off ``S_M`` exceeds the membership tolerance.
     """
 
     V_star: Subspace
     S_star: Subspace
     S_M: Subspace
+    outside: tuple
     solvable: bool
     generator: ResidualGenerator | None
 
@@ -287,17 +315,19 @@ def synthesize_residual_generator(A, B_target, B_decouple, C) -> SynthesisReport
     V_star = max_controlled_invariant(A, Bd, C)
     S_star = min_conditioned_invariant(A, Bd, C)
     S_M = subspace_sum(V_star, S_star)
+    eye = np.eye(n)
+    isolable = _meets_trivially(S_M, eye[:, :, None])
+    outside = tuple(np.flatnonzero(isolable).tolist())
     if Bt.shape[1]:
-        solvable = subspace_intersect(image(Bt), S_M).dim == 0
+        solvable = bool(_meets_trivially(S_M, image(Bt).basis[None])[0])
         watched = Bt
     else:
-        solvable = S_M.dim < n
-        eye = np.eye(n)
-        watched = eye[:, [i for i in range(n) if not S_M.contains(eye[i])]]
+        solvable = bool(outside)
+        watched = eye[:, list(outside)]
     found = _parity_weights(A, Bd, watched, C) if solvable else None
     if found is None:
         return SynthesisReport(V_star=V_star, S_star=S_star, S_M=S_M,
-                               solvable=False, generator=None)
+                               outside=outside, solvable=False, generator=None)
     L, W = found
     p = C.shape[0]
     W = _echelon(W, p)
@@ -305,4 +335,4 @@ def synthesize_residual_generator(A, B_target, B_decouple, C) -> SynthesisReport
     E = np.vstack([np.zeros(((L - 1) * p, p)), np.eye(p)])
     gen = ResidualGenerator(F=F, E=E, M=W[:, :-p], H=W[:, -p:], horizon=L)
     return SynthesisReport(V_star=V_star, S_star=S_star, S_M=S_M,
-                           solvable=True, generator=gen)
+                           outside=outside, solvable=True, generator=gen)

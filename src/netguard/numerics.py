@@ -1,14 +1,17 @@
 """Tolerance-aware dense subspace algebra.
 
-Every geometric computation in the package funnels through this module.
-Subspaces are always carried as orthonormal bases (never raw spanning
-sets); the zero subspace is a basis with zero columns.  Every rank and
-membership threshold is read from the one tolerance policy, set through
-:func:`set_rank_tolerance` or the ``NETGUARD_TOL`` environment variable
-of the command line; no function takes a tolerance of its own, so the
-invariant-subspace fixpoint iterations elsewhere stay mutually
-consistent.  ``image``, ``kernel`` and ``rank`` accept complex matrices
-as well as real ones.
+The subspace core of the package: image, kernel, rank, sum and
+membership.  Subspaces are always carried as orthonormal bases (never
+raw spanning sets); the zero subspace is a basis with zero columns.
+Every rank and membership threshold is read from the one tolerance
+policy, set through :func:`set_rank_tolerance` or the ``NETGUARD_TOL``
+environment variable of the command line; no function takes a
+tolerance of its own, so the invariant-subspace fixpoint iterations
+elsewhere stay mutually consistent.  Whether a subspace meets another
+only in zero is decided in ``netguard.fdi`` alone, by one rule that
+reads the ``membership`` tolerance: the smallest singular value of the
+projection off the other subspace.  ``image``, ``kernel`` and ``rank``
+accept complex matrices as well as real ones.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ class TolerancePolicy:
         Absolute floor used for matrices whose largest singular value is
         itself negligible.
     membership : float
-        Projection-residual tolerance for membership and subspace
-        equality tests.
+        Projection-residual tolerance for membership tests and for the
+        trivial-intersection rule of ``netguard.fdi``.
     """
 
     rank_rel: float = 1e-9
@@ -124,10 +127,6 @@ class Subspace:
         """Orthogonal projector onto the subspace."""
         return self.basis @ self.basis.conj().T
 
-    def perp_projector(self) -> np.ndarray:
-        """Orthogonal projector onto the orthogonal complement."""
-        return np.eye(self.ambient_dim) - self.projector()
-
     def contains(self, x) -> bool:
         """Membership test by projection residual."""
         v = np.ravel(x) if np.iscomplexobj(x) else as_vector(x)
@@ -190,55 +189,6 @@ def subspace_sum(S1: Subspace, S2: Subspace) -> Subspace:
     if S1.ambient_dim != S2.ambient_dim:
         raise ValueError("subspace ambient dimensions differ")
     return image(np.hstack([S1.basis, S2.basis]))
-
-
-def subspace_intersect(S1: Subspace, S2: Subspace) -> Subspace:
-    """Largest subspace contained in both arguments.
-
-    Computed as the kernel of the stacked projectors onto the two
-    orthogonal complements.
-    """
-    if S1.ambient_dim != S2.ambient_dim:
-        raise ValueError("subspace ambient dimensions differ")
-    stacked = np.vstack([S1.perp_projector(), S2.perp_projector()])
-    return kernel(stacked)
-
-
-def preimage(A, S: Subspace) -> Subspace:
-    """Inverse image {x : A x in S}.
-
-    Equals the kernel of ``P_perp @ A`` where ``P_perp`` projects onto
-    the orthogonal complement of ``S``.
-    """
-    A = as_matrix(A)
-    if A.shape[0] != S.ambient_dim:
-        raise ValueError("map codomain does not match subspace ambient space")
-    return kernel(S.perp_projector() @ A)
-
-
-def subspace_leq(S1: Subspace, S2: Subspace) -> bool:
-    """True when ``S1`` is contained in ``S2`` within tolerance."""
-    if S1.ambient_dim != S2.ambient_dim:
-        raise ValueError("subspace ambient dimensions differ")
-    if S1.is_zero:
-        return True
-    resid = S1.basis - S2.basis @ (S2.basis.conj().T @ S1.basis)
-    return np.linalg.norm(resid, ord=2) <= _POLICY.membership
-
-
-def subspace_equal(S1: Subspace, S2: Subspace) -> bool:
-    """Equality of subspaces within tolerance."""
-    return (S1.dim == S2.dim and subspace_leq(S1, S2)
-            and subspace_leq(S2, S1))
-
-
-def principal_angles(S1: Subspace, S2: Subspace) -> np.ndarray:
-    """Principal angles between two subspaces (radians, decreasing)."""
-    from scipy.linalg import subspace_angles
-
-    if S1.is_zero or S2.is_zero:
-        return np.zeros(0)
-    return subspace_angles(S1.basis, S2.basis)
 
 
 def left_fixed_vector(A, tol: float = 1e-8) -> np.ndarray:

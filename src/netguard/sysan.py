@@ -438,8 +438,7 @@ class UnidentifiabilityWitness:
 
 
 def unidentifiability_witness(net: ConsensusMatrix, K1, K2, j: int,
-                              horizon: int = 50,
-                              rng: np.random.Generator | None = None):
+                              horizon: int = 50):
     """Witness that ``K1`` and ``K2`` are indistinguishable at ``j``, if any.
 
     Looks for invisible state motions of the joint system driven by both
@@ -452,8 +451,6 @@ def unidentifiability_witness(net: ConsensusMatrix, K1, K2, j: int,
     K2 = tuple(sorted(set(K2)))
     if K1 == K2:
         raise ValueError("candidate sets must differ")
-    if rng is None:
-        rng = np.random.default_rng(_WITNESS_SEED)
     n = net.n
     B1 = input_matrix(n, K1)
     B2 = input_matrix(n, K2)
@@ -465,7 +462,7 @@ def unidentifiability_witness(net: ConsensusMatrix, K1, K2, j: int,
         V = V_star.basis
         X, U, resid = _friend_realization(net.A, B, V)
         if resid < 1e-7:
-            a = rng.standard_normal(V.shape[1])
+            a = np.random.default_rng(_WITNESS_SEED).standard_normal(V.shape[1])
             a /= np.linalg.norm(a)
             coords = np.empty((horizon, V.shape[1]))
             for t in range(horizon):
@@ -508,11 +505,14 @@ def _toeplitz_kernel_input(A, B, C, horizon: int):
 
 
 def _witness_outputs_match(net: ConsensusMatrix, w: UnidentifiabilityWitness,
-                           j: int, tol: float = 1e-7) -> bool:
+                           j: int) -> bool:
+    """The two attributions' outputs agree relative to the larger of one
+    and the shared output's magnitude, which grows without bound when the
+    invisible motion is unstable."""
     atk1 = [Attack.sequence(a, w.inputs_1[:, k])
             for k, a in enumerate(w.K1)]
     atk2 = [Attack.sequence(a, w.inputs_2[:, k])
             for k, a in enumerate(w.K2)]
     y1 = net.outputs(simulate(net, w.x0, atk1, w.horizon).states, j)
     y2 = net.outputs(simulate(net, np.zeros(net.n), atk2, w.horizon).states, j)
-    return bool(np.max(np.abs(y1 - y2)) < tol)
+    return bool(np.max(np.abs(y1 - y2)) < 1e-7 * max(1.0, np.max(np.abs(y1))))

@@ -17,7 +17,7 @@ import scipy.optimize
 import sympy
 
 from netguard.consensus import Trajectory
-from netguard.numerics import as_vector
+from netguard.numerics import as_vector, rank
 
 
 def _span(cols):
@@ -64,6 +64,12 @@ def _dims_equal(b1, b2, n):
         return True
     M = sympy.Matrix.hstack(sympy.Matrix.hstack(*b1), sympy.Matrix.hstack(*b2))
     return M.rank() == len(b1)
+
+
+def same_span(S1, S2) -> bool:
+    """Two subspaces are equal: the same dimension, and their stacked bases
+    have that rank under the shared rank tolerance."""
+    return S1.dim == S2.dim == rank(np.hstack([S1.basis, S2.basis]))
 
 
 def exact_controlled_invariant(A, B, C):

@@ -183,3 +183,34 @@ def test_weak7_calibration_above_crossing():
         detect.calibrate_threshold(decomp, bank, u_max=1.0, u_min=0.1)
     assert err.value.epsilon_star == pytest.approx(0.0250, abs=1e-4)
     assert err.value.crossing_value == pytest.approx(0.0500, abs=1e-4)
+
+
+@pytest.mark.parametrize("outside", [(), (4, 7)])
+@pytest.mark.parametrize("reference_bank", [True, False])
+def test_bound_curves_are_certified_bounds_per_epsilon(reference_bank, outside):
+    decomp = weak7(0.05)
+    bank = gen_bank() if reference_bank else detect.build_local_bank(decomp, 1, 1, 1)
+    epsilons = [0.0, 0.01, 0.025, 0.1]
+    mis, well = detect.bound_curves(decomp, bank, 0.1, 1.0, epsilons,
+                                    outside=outside)
+    for eps, lo, hi in zip(epsilons, mis, well):
+        assert (lo, hi) == detect.certified_bounds(decomp, bank, 0.1, 1.0,
+                                                   outside=outside, epsilon=eps)
+
+
+@pytest.mark.parametrize("reference_bank", [True, False])
+def test_threshold_crossing_is_where_the_bounds_meet(reference_bank):
+    decomp = weak7(0.05)
+    bank = gen_bank() if reference_bank else detect.build_local_bank(decomp, 1, 1, 1)
+    tol = 1e-5
+    eps_star, value = detect.threshold_crossing(decomp, bank, 0.1, 1.0, tol=tol)
+    assert 0.0 < eps_star < 1.0
+    mis, well = detect.bound_curves(decomp, bank, 0.1, 1.0,
+                                    [eps_star - tol, eps_star, eps_star + tol])
+    gap = mis - well
+    # the misbehaving bound still leads a bisection tolerance below the
+    # crossing and no longer leads one above it ...
+    assert gap[0] > 0.0 >= gap[2]
+    # ... so at the crossing the bounds differ by less than that bracket
+    assert abs(gap[1]) <= gap[0] - gap[2]
+    assert value == mis[1]

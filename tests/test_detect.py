@@ -38,6 +38,30 @@ def test_unsolvable_pairs_match_fdi_solvable(A, k):
     assert verdict.unsolvable == tuple(sorted(expected))
 
 
+# e_i sits 6.6e-9 (seed 18) and 4.3e-9 (seed 39) from S_M(D): inside it,
+# as exact rational arithmetic confirms, yet above the relative rank
+# threshold.  fdi_solvable, the target synthesis and the identification's
+# pair set must give one answer.
+@pytest.mark.parametrize("seed, D, i", [(18, (4, 5), 12), (39, (11, 12), 2)])
+def test_isolability_is_decided_by_one_rule(seed, D, i, monkeypatch):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 13))
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=int(rng.integers(0, n)))
+    C = net.output_matrix(1)
+    B_i, B_D = consensus.input_matrix(n, [i]), consensus.input_matrix(n, D)
+    assert not fdi.fdi_solvable(net.A, [B_i, B_D], C, 0)
+    assert not fdi.synthesize_residual_generator(net.A, B_i, B_D, C).solvable
+    # the networks are 2-connected; the pair set does not depend on
+    # connectivity, so the k + 1 guard is lifted to read it at k = 2
+    monkeypatch.setattr(detect.graphmod, "vertex_connectivity",
+                        lambda g: len(D) + 1)
+    traj = consensus.simulate(net, rng.uniform(-1, 1, n), [], 3 * n)
+    verdict = detect.complete_identification(net, 1, len(D),
+                                             net.outputs(traj.states, 1))
+    assert (i, D) in verdict.unsolvable
+
+
 def naive_filter(A, G, H, L, C, ys):
     """The filter recursion written out step by step."""
     z = np.zeros(A.shape[0])

@@ -8,7 +8,8 @@ from netguard import cli, consensus, fdi, numerics
 
 from fixtures import (BENCH8_A, BENCH8_SM_37, RING9_A, SYMMETRIC4_A,
                       UNSTABLE_ZEROS_A, WEAK7_BLOCKS, observer_matrix)
-from oracles import exact_conditioned_invariant, exact_controlled_invariant
+from oracles import (exact_conditioned_invariant, exact_controlled_invariant,
+                     same_span)
 
 
 @pytest.mark.parametrize("A, K, j", [
@@ -25,7 +26,7 @@ def test_invariants_match_exact_fixpoints(A, K, j):
              exact_conditioned_invariant(A, B, C))):
         reference = numerics.image(exact)
         assert numeric.dim == reference.dim
-        assert numerics.subspace_equal(numeric, reference)
+        assert same_span(numeric, reference)
 
 
 # Bidirectional ring with self-loops plus random arcs, integer weights 1-3
@@ -81,7 +82,7 @@ def test_controlled_invariant_without_inputs_is_unobservable_subspace(A, j):
     net = consensus.validate(A)
     V = fdi.max_controlled_invariant(net.A, np.zeros((net.n, 0)),
                                      net.output_matrix(j))
-    assert numerics.subspace_equal(V, consensus.unobservable_subspace(net, j))
+    assert same_span(V, consensus.unobservable_subspace(net, j))
 
 
 @pytest.mark.parametrize("A, K", [
@@ -91,7 +92,7 @@ def test_conditioned_invariant_without_outputs_is_reachable_subspace(A, K):
     B = consensus.input_matrix(n, K)
     S = fdi.min_conditioned_invariant(A, B, np.zeros((0, n)))
     krylov = np.hstack([np.linalg.matrix_power(A, s) @ B for s in range(n)])
-    assert numerics.subspace_equal(S, numerics.image(krylov))
+    assert same_span(S, numerics.image(krylov))
 
 
 def test_bench8_unobservability_subspace_matches_reference():

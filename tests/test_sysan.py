@@ -353,6 +353,24 @@ def test_undetectable_attack_on_directed_ring():
     assert np.max(np.abs(traj.states)) > 0.1
 
 
+# A vertex cut of size kappa hides the side it separates from an observer
+# behind it, even with one more attacker acting there.
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(6, 25))
+def test_vertex_cut_gives_an_undetectable_attack(data, n):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=int(rng.integers(0, 2 * n)))
+    cut = graph.find_vertex_cut(net.graph, graph.vertex_connectivity(net.graph))
+    j = data.draw(st.sampled_from(cut.sink_side), label="observer")
+    extra = data.draw(st.sampled_from(cut.source_side), label="extra")
+    atk = construct_undetectable_attack(net, cut.cut, (extra,), j)
+    states = simulate(net, atk.x0, atk.attacks, 3 * n).states
+    assert np.max(np.ptp(states, axis=0)) > 0.1
+    assert (np.max(np.abs(net.outputs(states, j)))
+            <= 1e-8 * np.max(np.abs(states)))
+
+
 def test_undetectable_attack_rejects_non_cut():
     A = np.full((4, 4), 0.25)
     net = validate(A)
@@ -369,6 +387,25 @@ def test_witness_for_symmetric_pairs(bench8):
     y2 = bench8.outputs(simulate(bench8, np.zeros(8), atks2, 40).states, 1)
     assert np.max(np.abs(y1 - y2)) < 1e-7
     assert np.max(np.abs(y1)) > 1e-3      # the shared output is not silent
+
+
+def test_witness_survives_unstable_invisible_motion():
+    # the 2-cut {2, 19}: the invisible motion has spectral radius 3.8, so
+    # the shared outputs reach 1e30 and agree only relative to their size
+    rng = np.random.default_rng(66)
+    n = int(rng.integers(7, 20))
+    net = consensus.random_consensus_matrix(n, rng,
+                                            extra_edges=int(rng.integers(0, n)))
+    assert graph.find_vertex_cut(net.graph, 2).cut == (2, 19)
+    w = unidentifiability_witness(net, (2,), (19,), 3, horizon=3 * n)
+    assert w is not None
+    y1 = net.outputs(simulate(net, w.x0, [Attack.sequence(2, w.inputs_1[:, 0])],
+                              3 * n).states, 3)
+    y2 = net.outputs(simulate(net, np.zeros(n),
+                              [Attack.sequence(19, w.inputs_2[:, 0])],
+                              3 * n).states, 3)
+    assert np.max(np.abs(y1 - y2)) < 1e-7 * np.max(np.abs(y1))
+    assert np.max(np.abs(y1[:n])) > 1e-3
 
 
 def test_witness_rejects_equal_sets(bench8):
