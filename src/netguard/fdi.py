@@ -153,9 +153,14 @@ def _output_or_empty(C, n: int) -> np.ndarray:
 class ResidualGenerator:
     """Finite-horizon residual filter (F, E, M, H) driven by measurements only.
 
-    ``F`` is nilpotent, so the residual converges exactly within
-    ``horizon`` steps.  ``target`` and ``decoupled`` record the input
-    labels the filter must respond to and must ignore.
+    ``F`` is nilpotent of index at most ``horizon``: ``F^horizon = 0``,
+    decided relative to ``||F||^horizon`` with the ``rank_rel`` tolerance
+    of the shared policy, and a generator breaking that contract is
+    rejected.  The filter then has the finite impulse response
+    ``K_0 = H``, ``K_s = M F^(s-1) E`` for ``s = 1..horizon``, and its
+    residual settles exactly within ``horizon`` steps.  ``target`` and
+    ``decoupled`` record the input labels the filter must respond to and
+    must ignore.
     """
 
     F: np.ndarray
@@ -169,6 +174,13 @@ class ResidualGenerator:
     def __post_init__(self):
         for mat in (self.F, self.E, self.M, self.H):
             mat.setflags(write=False)
+        if self.horizon < 0:
+            raise ValueError("horizon must be nonnegative")
+        power = np.linalg.norm(np.linalg.matrix_power(self.F, self.horizon))
+        scale = np.linalg.norm(self.F) ** self.horizon
+        if power > numerics.get_policy().rank_rel * scale:
+            raise ValueError(f"F^{self.horizon} is not zero: the filter does "
+                             f"not settle within its horizon")
 
     @property
     def state_dim(self) -> int:
@@ -220,15 +232,43 @@ class SynthesisReport:
 
 
 def run_residual(gen: ResidualGenerator, ys) -> np.ndarray:
-    """Exact filter recursion from ``w(0) = 0`` along an output sequence."""
+    """Filter residual from ``w(0) = 0`` along an output sequence.
+
+    As ``F^horizon = 0``, the residual is the finite convolution
+    ``r(t) = sum_{s=0..h} K_s y(t-s)`` with the Markov blocks ``K_0 = H``
+    and ``K_s = M F^(s-1) E``, ``h`` the horizon and ``y`` zero before
+    the first sample: one product of the stacked blocks with the
+    zero-padded sliding windows ``[y(t-h); ...; y(t)]``, equal to the
+    filter recursion.  For a shift register the blocks are those of its
+    parity weights.
+    """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    T = ys.shape[0]
-    w = np.zeros(gen.state_dim)
-    residuals = np.zeros((T, gen.output_dim))
-    for t in range(T):
-        residuals[t] = gen.M @ w + gen.H @ ys[t]
-        w = gen.F @ w + gen.E @ ys[t]
-    return residuals
+    T, p = ys.shape
+    h = gen.horizon
+    blocks = [gen.H]
+    G = gen.E
+    for _ in range(h):
+        blocks.append(gen.M @ G)
+        G = gen.F @ G
+    K = np.hstack(blocks[::-1])
+    if T == 0:
+        return np.zeros((0, gen.output_dim))
+    padded = np.vstack([np.zeros((h, p)), ys])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (h + 1, p))
+    return windows.reshape(T, (h + 1) * p) @ K.T
+
+
+def _block_toeplitz(markov: list, p: int, m: int) -> np.ndarray:
+    """Block Toeplitz map of ``L = len(markov)`` Markov parameters.
+
+    Block ``(s, tau)``, ``s, tau = 0..L``, is ``markov[s - tau - 1]`` below
+    the diagonal and zero on and above it.
+    """
+    L = len(markov)
+    s, tau = np.tril_indices(L + 1, -1)
+    T = np.zeros((L + 1, p, L + 1, m))
+    T[s, :, tau, :] = np.reshape(markov, (L, p, m))[s - tau - 1]
+    return T.reshape((L + 1) * p, (L + 1) * m)
 
 
 def _window_maps(A, B, C, L: int):
@@ -239,16 +279,11 @@ def _window_maps(A, B, C, L: int):
     Toeplitz, its block ``(s, tau)`` being ``C A^(s-tau-1) B`` below the
     diagonal and zero on and above it.
     """
-    p, m = C.shape[0], B.shape[1]
     rows = [C]
     for _ in range(L):
         rows.append(rows[-1] @ A)
     markov = [CA @ B for CA in rows[:L]]
-    T = np.zeros(((L + 1) * p, (L + 1) * m))
-    for s in range(1, L + 1):
-        for tau in range(s):
-            T[s * p:(s + 1) * p, tau * m:(tau + 1) * m] = markov[s - tau - 1]
-    return np.vstack(rows), T
+    return np.vstack(rows), _block_toeplitz(markov, C.shape[0], B.shape[1])
 
 
 def _parity_weights(A, Bd, watched, C):
@@ -259,16 +294,27 @@ def _parity_weights(A, Bd, watched, C):
     cancels the state and the decoupled inputs; the first ``L`` at which
     ``W T_L b`` is nonzero, relative to ``T_L b``, for each watched column
     ``b`` is returned with ``W``.  ``None`` when no window up to ``n``
-    does.
+    does.  ``C A^s`` and ``C A^s [Bd, watched]`` grow by one power per
+    window, and the maps are stacked from them.  No null space is taken
+    while some watched ``C A^s b``, ``s < L``, is still exactly zero: that
+    ``T_L b`` is zero, so the window fails the test.
     """
     n = A.shape[0]
     p, md = C.shape[0], Bd.shape[1]
     atol = numerics.get_policy().membership
+    B = np.hstack([Bd, watched])
+    rows, markov = [C], []
+    unseen = np.ones(watched.shape[1], dtype=bool)
     for L in range(1, n + 1):
-        O, T = _window_maps(A, np.hstack([Bd, watched]), C, L)
+        markov.append(rows[-1] @ B)
+        rows.append(rows[-1] @ A)
+        unseen &= ~np.any(markov[-1][:, md:], axis=0)
+        if np.any(unseen):
+            continue
+        T = _block_toeplitz(markov, p, B.shape[1])
         T = T.reshape(T.shape[0], L + 1, -1)
         decoupled = T[:, :, :md].reshape(T.shape[0], -1)
-        W = kernel(np.hstack([O, decoupled]).T).basis.T
+        W = kernel(np.hstack([np.vstack(rows), decoupled]).T).basis.T
         if W.shape[0] == 0:
             continue
         seen = [T[:, :, c] for c in range(md, T.shape[2])]

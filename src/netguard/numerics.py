@@ -12,6 +12,12 @@ only in zero is decided in ``netguard.fdi`` alone, by one rule that
 reads the ``membership`` tolerance: the smallest singular value of the
 projection off the other subspace.  ``image``, ``kernel`` and ``rank``
 accept complex matrices as well as real ones.
+
+A public ``Subspace(n, basis)`` checks that its basis is orthonormal.
+The bases this module builds itself are trusted and skip that check:
+the zero and full subspaces, and the singular-vector factors that
+``image`` and ``kernel`` take from an SVD, which LAPACK returns
+orthonormal to working precision.
 """
 
 from __future__ import annotations
@@ -139,12 +145,21 @@ class Subspace:
         return np.linalg.norm(resid) <= _POLICY.membership * max(1.0, norm)
 
 
+def _trusted(n: int, basis: np.ndarray) -> Subspace:
+    """A subspace on a basis orthonormal by construction, left unchecked."""
+    S = object.__new__(Subspace)
+    object.__setattr__(S, "ambient_dim", n)
+    object.__setattr__(S, "basis", basis)
+    basis.setflags(write=False)
+    return S
+
+
 def zero_subspace(n: int) -> Subspace:
-    return Subspace(n, np.zeros((n, 0)))
+    return _trusted(n, np.zeros((n, 0)))
 
 
 def full_subspace(n: int) -> Subspace:
-    return Subspace(n, np.eye(n))
+    return _trusted(n, np.eye(n))
 
 
 def _numeric_rank(s: np.ndarray) -> int:
@@ -163,7 +178,7 @@ def image(M) -> Subspace:
     if M.shape[1] == 0 or not np.any(M):
         return zero_subspace(n)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    return Subspace(n, U[:, :_numeric_rank(s)].copy())
+    return _trusted(n, U[:, :_numeric_rank(s)].copy())
 
 
 def kernel(M) -> Subspace:
@@ -173,7 +188,7 @@ def kernel(M) -> Subspace:
     if rows == 0 or not np.any(M):
         return full_subspace(cols)
     _, s, Vh = np.linalg.svd(M, full_matrices=True)
-    return Subspace(cols, Vh[_numeric_rank(s):].conj().T.copy())
+    return _trusted(cols, Vh[_numeric_rank(s):].conj().T.copy())
 
 
 def rank(M) -> int:

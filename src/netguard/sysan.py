@@ -444,8 +444,10 @@ def unidentifiability_witness(net: ConsensusMatrix, K1, K2, j: int,
     Looks for invisible state motions of the joint system driven by both
     sets: a nonzero output-nulling subspace yields a feedback-type
     witness, and a non-left-invertible joint pencil yields an input-only
-    witness from the zero state.  Returns None when the joint system has
-    no such motion (every input of ``K1`` is identifiable against ``K2``).
+    witness from the zero state.  The feedback-type motion starts in the
+    stable part of the friend map whenever that part is nonzero, so the
+    witness stays bounded.  Returns None when the joint system has no
+    such motion (every input of ``K1`` is identifiable against ``K2``).
     """
     K1 = tuple(sorted(set(K1)))
     K2 = tuple(sorted(set(K2)))
@@ -462,12 +464,7 @@ def unidentifiability_witness(net: ConsensusMatrix, K1, K2, j: int,
         V = V_star.basis
         X, U, resid = _friend_realization(net.A, B, V)
         if resid < 1e-7:
-            a = np.random.default_rng(_WITNESS_SEED).standard_normal(V.shape[1])
-            a /= np.linalg.norm(a)
-            coords = np.empty((horizon, V.shape[1]))
-            for t in range(horizon):
-                coords[t] = a
-                a = X @ a
+            coords = _invisible_motion(X, horizon)
             full_u = -(U @ coords.T).T
             witness = UnidentifiabilityWitness(
                 K1=K1, K2=K2, x0=V @ coords[0], inputs_1=full_u[:, :m1],
@@ -484,6 +481,30 @@ def unidentifiability_witness(net: ConsensusMatrix, K1, K2, j: int,
             if _witness_outputs_match(net, witness, j):
                 return witness
     return None
+
+
+def _invisible_motion(X, horizon: int) -> np.ndarray:
+    """Rows ``a, X a, X^2 a, ...`` of a motion under the friend map ``X``.
+
+    The unit start ``a`` is drawn in the invariant subspace of ``X`` for
+    the eigenvalues in the closed unit disc, from an ordered real Schur
+    form ``X = Z T Z^T`` whose leading block ``T_11`` carries them, and
+    the motion is iterated with ``T_11`` and mapped back through ``Z_1``:
+    stepping with ``X`` itself would feed rounding into the unstable
+    modes.  With no such eigenvalue, ``a`` is drawn from all of the space
+    and stepped with ``X``.
+    """
+    import scipy.linalg
+
+    T, Z, sdim = scipy.linalg.schur(X, output="real", sort="iuc")
+    step, back = (T[:sdim, :sdim], Z[:, :sdim]) if sdim else (X, np.eye(len(X)))
+    a = np.random.default_rng(_WITNESS_SEED).standard_normal(step.shape[0])
+    a /= np.linalg.norm(a)
+    coords = np.empty((horizon, step.shape[0]))
+    for t in range(horizon):
+        coords[t] = a
+        a = step @ a
+    return coords @ back.T
 
 
 def _toeplitz_kernel_input(A, B, C, horizon: int):

@@ -6,7 +6,11 @@ implementations under test.  The residual-bound oracles solve one LP per
 generator and enumerate box vertices, where ``netguard.detect`` stacks
 the LPs and uses a closed form.  :func:`simulate_reference` is the
 step-by-step simulation loop that ``netguard.consensus.simulate``
-replaced with precomputed input columns.
+replaced with precomputed input columns.  :func:`parity_weights_scan`
+is the parity-window search that rebuilds both window maps for every
+``L = 1..n``, and :func:`run_residual_steps` steps the filter recursion
+one sample at a time, where ``netguard.fdi`` grows the maps once and
+convolves with the filter's Markov blocks.
 """
 
 from fractions import Fraction
@@ -17,7 +21,7 @@ import scipy.optimize
 import sympy
 
 from netguard.consensus import Trajectory
-from netguard.numerics import as_vector, rank
+from netguard.numerics import as_vector, get_policy, kernel, rank
 
 
 def _span(cols):
@@ -154,6 +158,54 @@ def simulate_reference(net, x0, attacks=(), T: int = 100) -> Trajectory:
     states.setflags(write=False)
     inputs.setflags(write=False)
     return Trajectory(states=states, input_agents=agents, inputs=inputs)
+
+
+def _window_maps_rebuilt(A, B, C, L):
+    """``O`` stacking ``C A^s``, ``s = 0..L``, and the block Toeplitz ``T``
+    with block ``(s, tau)`` equal to ``C A^(s-tau-1) B`` for ``s > tau``."""
+    p, m = C.shape[0], B.shape[1]
+    rows = [C]
+    for _ in range(L):
+        rows.append(rows[-1] @ A)
+    markov = [CA @ B for CA in rows[:L]]
+    T = np.zeros(((L + 1) * p, (L + 1) * m))
+    for s in range(1, L + 1):
+        for tau in range(s):
+            T[s * p:(s + 1) * p, tau * m:(tau + 1) * m] = markov[s - tau - 1]
+    return np.vstack(rows), T
+
+
+def parity_weights_scan(A, Bd, watched, C):
+    """First ``L = 1..n`` whose left null space ``W`` of ``[O_L, T_L Bd]``
+    sees every watched column, relative to its ``T_L b``; with ``W``, or
+    None.  Every window's maps are rebuilt from scratch."""
+    n = A.shape[0]
+    md = Bd.shape[1]
+    atol = get_policy().membership
+    for L in range(1, n + 1):
+        O, T = _window_maps_rebuilt(A, np.hstack([Bd, watched]), C, L)
+        T = T.reshape(T.shape[0], L + 1, -1)
+        decoupled = T[:, :, :md].reshape(T.shape[0], -1)
+        W = kernel(np.hstack([O, decoupled]).T).basis.T
+        if W.shape[0] == 0:
+            continue
+        seen = [T[:, :, c] for c in range(md, T.shape[2])]
+        if all(np.linalg.norm(W @ Tb) > atol * np.linalg.norm(Tb)
+               for Tb in seen):
+            return L, W
+    return None
+
+
+def run_residual_steps(gen, ys):
+    """``w(t+1) = F w(t) + E y(t)``, ``r(t) = M w(t) + H y(t)`` from
+    ``w(0) = 0``, one step at a time."""
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    w = np.zeros(gen.F.shape[0])
+    residuals = np.zeros((ys.shape[0], gen.M.shape[0]))
+    for t in range(ys.shape[0]):
+        residuals[t] = gen.M @ w + gen.H @ ys[t]
+        w = gen.F @ w + gen.E @ ys[t]
+    return residuals
 
 
 def grid_zero_scan(A, B, C, radius: float = 3.0, points: int = 100,

@@ -130,6 +130,31 @@ def test_identification_is_scale_invariant(scale, attacked):
     assert verdict.identified == attacked
 
 
+# Detection from a (k+1)-connected network: up to k constant attackers keep
+# the detection filter's residual away from zero past its transient.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 2), n=st.integers(6, 25))
+def test_detects_attackers_on_k_plus_1_connected_networks(data, k, n):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=int(rng.integers(0, 2 * n)) if k == 1 else n * n // 2,
+        min_connectivity=k + 1)
+    j = data.draw(st.integers(1, n), label="observer")
+    others = [a for a in range(1, n + 1) if a != j]
+    attacked = data.draw(st.lists(st.sampled_from(others), min_size=1,
+                                  max_size=k, unique=True), label="attacked")
+    attacks = [consensus.Attack.constant(a, rng.choice([-1, 1])
+                                         * rng.uniform(0.5, 2.0))
+               for a in attacked]
+    T = 6 * n
+    ys = net.outputs(consensus.simulate(net, rng.uniform(-1, 1, n), attacks,
+                                        T).states, j)
+    _, residuals = detect.DetectionFilter.from_network(net, j).run(ys)
+    tail = np.max(np.abs(residuals[-(T // 4):]), axis=1)
+    assert np.min(tail) > 1e-6 * np.max(np.abs(ys))
+
+
 # Identification of k malicious agents from a (2k+1)-connected network:
 # the exclusion verdict is exactly the attacked set.
 @settings(max_examples=20, deadline=None, derandomize=True)

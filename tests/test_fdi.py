@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from netguard import cli, consensus, fdi, numerics
 
-from fixtures import (BENCH8_A, BENCH8_SM_37, RING9_A, SYMMETRIC4_A,
-                      UNSTABLE_ZEROS_A, WEAK7_BLOCKS, observer_matrix)
+from fixtures import (BENCH8_A, BENCH8_SM_37, LOCAL_GEN2, LOCAL_GEN3, RING9_A,
+                      SYMMETRIC4_A, UNSTABLE_ZEROS_A, WEAK7_BLOCKS,
+                      observer_matrix)
 from oracles import (exact_conditioned_invariant, exact_controlled_invariant,
-                     same_span)
+                     parity_weights_scan, run_residual_steps, same_span)
 
 
 @pytest.mark.parametrize("A, K, j", [
@@ -175,6 +176,74 @@ def test_run_residual_applies_the_parity_weights(case):
     windows = np.array([padded[t:t + L + 1].ravel() for t in range(len(ys))])
     np.testing.assert_allclose(fdi.run_residual(gen, ys), windows @ W.T,
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
+def test_run_residual_matches_the_filter_recursion(case):
+    net, gen = synthesize(case)
+    _, j, _, decoupled, acting = GENERATOR_CASES[case]
+    ys = outputs(net, j, decoupled + acting, np.random.default_rng(6))
+    want = run_residual_steps(gen, ys)
+    got = fdi.run_residual(gen, ys)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# hand-built two-step filters whose F^2 is zero only to rounding (6e-18)
+@pytest.mark.parametrize("matrices", [LOCAL_GEN2, LOCAL_GEN3])
+def test_run_residual_matches_the_recursion_of_hand_built_filters(matrices):
+    gen = fdi.ResidualGenerator(**{k: v.copy() for k, v in matrices.items()},
+                                horizon=2)
+    ys = np.random.default_rng(7).uniform(-1, 1, (40, 3))
+    want = run_residual_steps(gen, ys)
+    got = fdi.run_residual(gen, ys)
+    assert got.shape == want.shape == (40, 2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_generator_must_settle_within_its_horizon():
+    p = 2
+    shift = dict(F=np.eye(2 * p, k=p), E=np.vstack([np.zeros((p, p)), np.eye(p)]),
+                 M=np.ones((1, 2 * p)), H=np.ones((1, p)))
+    assert fdi.ResidualGenerator(**shift, horizon=2).horizon == 2
+    with pytest.raises(ValueError, match="horizon"):
+        fdi.ResidualGenerator(**shift, horizon=1)
+    with pytest.raises(ValueError, match="horizon"):
+        fdi.ResidualGenerator(**dict(shift, F=0.5 * np.eye(2 * p)), horizon=4)
+
+
+# The search starts at the first window whose Markov parameters reach every
+# watched column; below it the scan over every window finds nothing, so the
+# two return the same window and the same weights, bit for bit.  Targets are
+# unit vectors, signed mixtures of them, or every coordinate outside S_M as
+# in a bank.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(4, 20),
+       kind=st.sampled_from(["units", "signed", "bank"]))
+def test_parity_search_matches_the_scan_over_every_window(data, n, kind):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=int(rng.integers(0, 2 * n)))
+    j = data.draw(st.integers(1, n), label="observer")
+    agents = data.draw(st.permutations(range(1, n + 1)), label="agents")
+    md = data.draw(st.integers(0, 2), label="decoupled")
+    mt = data.draw(st.integers(1, 2), label="targets")
+    Bd = consensus.input_matrix(n, agents[:md])
+    C = net.output_matrix(j)
+    watched = consensus.input_matrix(n, agents[md:md + mt])
+    if kind == "signed":
+        watched = watched @ rng.standard_normal((mt, mt))
+    elif kind == "bank":
+        outside = fdi.synthesize_residual_generator(
+            net.A, np.zeros((n, 0)), Bd, C).outside
+        watched = np.eye(n)[:, list(outside)]
+    got = fdi._parity_weights(net.A, Bd, watched, C)
+    want = parity_weights_scan(net.A, Bd, watched, C)
+    if want is None:
+        assert got is None
+    else:
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("case", sorted(GENERATOR_CASES))

@@ -107,6 +107,18 @@ def test_orthonormality_enforced():
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+# image and kernel skip the check on their SVD factors; those bases pass it
+@pytest.mark.parametrize("seed", range(5))
+def test_trusted_bases_are_orthonormal(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        r, q, c = rng.integers(1, 8), rng.integers(0, 8), rng.integers(1, 8)
+        M = rng.standard_normal((r, q)) @ rng.standard_normal((q, c))
+        for S in (image(M), kernel(M)):
+            Subspace(S.ambient_dim, S.basis.copy())
+            assert not S.basis.flags.writeable
+
+
 # dim(S + U) = dim S + dim U - dim(S ^ U): U meets S trivially exactly
 # when the dimensions add.  Part of U is drawn inside S, so both occur.
 @pytest.mark.parametrize("seed", range(5))

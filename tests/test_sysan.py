@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from netguard import consensus, graph, sysan
 from netguard.consensus import Attack, input_matrix, simulate, validate
@@ -390,8 +390,10 @@ def test_witness_for_symmetric_pairs(bench8):
 
 
 def test_witness_survives_unstable_invisible_motion():
-    # the 2-cut {2, 19}: the invisible motion has spectral radius 3.8, so
-    # the shared outputs reach 1e30 and agree only relative to their size
+    # the 2-cut {2, 19}: the invisible motion has spectral radius 3.8; a
+    # motion stepped with the whole friend map picks that mode up from
+    # rounding and reaches 1e30, one started and stepped in its stable
+    # part stays bounded
     rng = np.random.default_rng(66)
     n = int(rng.integers(7, 20))
     net = consensus.random_consensus_matrix(n, rng,
@@ -406,6 +408,42 @@ def test_witness_survives_unstable_invisible_motion():
                               3 * n).states, 3)
     assert np.max(np.abs(y1 - y2)) < 1e-7 * np.max(np.abs(y1))
     assert np.max(np.abs(y1[:n])) > 1e-3
+    assert max(np.max(np.abs(w.x0)), np.max(np.abs(w.inputs_1)),
+               np.max(np.abs(w.inputs_2))) < 10
+
+
+# A vertex cut of size 2k split into two k-sets: attacks on either set can
+# produce the same observations on the sink side.  The witness is bounded
+# whenever the friend map of the joint zero dynamics has eigenvalues in
+# the closed unit disc.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 2), n=st.integers(6, 25))
+def test_cut_of_size_2k_gives_a_witness(data, k, n):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=data.draw(st.integers(0, k * n * n // 4),
+                                      label="extra"))
+    cut = graph.find_vertex_cut(net.graph, 2 * k)
+    assume(cut is not None)
+    split = data.draw(st.permutations(cut.cut), label="split")
+    K1, K2 = sorted(split[:k]), sorted(split[k:])
+    j = data.draw(st.sampled_from(cut.sink_side), label="observer")
+    w = unidentifiability_witness(net, K1, K2, j, horizon=3 * n)
+    assert w is not None
+    y1 = net.outputs(simulate(net, w.x0, [
+        Attack.sequence(a, w.inputs_1[:, c]) for c, a in enumerate(w.K1)],
+        3 * n).states, j)
+    y2 = net.outputs(simulate(net, np.zeros(n), [
+        Attack.sequence(a, w.inputs_2[:, c]) for c, a in enumerate(w.K2)],
+        3 * n).states, j)
+    assert np.max(np.abs(y1 - y2)) <= 1e-7 * max(1.0, np.max(np.abs(y1)))
+    B = input_matrix(n, K1 + K2)
+    V, _ = sysan._zero_dynamics(Triple.from_matrices(net.A, B,
+                                                     net.output_matrix(j)))
+    X = sysan._friend_realization(net.A, B, V.basis)[0]
+    if V.dim and np.min(np.abs(np.linalg.eigvals(X))) <= 1:
+        assert max(np.max(np.abs(w.x0)), np.max(np.abs(w.inputs_1)),
+                   np.max(np.abs(w.inputs_2))) < 10
 
 
 def test_witness_rejects_equal_sets(bench8):
