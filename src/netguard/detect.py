@@ -163,21 +163,7 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
         norms[D] = np.max(np.abs(res), axis=1)
         horizons.append(gen.horizon)
     unsolvable_pairs = {(i, D) for (i, D) in unsolvable}
-    consistent = []
-    for size in range(k + 1):
-        for S in combinations(others, size):
-            ok = True
-            for D, was_fired in fired.items():
-                if set(S) <= set(D):
-                    if was_fired is None:
-                        continue
-                    if was_fired:
-                        ok = False
-                        break
-            if ok:
-                consistent.append(S)
-        if consistent:
-            break
+    consistent = _consistent_sets(others, fired, k)
     horizon = max(horizons)
     if len(consistent) == 1:
         return IdentificationVerdict(observer=j, status="identified",
@@ -192,6 +178,26 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
                                  horizon=horizon,
                                  unsolvable=tuple(sorted(unsolvable_pairs)),
                                  residual_norms=norms)
+
+
+def _consistent_sets(others, fired: dict, k: int) -> list:
+    """Candidate sets of the least size up to ``k`` that no fired generator
+    rules out.
+
+    A generator decoupling ``D`` ignores every input in ``D``, so when it
+    fires (``fired[D]`` true; ``None`` marks one never built) no subset of
+    ``D`` explains the data.  The subsets of the fired ``D``'s are
+    collected once, and a candidate is consistent unless it is one of
+    them.
+    """
+    blocked = {S for D, was_fired in fired.items() if was_fired
+               for size in range(k + 1) for S in combinations(D, size)}
+    for size in range(k + 1):
+        consistent = [S for S in combinations(others, size)
+                      if S not in blocked]
+        if consistent:
+            return consistent
+    return []
 
 
 # -- weakly coupled decomposition ---------------------------------------------
@@ -378,7 +384,11 @@ def block_outputs(decomp: BlockDecomposition, bank: LocalBank,
 
 
 class CalibrationError(RuntimeError):
-    """Certified residual bounds fail to separate at the given coupling."""
+    """No threshold can be certified at the given coupling.
+
+    Either the certified residual bounds fail to separate, and the error
+    reports the crossing coupling and value, or a bound LP fails.
+    """
 
     def __init__(self, message, epsilon_star=None, crossing_value=None):
         super().__init__(message)
@@ -413,134 +423,195 @@ class ThresholdCalibration:
     bound_misbehaving: float
 
 
-def _residual_coefficients(A_full, gen: fdi.ResidualGenerator, observed,
-                           input_agents, t_star: int):
-    """Linear maps from initial state and input samples to r(t_star).
-
-    Works on the augmented filter-over-network system; returns the
-    state coefficient (q, n) and per-agent sample coefficients of shape
-    (t_star, q).
-    """
-    n = A_full.shape[0]
-    d = gen.state_dim
+def _network_powers(A_full, observed, t_star: int) -> np.ndarray:
+    """``P_p = C_O A^p`` for ``p = 0..t_star``, a ``(t_star + 1, |O|, n)``
+    array, ``C_O`` selecting the states of the ``observed`` agents."""
     idx = [a - 1 for a in observed]
-    C_O = np.zeros((len(idx), n))
-    C_O[np.arange(len(idx)), idx] = 1.0
-    Aaug = np.zeros((n + d, n + d))
-    Aaug[:n, :n] = A_full
-    Aaug[n:, :n] = gen.E @ C_O
-    Aaug[n:, n:] = gen.F
-    R = np.hstack([gen.H @ C_O, gen.M])
-    powers = [np.eye(n + d)]
-    for _ in range(t_star):
-        powers.append(Aaug @ powers[-1])
-    Psi_x = R @ powers[t_star][:, :n]
-    coeffs = {}
-    for a in input_agents:
-        e = np.zeros(n + d)
-        e[a - 1] = 1.0
-        samples = np.zeros((t_star, R.shape[0]))
-        for tau in range(t_star):
-            samples[tau] = R @ powers[t_star - 1 - tau] @ e
-        coeffs[a] = samples
-    return Psi_x, coeffs
+    P = np.empty((t_star + 1, len(idx), A_full.shape[0]))
+    P[0] = np.eye(A_full.shape[0])[idx]
+    for p in range(t_star):
+        np.matmul(P[p], A_full, out=P[p + 1])
+    return P
 
 
-def _box_max(Psi_x, samples, box, x_max: float) -> float:
+def _decision_maps(P: np.ndarray, gen: fdi.ResidualGenerator) -> np.ndarray:
+    """Maps ``g_p`` from the network state ``p`` steps before the decision
+    time ``t* = len(P) - 1`` to the residual there, for ``p = 0..t*``.
+
+    With the filter state zero at time 0 and ``F^horizon = 0``, the
+    residual is ``r(t) = sum_{s <= min(t, h)} K_s y(t - s)`` over the
+    Markov blocks ``K_s`` (:func:`fdi._markov_blocks`), so ``g_p = sum_{s
+    <= min(p, h)} K_s P_{p-s}``: ``g_t*`` maps the initial state, and
+    ``g_(t*-1-tau)`` maps an input entering at step ``tau``.
+    """
+    K = fdi._markov_blocks(gen)
+    g = np.zeros((P.shape[0], K.shape[1], P.shape[2]))
+    for s, K_s in enumerate(K[:P.shape[0]]):
+        g[s:] += K_s @ P[:P.shape[0] - s]
+    return g
+
+
+@dataclass(frozen=True)
+class _BoundMaps:
+    """Both certified bounds of one coupling, ready for any input box.
+
+    The misbehaving bound is one LP over all generators (see
+    :func:`_joint_box_min`); its constraint matrix, cost vector and level
+    indices do not depend on the box and are assembled here once, so an
+    evaluation only fills in the variable bounds: ``is_state`` marks the
+    initial-state variables, the level variables sit at ``levels`` and
+    the rest are input samples.  The well-behaving bound needs only each
+    silent map's ``|Psi_x|`` row sums (``base``) and the column sums of
+    its sample rows' positive and negative parts (``pos``, ``neg``),
+    concatenated over the generators.
+    """
+
+    constraints: scipy.optimize.LinearConstraint | None
+    cost: np.ndarray
+    is_state: np.ndarray
+    levels: np.ndarray
+    base: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+
+    @classmethod
+    def from_blocks(cls, active, silent) -> "_BoundMaps":
+        """Assemble from ``(Psi_x, samples)`` pairs, one per generator.
+
+        ``Psi_x`` is a ``(q, n)`` state map and ``samples`` stacks ``m``
+        input-sample rows of ``q`` entries; ``active`` holds the maps with
+        the target acting, ``silent`` those with it silent.
+        """
+        # column by column: a variable's column holds its coefficients K_e
+        # in the block's first q rows and -K_e in the next q, the level
+        # column -1 in all 2q, so that -t_e <= K_e v_e <= t_e
+        data, indices, per_col, is_state, levels = [], [], [], [], []
+        n_rows = 0
+        for Psi_x, samples in active:
+            q, n = Psi_x.shape
+            cols = np.empty((n + samples.shape[0] + 1, 2 * q))
+            cols[:n, :q] = Psi_x.T
+            cols[n:-1, :q] = samples
+            cols[:-1, q:] = -cols[:-1, :q]
+            cols[-1] = -1.0
+            keep = cols != 0.0
+            data.append(cols[keep])
+            indices.append(n_rows + np.nonzero(keep)[1])
+            per_col.append(np.count_nonzero(keep, axis=1))
+            is_state += [True] * n + [False] * (cols.shape[0] - n)
+            levels.append(len(is_state) - 1)
+            n_rows += 2 * q
+        constraints = None
+        if active:
+            indptr = np.concatenate([[0], np.cumsum(np.concatenate(per_col))])
+            matrix = scipy.sparse.csc_array(
+                (np.concatenate(data), np.concatenate(indices), indptr),
+                shape=(n_rows, len(is_state)))
+            constraints = scipy.optimize.LinearConstraint(matrix, -np.inf, 0.0)
+        levels = np.array(levels, dtype=np.int64)
+        cost = np.zeros(len(is_state))
+        cost[levels] = 1.0
+
+        def joined(parts):
+            return np.concatenate(parts) if parts else np.zeros(0)
+
+        return cls(constraints=constraints, cost=cost,
+                   is_state=np.array(is_state, dtype=bool), levels=levels,
+                   base=joined([np.sum(np.abs(Psi_x), axis=1)
+                                for Psi_x, _ in silent]),
+                   pos=joined([np.sum(np.maximum(samples, 0.0), axis=0)
+                               for _, samples in silent]),
+                   neg=joined([np.sum(np.minimum(samples, 0.0), axis=0)
+                               for _, samples in silent]))
+
+
+def _box_max(maps: _BoundMaps, box, x_max: float) -> float:
     """Exact max of the residual sup-norm over the variable boxes.
 
-    ``samples`` stacks the input-sample coefficient rows (one per sample,
-    ``q`` columns), every sample ranging over ``box``.  A linear form
-    peaks over a box at the vertex matching its signs, so each row and
-    sign is a closed-form sum.
+    Covers every silent map at once, each of its sample rows ranging over
+    ``box = (lo, hi)`` with ``lo <= hi`` and the initial state over
+    ``[-x_max, x_max]``.  A linear form peaks over a box at the vertex
+    matching its signs, so residual row ``i`` peaks at ``x_max base_i +
+    hi pos_i + lo neg_i`` and its negation at ``x_max base_i - hi neg_i -
+    lo pos_i``; zero without silent maps.
     """
     lo, hi = box
-    base = x_max * np.sum(np.abs(Psi_x), axis=1)
-    up = np.sum(np.maximum(samples * lo, samples * hi), axis=0)
-    down = np.sum(np.maximum(-samples * lo, -samples * hi), axis=0)
-    return float(max(0.0, np.max(base + up), np.max(base + down)))
+    base = x_max * maps.base
+    up = base + hi * maps.pos + lo * maps.neg
+    down = base - hi * maps.neg - lo * maps.pos
+    return float(max(np.max(up, initial=0.0), np.max(down, initial=0.0)))
 
 
-def _joint_box_min(blocks, box, x_max: float) -> float:
+def _joint_box_min(maps: _BoundMaps, box, x_max: float) -> float:
     """Least, over the generators, of the min residual sup-norm (one LP).
 
-    ``blocks`` holds one ``(Psi_x, samples)`` pair per generator.  Each
-    generator's minimum is the LP min t s.t. -t <= K v <= t, with
-    ``K = [Psi_x, samples^T]`` and v ranging over the state and input
-    boxes.  The generators share no variable, so their LPs are stacked
-    block-diagonally into one LP minimizing the sum of the levels t_e;
-    a separable LP is optimal exactly when each block is, so every t_e
-    of the solution is its generator's own minimum.
+    Each generator's minimum is the LP min t s.t. -t <= K v <= t, with
+    ``K = [Psi_x, samples^T]`` and v ranging over the state box
+    ``[-x_max, x_max]`` and the input box.  The generators share no
+    variable, so ``maps`` holds their LPs stacked block-diagonally into
+    one LP minimizing the sum of the levels t_e; a separable LP is
+    optimal exactly when each block is, so every t_e of the solution is
+    its generator's own minimum.  Solved by HiGHS through
+    ``scipy.optimize.milp`` with no integer variable; ``inf`` without
+    generators.
+
+    Raises
+    ------
+    CalibrationError
+        When the solver reports no optimum.
     """
-    if not blocks:
+    if maps.constraints is None:
         return np.inf
     lo, hi = box
-    rows, cols, vals, lower, upper, levels = [], [], [], [], [], []
-    r0 = c0 = 0
-    for Psi_x, samples in blocks:
-        q, n = Psi_x.shape
-        m = samples.shape[0]
-        K = np.hstack([Psi_x, samples.T])
-        level = -np.ones((q, 1))
-        K = np.vstack([np.hstack([K, level]), np.hstack([-K, level])])
-        r, c = np.nonzero(K)
-        rows.append(r + r0)
-        cols.append(c + c0)
-        vals.append(K[r, c])
-        lower += [-x_max] * n + [lo] * m + [0.0]
-        upper += [x_max] * n + [hi] * m + [np.inf]
-        levels.append(c0 + n + m)
-        r0 += 2 * q
-        c0 += n + m + 1
-    A_ub = scipy.sparse.csc_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(r0, c0))
-    cost = np.zeros(c0)
-    cost[levels] = 1.0
-    res = scipy.optimize.linprog(cost, A_ub=A_ub, b_ub=np.zeros(r0),
-                                 bounds=np.column_stack([lower, upper]),
-                                 method="highs")
+    lower = np.where(maps.is_state, -x_max, lo)
+    upper = np.where(maps.is_state, x_max, hi)
+    lower[maps.levels] = 0.0
+    upper[maps.levels] = np.inf
+    res = scipy.optimize.milp(maps.cost, bounds=(lower, upper),
+                              constraints=maps.constraints)
     if not res.success:
-        raise RuntimeError(f"bound LP failed: {res.message}")
-    return float(np.min(res.x[levels]))
+        raise CalibrationError(f"bound LP failed: {res.message}")
+    return float(np.min(res.x[maps.levels]))
 
 
 def _coefficient_maps(decomp: BlockDecomposition, bank: LocalBank,
-                      epsilon: float, outside):
+                      epsilon: float, outside) -> _BoundMaps:
     """Decision-time coefficient maps of every bank generator at a coupling.
 
-    One ``(Psi_x, active, silent)`` triple per entry with a generator:
-    the state coefficient, and the stacked input-sample coefficients of
-    the agents acting when the target is active (the target plus
-    ``outside``) and when it is silent (the decoupled candidates plus
-    ``outside``; ``None`` when there are none).  The maps do not depend on
-    the input band, so one set serves every bound evaluation at this
-    coupling.
+    The network powers ``C_O A(epsilon)^p``, ``p = 0..t*``, are computed
+    once and every generator reads its maps from them through its Markov
+    blocks (:func:`_decision_maps`).  Per generator this gives the state
+    map and the stacked input-sample maps of the agents acting when the
+    target is active (the target plus ``outside``) and when it is silent
+    (the decoupled candidates plus ``outside``, if any), agent by agent
+    and sample by sample.  The maps do not depend on the input band, so
+    the returned :class:`_BoundMaps`, with the bound LP assembled, serves
+    every bound evaluation at this coupling.
     """
-    A_full = decomp.matrix_at(epsilon)
-    maps = []
+    P = _network_powers(decomp.matrix_at(epsilon), bank.observed,
+                        bank.eval_time)
+    active_blocks, silent_blocks = [], []
     for entry in bank.entries:
         if entry.generator is None:
             continue
-        active = sorted({entry.target, *outside})
-        silent = sorted({*entry.decouple, *outside})
-        Psi_x, coeffs = _residual_coefficients(
-            A_full, entry.generator, bank.observed,
-            sorted({*active, *silent}), bank.eval_time)
-        maps.append((Psi_x, np.vstack([coeffs[a] for a in active]),
-                     np.vstack([coeffs[a] for a in silent]) if silent else None))
-    return maps
+        g = _decision_maps(P, entry.generator)
+        q = g.shape[1]
+        # the sample of agent a at step tau reaches the residual through
+        # column a of g_(t*-1-tau): by_agent[a - 1, tau]
+        by_agent = g[:-1][::-1].transpose(2, 0, 1)
+        active = [a - 1 for a in sorted({entry.target, *outside})]
+        active_blocks.append((g[-1], by_agent[active].reshape(-1, q)))
+        silent = [a - 1 for a in sorted({*entry.decouple, *outside})]
+        if silent:
+            silent_blocks.append((g[-1], by_agent[silent].reshape(-1, q)))
+    return _BoundMaps.from_blocks(active_blocks, silent_blocks)
 
 
-def _bounds_from_maps(maps, u_min: float, u_max: float, x_max: float):
+def _bounds_from_maps(maps: _BoundMaps, u_min: float, u_max: float,
+                      x_max: float):
     """``(bound_misbehaving, bound_wellbehaving)`` over one input band."""
     box = (u_min, u_max)
-    bound_mis = _joint_box_min([(Psi_x, active) for Psi_x, active, _ in maps],
-                               box, x_max)
-    bound_well = max((_box_max(Psi_x, silent, box, x_max)
-                      for Psi_x, _, silent in maps if silent is not None),
-                     default=0.0)
-    return bound_mis, bound_well
+    return _joint_box_min(maps, box, x_max), _box_max(maps, box, x_max)
 
 
 def certified_bounds(decomp: BlockDecomposition, bank: LocalBank,
@@ -555,13 +626,24 @@ def certified_bounds(decomp: BlockDecomposition, bank: LocalBank,
     for every acting agent (the bank's candidates plus ``outside``).
 
     The decision-time residual of each generator is linear in the initial
-    state and the input samples.  Its largest sup-norm over the boxes has
-    a closed form (each row peaks at a box vertex).  Its smallest is an
-    LP; the per-generator LPs share no variable, so all of them are solved
-    as one block-diagonal LP whose objective sums their levels, which is
-    optimal exactly when every block is, so each level is that
-    generator's own minimum.
+    state and the input samples, with maps read from the network powers
+    ``C_O A(epsilon)^p`` shared by the bank.  Its largest sup-norm over
+    the boxes has a closed form (each row peaks at a box vertex), one
+    vector expression for all generators.  Its smallest is an LP; the
+    per-generator LPs share no variable, so all of them are solved as one
+    block-diagonal LP whose objective sums their levels, which is optimal
+    exactly when every block is, so each level is that generator's own
+    minimum.
+
+    Raises
+    ------
+    ValueError
+        When ``u_min > u_max``.
+    CalibrationError
+        When the bound LP fails.
     """
+    if u_min > u_max:
+        raise ValueError("need u_min <= u_max")
     eps = decomp.epsilon if epsilon is None else float(epsilon)
     maps = _coefficient_maps(decomp, bank, eps, outside)
     return _bounds_from_maps(maps, u_min, u_max, x_max)

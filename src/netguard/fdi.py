@@ -231,6 +231,18 @@ class SynthesisReport:
     generator: ResidualGenerator | None
 
 
+def _markov_blocks(gen: ResidualGenerator) -> np.ndarray:
+    """The filter's impulse response ``K_0 = H``, ``K_s = M F^(s-1) E`` for
+    ``s = 1..horizon``, stacked as a ``(horizon + 1, q, p)`` array; by the
+    ``F^horizon = 0`` contract every later block is zero."""
+    blocks = [gen.H]
+    G = gen.E
+    for _ in range(gen.horizon):
+        blocks.append(gen.M @ G)
+        G = gen.F @ G
+    return np.array(blocks)
+
+
 def run_residual(gen: ResidualGenerator, ys) -> np.ndarray:
     """Filter residual from ``w(0) = 0`` along an output sequence.
 
@@ -245,12 +257,8 @@ def run_residual(gen: ResidualGenerator, ys) -> np.ndarray:
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     T, p = ys.shape
     h = gen.horizon
-    blocks = [gen.H]
-    G = gen.E
-    for _ in range(h):
-        blocks.append(gen.M @ G)
-        G = gen.F @ G
-    K = np.hstack(blocks[::-1])
+    K = _markov_blocks(gen)[::-1]
+    K = K.transpose(1, 0, 2).reshape(gen.output_dim, (h + 1) * p)
     if T == 0:
         return np.zeros((0, gen.output_dim))
     padded = np.vstack([np.zeros((h, p)), ys])

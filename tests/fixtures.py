@@ -8,6 +8,8 @@ down to roughly 1e-4 and no further.
 
 import numpy as np
 
+from netguard import graph
+
 # 8-node network whose observer-3 triple with inputs {1,2} is
 # left-invertible yet has invisible motions of modulus 2 (unstable).
 UNSTABLE_ZEROS_A = np.array([
@@ -109,6 +111,48 @@ WEAK7_PARTITION = ((1, 2, 3), (4, 5, 6, 7))
 
 def weak7_matrix(eps: float) -> np.ndarray:
     return WEAK7_BLOCKS + eps * WEAK7_COUPLING
+
+
+def block_network(sizes, eps: float, rng: np.random.Generator,
+                  connectivity) -> tuple:
+    """Weakly coupled network of consecutive agent blocks, and its partition.
+
+    Block ``h`` is a two-way ring with random chords, redrawn until its
+    digraph is ``connectivity[h]``-connected, with self-loops and weights
+    uniform on [0.1, 1].  About half of the agents, the first always, then
+    hand a share of their row to one or two agents of other blocks; the
+    first agent's share is ``eps``, the others' at most that, so
+    ``detect.block_decompose`` recovers the coupling ``eps``.
+    """
+    n = sum(sizes)
+    starts = np.cumsum([0, *sizes])
+    A = np.zeros((n, n))
+    for size, start, kappa in zip(sizes, starts, connectivity):
+        ring = np.eye(size, k=1) + np.eye(size, k=-1)
+        ring[0, -1] = ring[-1, 0] = 1.0
+        chords = 0.5 if kappa <= 2 else 0.85
+        while True:
+            mask = (ring + (rng.random((size, size)) < chords)) > 0
+            np.fill_diagonal(mask, False)
+            if graph.vertex_connectivity(graph.from_matrix(mask)) >= kappa:
+                break
+        np.fill_diagonal(mask, True)
+        A[start:start + size, start:start + size] = (
+            mask * rng.uniform(0.1, 1.0, (size, size)))
+    for r in range(n):
+        share = eps if r == 0 else eps * rng.uniform(0.2, 1.0)
+        if r and rng.random() < 0.5:
+            share = 0.0
+        A[r] *= (1.0 - share) / A[r].sum()
+        block = np.searchsorted(starts, r, side="right") - 1
+        others = [c for c in range(n)
+                  if not starts[block] <= c < starts[block + 1]]
+        to = rng.choice(others, size=int(rng.integers(1, 3)), replace=False)
+        w = rng.uniform(0.1, 1.0, to.size)
+        A[r, to] = share * w / w.sum()
+    partition = tuple(tuple(range(start + 1, start + size + 1))
+                      for size, start in zip(sizes, starts))
+    return A, partition
 
 
 # Reference local residual generators for block {1,2,3}, observer 1,

@@ -4,9 +4,14 @@ The invariant-subspace oracles run the defining fixpoint iterations in
 exact rational arithmetic (sympy), entirely separate from the SVD-based
 implementations under test.  The residual-bound oracles solve one LP per
 generator and enumerate box vertices, where ``netguard.detect`` stacks
-the LPs and uses a closed form.  :func:`simulate_reference` is the
-step-by-step simulation loop that ``netguard.consensus.simulate``
-replaced with precomputed input columns.  :func:`parity_weights_scan`
+the LPs and uses a closed form, and :func:`residual_coefficients` raises
+each generator's augmented filter-over-network matrix to every power,
+where ``detect`` reads the maps from shared network powers through the
+filter's Markov blocks.  :func:`consistent_sets` tests every candidate
+set against every fired generator, where ``detect`` looks candidates up
+among the subsets of the fired decoupled sets.
+:func:`simulate_reference` is the step-by-step simulation loop that
+``netguard.consensus.simulate`` replaced with precomputed input columns.  :func:`parity_weights_scan`
 is the parity-window search that rebuilds both window maps for every
 ``L = 1..n``, and :func:`run_residual_steps` steps the filter recursion
 one sample at a time, where ``netguard.fdi`` grows the maps once and
@@ -14,7 +19,7 @@ convolves with the filter's Markov blocks.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import scipy.optimize
@@ -304,6 +309,38 @@ def box_max_vertices(Psi_x, coeffs, active_boxes, x_max: float) -> float:
     return float(max(0.0, np.max(np.abs(vertices @ K.T))))
 
 
+def residual_coefficients(A_full, gen, observed, input_agents, t_star: int):
+    """Linear maps from initial state and input samples to r(t_star).
+
+    Works on the augmented filter-over-network system, whose matrix is
+    raised to every power up to ``t_star``; returns the state coefficient
+    (q, n) and per-agent sample coefficients of shape (t_star, q).
+    """
+    n = A_full.shape[0]
+    d = gen.state_dim
+    idx = [a - 1 for a in observed]
+    C_O = np.zeros((len(idx), n))
+    C_O[np.arange(len(idx)), idx] = 1.0
+    Aaug = np.zeros((n + d, n + d))
+    Aaug[:n, :n] = A_full
+    Aaug[n:, :n] = gen.E @ C_O
+    Aaug[n:, n:] = gen.F
+    R = np.hstack([gen.H @ C_O, gen.M])
+    powers = [np.eye(n + d)]
+    for _ in range(t_star):
+        powers.append(Aaug @ powers[-1])
+    Psi_x = R @ powers[t_star][:, :n]
+    coeffs = {}
+    for a in input_agents:
+        e = np.zeros(n + d)
+        e[a - 1] = 1.0
+        samples = np.zeros((t_star, R.shape[0]))
+        for tau in range(t_star):
+            samples[tau] = R @ powers[t_star - 1 - tau] @ e
+        coeffs[a] = samples
+    return Psi_x, coeffs
+
+
 def certified_bounds_per_generator(residual_coefficients, decomp, bank,
                                    u_min, u_max, x_max=1.0, outside=()):
     """``(bound_misbehaving, bound_wellbehaving)`` generator by generator.
@@ -332,3 +369,25 @@ def certified_bounds_per_generator(residual_coefficients, decomp, bank,
             bound_well = max(bound_well,
                              box_max_vertices(Psi_x, coeffs, silent, x_max))
     return bound_mis, bound_well
+
+
+def consistent_sets(others, fired, k: int) -> list:
+    """Candidate sets of the least size up to ``k`` that no fired generator
+    rules out: ``S`` is ruled out when ``fired[D]`` is true for some ``D``
+    containing it (``None`` marks a generator that was never built)."""
+    consistent = []
+    for size in range(k + 1):
+        for S in combinations(others, size):
+            ok = True
+            for D, was_fired in fired.items():
+                if set(S) <= set(D):
+                    if was_fired is None:
+                        continue
+                    if was_fired:
+                        ok = False
+                        break
+            if ok:
+                consistent.append(S)
+        if consistent:
+            break
+    return consistent

@@ -1,12 +1,17 @@
+import json
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
-from netguard import detect, fdi
+from netguard import cli, detect, fdi
 
-from fixtures import LOCAL_GEN2, LOCAL_GEN3, WEAK7_PARTITION, weak7_matrix
+from fixtures import (LOCAL_GEN2, LOCAL_GEN3, WEAK7_PARTITION, block_network,
+                      weak7_matrix)
 from oracles import (box_max_vertices, box_min_lp,
-                     certified_bounds_per_generator)
+                     certified_bounds_per_generator, residual_coefficients)
 
 
 def weak7(eps):
@@ -28,7 +33,7 @@ def gen_bank():
 
 
 def reference(decomp, bank, u_min, outside):
-    return certified_bounds_per_generator(detect._residual_coefficients,
+    return certified_bounds_per_generator(residual_coefficients,
                                           decomp, bank, u_min, 1.0, 1.0,
                                           outside)
 
@@ -80,13 +85,59 @@ def test_residual_coefficients_reproduce_a_simulated_residual():
         x[[a - 1 for a in agents]] += u[t]
         states.append(x)
     ys = np.array(states)[:, [a - 1 for a in bank.observed]]
+    inputs = np.zeros((bank.eval_time, 7))
+    inputs[:, [a - 1 for a in agents]] = u
+    P = detect._network_powers(A, bank.observed, bank.eval_time)
     for entry in bank.entries:
         r = fdi.run_residual(entry.generator, ys)[bank.eval_time]
-        Psi_x, coeffs = detect._residual_coefficients(
-            A, entry.generator, bank.observed, agents, bank.eval_time)
-        predicted = Psi_x @ x0 + sum(coeffs[a].T @ u[:, c]
-                                     for c, a in enumerate(agents))
+        g = detect._decision_maps(P, entry.generator)
+        # the state enters through g_t*, the input at step tau through
+        # g_(t*-1-tau)
+        predicted = g[-1] @ x0 + sum(g[bank.eval_time - 1 - tau] @ v
+                                     for tau, v in enumerate(inputs))
         np.testing.assert_allclose(predicted, r, rtol=1e-12, atol=1e-12)
+
+
+def assert_maps_match_augmented_powers(A, bank, outside):
+    P = detect._network_powers(A, bank.observed, bank.eval_time)
+    for entry in bank.entries:
+        if entry.generator is None:
+            continue
+        agents = sorted({entry.target, *entry.decouple, *outside})
+        want_x, want = residual_coefficients(A, entry.generator, bank.observed,
+                                             agents, bank.eval_time)
+        g = detect._decision_maps(P, entry.generator)
+        got_x = g[-1]
+        got = {a: g[:-1][::-1][:, :, a - 1] for a in agents}
+        scale = max(np.max(np.abs(want_x)),
+                    max(np.max(np.abs(c), initial=0.0) for c in want.values()))
+        assert np.max(np.abs(got_x - want_x)) <= 1e-12 * scale
+        for a in agents:
+            assert got[a].shape == want[a].shape
+            error = np.max(np.abs(got[a] - want[a]), initial=0.0)
+            assert error <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+@pytest.mark.parametrize("outside", [(), (4,), (4, 7)])
+@pytest.mark.parametrize("block, observer", [(1, 1), (2, 4), (None, None)])
+def test_maps_from_network_powers_match_augmented_system(eps, outside, block,
+                                                         observer):
+    decomp = weak7(eps)
+    bank = (gen_bank() if block is None
+            else detect.build_local_bank(decomp, block, observer, 1))
+    assert_maps_match_augmented_powers(decomp.A, bank, outside)
+
+
+@pytest.mark.parametrize("observer", [1, 4])
+@pytest.mark.parametrize("outside", [(), (6,), (8, 12)])
+def test_maps_match_augmented_system_for_a_k2_bank(observer, outside):
+    A, partition = block_network((5, 3, 4), 0.05, np.random.default_rng(0),
+                                 (3, 2, 2))
+    decomp = detect.block_decompose(A, partition)
+    bank = detect.build_local_bank(decomp, 1, observer, 2)
+    assert len(bank.entries) == 12
+    assert_maps_match_augmented_powers(decomp.A, bank, outside)
 
 
 @pytest.mark.parametrize("q, n, m", [(1, 3, 1), (2, 7, 2), (3, 5, 6)])
@@ -98,7 +149,8 @@ def test_box_max_equals_vertex_enumeration(q, n, m, box):
     samples[0] = 0.0
     coeffs = {a: samples[a:a + 1] for a in range(m)}
     want = box_max_vertices(Psi_x, coeffs, {a: box for a in range(m)}, 0.7)
-    got = detect._box_max(Psi_x, samples, box, 0.7)
+    maps = detect._BoundMaps.from_blocks([], [(Psi_x, samples)])
+    got = detect._box_max(maps, box, 0.7)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -112,9 +164,12 @@ def test_joint_box_min_is_least_per_generator_minimum():
         blocks.append((Psi_x, samples))
         coeffs = {a: samples[a:a + 1] for a in range(m)}
         mins.append(box_min_lp(Psi_x, coeffs, {a: box for a in range(m)}, 1.0))
-    assert detect._joint_box_min(blocks, box, 1.0) == pytest.approx(
+    maps = detect._BoundMaps.from_blocks(blocks, [])
+    assert detect._joint_box_min(maps, box, 1.0) == pytest.approx(
         min(mins), rel=1e-9, abs=1e-12)
-    assert detect._joint_box_min([], box, 1.0) == np.inf
+    empty = detect._BoundMaps.from_blocks([], [])
+    assert detect._joint_box_min(empty, box, 1.0) == np.inf
+    assert detect._box_max(empty, box, 1.0) == 0.0
 
 
 def count_calls(monkeypatch, owner, name):
@@ -133,7 +188,7 @@ def test_one_lp_per_bound_evaluation(monkeypatch):
     decomp = weak7(0.01)
     bank = detect.build_local_bank(decomp, 2, 4, 1)
     assert len(bank.entries) == 6
-    lps = count_calls(monkeypatch, scipy.optimize, "linprog")
+    lps = count_calls(monkeypatch, scipy.optimize, "milp")
     detect.certified_bounds(decomp, bank, 0.1, 1.0, outside=(2,))
     assert len(lps) == 1
 
@@ -141,23 +196,48 @@ def test_one_lp_per_bound_evaluation(monkeypatch):
 def test_calibration_builds_the_maps_once(monkeypatch):
     decomp = weak7(0.01)
     bank = detect.build_local_bank(decomp, 1, 1, 1)
-    maps = count_calls(monkeypatch, detect, "_residual_coefficients")
-    lps = count_calls(monkeypatch, scipy.optimize, "linprog")
+    maps = count_calls(monkeypatch, detect, "_coefficient_maps")
+    lps = count_calls(monkeypatch, scipy.optimize, "milp")
     detect.calibrate_threshold(decomp, bank, u_max=1.0, u_min=0.1)
-    assert len(maps) == len(bank.entries)
+    assert len(maps) == 1
     assert len(lps) > 10
 
 
-def test_failed_bound_lp_raises(monkeypatch):
-    class Failed:
-        success = False
-        message = "infeasible"
+class FailedLP:
+    success = False
+    message = "infeasible"
 
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: Failed())
+
+def test_failed_bound_lp_raises(monkeypatch):
+    monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: FailedLP())
     decomp = weak7(0.01)
     bank = detect.build_local_bank(decomp, 1, 1, 1)
     with pytest.raises(RuntimeError, match="bound LP failed"):
         detect.certified_bounds(decomp, bank, 0.1, 1.0)
+
+
+def test_failed_bound_lp_exits_calibration(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: FailedLP())
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "matrix": {"rows": weak7_matrix(0.01).tolist()},
+        "partition": [list(b) for b in WEAK7_PARTITION], "observer": 1,
+        "block": 1, "k": 1, "horizon": 30,
+        "attacks": [{"agent": 2, "kind": "constant", "value": 0.5}]}))
+    out = tmp_path / "out"
+    code = cli.main(["local-identify", "--scenario", str(path),
+                     "--out", str(out)])
+    assert code == cli.EXIT_CALIBRATION
+    assert "bound LP failed: infeasible" in capsys.readouterr().out
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["status"] == "calibration_failure"
+    assert verdict["epsilon_star"] is None
+
+
+def test_inverted_input_band_is_invalid():
+    decomp = weak7(0.01)
+    with pytest.raises(ValueError, match="u_min <= u_max"):
+        detect.certified_bounds(decomp, gen_bank(), 0.5, 0.1)
 
 
 # Reference values of WEAK7 block 1 seen from agent 1, k = 1, inputs in
@@ -214,3 +294,39 @@ def test_threshold_crossing_is_where_the_bounds_meet(reference_bank):
     # ... so at the crossing the bounds differ by less than that bracket
     assert abs(gap[1]) <= gap[0] - gap[2]
     assert value == mis[1]
+
+
+# Two or three blocks of 3-5 agents, at most 10 in all (11 once a k = 2
+# block grows to 4), so that the oracle's vertex enumeration (2^(n + t* m)
+# vertices) stays small.
+BLOCK_SIZES = [s for blocks in (2, 3)
+               for s in product(range(3, 6), repeat=blocks) if sum(s) <= 10]
+
+
+# The stacked LP, the shared network powers and the closed-form maximum
+# agree with one LP and one vertex enumeration per generator on random
+# weakly coupled networks.
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 2), sizes=st.sampled_from(BLOCK_SIZES),
+       eps=st.floats(1e-3, 0.3), u_min=st.floats(0.05, 0.5))
+def test_certified_bounds_match_per_generator_oracles(data, k, sizes, eps,
+                                                      u_min):
+    sizes = list(sizes)
+    h = data.draw(st.integers(1, len(sizes)), label="block")
+    if k == 2:
+        sizes[h - 1] = max(sizes[h - 1], 4)
+    connectivity = [k + 1 if b == h - 1 else 2 for b in range(len(sizes))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    A, partition = block_network(sizes, eps, rng, connectivity)
+    decomp = detect.block_decompose(A, partition)
+    j = data.draw(st.sampled_from(partition[h - 1]), label="observer")
+    bank = detect.build_local_bank(decomp, h, j, k)
+    foreign = [a for b, block in enumerate(partition) if b != h - 1
+               for a in block]
+    outside = tuple(sorted(data.draw(st.lists(st.sampled_from(foreign),
+                                              max_size=1), label="outside")))
+    got = detect.certified_bounds(decomp, bank, u_min, 1.0, 1.0, outside)
+    want = certified_bounds_per_generator(residual_coefficients, decomp, bank,
+                                          u_min, 1.0, 1.0, outside)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)

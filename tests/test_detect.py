@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from netguard import consensus, detect, fdi
 
 from fixtures import BENCH8_A, RING9_A
+from oracles import consistent_sets
 
 
 # BENCH8 isolates every target; RING9 seen from agent 1 has 20 pairs that
@@ -178,3 +179,61 @@ def test_identifies_attackers_on_2k_plus_1_connected_networks(data, k, n):
                                              net.outputs(traj.states, j))
     assert verdict.status == "identified"
     assert verdict.identified == attacked
+
+
+@pytest.mark.parametrize("A, k, attacked", [
+    (BENCH8_A, 1, (3,)), (BENCH8_A, 2, (2, 6)), (BENCH8_A, 2, ()),
+    (RING9_A, 1, (4,)), (RING9_A, 1, (2,)), (RING9_A, 1, ())])
+def test_consistent_sets_match_the_pairwise_loop(A, k, attacked, monkeypatch):
+    seen = []
+    lookup = detect._consistent_sets
+
+    def spy(others, fired, k):
+        got = lookup(others, fired, k)
+        seen.append((got, consistent_sets(others, fired, k)))
+        return got
+
+    monkeypatch.setattr(detect, "_consistent_sets", spy)
+    net = consensus.validate(A)
+    attacks = [consensus.Attack.constant(a, 1.0 + a / 10) for a in attacked]
+    traj = consensus.simulate(net, np.linspace(-1, 1, net.n), attacks, 30)
+    detect.complete_identification(net, 1, k, net.outputs(traj.states, 1))
+    assert len(seen) == 1
+    got, want = seen[0]
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(3, 9), k=st.integers(1, 3))
+def test_consistent_sets_on_random_fired_patterns(data, n, k):
+    others = list(range(2, n + 1))
+    fired = {D: data.draw(st.sampled_from([True, False, None]),
+                          label=str(D))
+             for D in combinations(others, k)}
+    assert detect._consistent_sets(others, fired, k) == consistent_sets(
+        others, fired, k)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2),
+       n=st.integers(8, 11))
+def test_consistent_sets_on_random_networks(seed, k, n):
+    rng = np.random.default_rng(seed)
+    net = consensus.random_consensus_matrix(n, rng, extra_edges=n * n // 2,
+                                            min_connectivity=k + 1)
+    attacked = rng.choice(np.arange(2, n + 1), size=k, replace=False)
+    attacks = [consensus.Attack.constant(int(a), rng.uniform(0.5, 2.0))
+               for a in attacked]
+    traj = consensus.simulate(net, rng.uniform(-1, 1, n), attacks, 3 * n)
+    seen = []
+    lookup = detect._consistent_sets
+
+    def spy(others, fired, k):
+        got = lookup(others, fired, k)
+        seen.append(got == consistent_sets(others, fired, k))
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detect, "_consistent_sets", spy)
+        detect.complete_identification(net, 1, k, net.outputs(traj.states, 1))
+    assert seen == [True]
