@@ -13,6 +13,7 @@ Exit codes: 0 success / clean identification, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -389,21 +390,14 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK if report.solvable else EXIT_INVALID
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser(commands: tuple) -> argparse.ArgumentParser:
+    """The command-line parser for ``commands``, built once per process."""
     parser = argparse.ArgumentParser(
         prog="netguard",
         description="Consensus-network misbehavior analysis and identification")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "validate": cmd_validate,
-        "analyze": cmd_analyze,
-        "simulate": cmd_simulate,
-        "detect": cmd_detect,
-        "identify": cmd_identify,
-        "local-identify": cmd_local_identify,
-        "synthesize": cmd_synthesize,
-    }
-    for name, handler in specs.items():
+    for name in commands:
         p = sub.add_parser(name)
         if name == "validate":
             p.add_argument("--matrix", help="matrix file (rows of numbers)")
@@ -413,7 +407,21 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-        p.set_defaults(handler=handler)
+    return parser
+
+
+def main(argv=None) -> int:
+    # looked up on every call, so a handler replaced in the module is run
+    handlers = {
+        "validate": cmd_validate,
+        "analyze": cmd_analyze,
+        "simulate": cmd_simulate,
+        "detect": cmd_detect,
+        "identify": cmd_identify,
+        "local-identify": cmd_local_identify,
+        "synthesize": cmd_synthesize,
+    }
+    parser = _parser(tuple(handlers))
     args = parser.parse_args(argv)
     if args.command == "validate" and not (args.matrix or args.scenario):
         parser.error("validate needs --matrix or --scenario")
@@ -423,7 +431,7 @@ def main(argv=None) -> int:
         tol_env = os.environ.get("NETGUARD_TOL")
         if tol_env:
             numerics.set_rank_tolerance(float(tol_env))
-        return args.handler(args)
+        return handlers[args.command](args)
     except (ValueError, consensus.ConsensusError, OSError,
             json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

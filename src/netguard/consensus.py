@@ -128,6 +128,14 @@ def validate(A, row_tol: float = 1e-10) -> ConsensusMatrix:
     return ConsensusMatrix(A=A.copy(), pi=pi, graph=G)
 
 
+def _finite(x, name: str) -> float:
+    """``x`` as a float, rejecting NaN and infinities."""
+    v = float(x)
+    if not np.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class Attack:
     """Additive input model for one misbehaving agent.
@@ -146,19 +154,23 @@ class Attack:
 
     @classmethod
     def constant(cls, agent: int, c: float) -> "Attack":
-        return cls(agent=agent, kind="constant", value=float(c))
+        return cls(agent=agent, kind="constant",
+                   value=_finite(c, f"attack value of agent {agent}"))
 
     @classmethod
     def exponential(cls, agent: int, z: float, u0: float) -> "Attack":
+        z = _finite(z, f"attack rate of agent {agent}")
         if not 0.0 < abs(z) < 1.0:
             raise ValueError("exponential attack requires 0 < |z| < 1")
-        return cls(agent=agent, kind="exponential", rate=float(z), value=float(u0))
+        return cls(agent=agent, kind="exponential", rate=z,
+                   value=_finite(u0, f"attack value of agent {agent}"))
 
     @classmethod
     def state_feedback(cls, agent: int, row, offset: float = 0.0) -> "Attack":
         r = as_vector(row, "feedback row")
         r.setflags(write=False)
-        return cls(agent=agent, kind="state_feedback", row=r, offset=float(offset))
+        return cls(agent=agent, kind="state_feedback", row=r,
+                   offset=_finite(offset, f"feedback offset of agent {agent}"))
 
     @classmethod
     def sequence(cls, agent: int, values) -> "Attack":
@@ -168,7 +180,8 @@ class Attack:
 
     @classmethod
     def initial_offset(cls, agent: int, c: float) -> "Attack":
-        return cls(agent=agent, kind="initial_offset", value=float(c))
+        return cls(agent=agent, kind="initial_offset",
+                   value=_finite(c, f"initial offset of agent {agent}"))
 
     def input_at(self, t: int, x: np.ndarray) -> float:
         if self.kind == "constant":

@@ -123,18 +123,21 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
     One parity-space residual generator is synthesized per candidate
     decoupled k-subset of the other agents: a parity relation on the
     shortest output window that cancels the initial state and the
-    decoupled inputs.  A candidate misbehaving set is consistent when
+    decoupled inputs.  The candidates form one bank, synthesized in
+    stacked SVDs (``fdi._synthesize_bank``).  A candidate misbehaving set is consistent when
     every generator decoupling it stays, past its horizon, below
     ``residual_floor`` times the largest measured magnitude.  The unique
     minimal consistent set is returned; several minimal survivors
     (colluding agents riding an invisible motion) yield an ambiguous
     verdict.  The verdict's ``horizon`` is the longest parity window.
 
-    Requires network connectivity at least ``k + 1``; identification of
-    malicious sets is only guaranteed from ``2k + 1``.
+    Requires ``k >= 0`` and network connectivity at least ``k + 1``;
+    identification of malicious sets is only guaranteed from ``2k + 1``.
     """
-    conn = graphmod.vertex_connectivity(net.graph)
-    if conn < k + 1:
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    if not graphmod._connectivity_at_least(net.graph, k + 1):
+        conn = graphmod.vertex_connectivity(net.graph)
         raise ValueError(f"connectivity {conn} below required {k + 1}")
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     floor = residual_floor * float(np.max(np.abs(ys), initial=0.0))
@@ -144,10 +147,11 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
     horizons = [1]
     unsolvable = []
     norms = {}
-    for D in combinations(others, k):
-        B_D = input_matrix(net.n, D)
-        report = fdi.synthesize_residual_generator(
-            net.A, np.zeros((net.n, 0)), B_D, C)
+    candidates = list(combinations(others, k))
+    reports = fdi._synthesize_bank(
+        net.A, C, [np.zeros((net.n, 0))] * len(candidates),
+        [input_matrix(net.n, D) for D in candidates])
+    for D, report in zip(candidates, reports):
         if report.generator is None:
             unsolvable.append(((), D))
             fired[D] = None
@@ -332,7 +336,8 @@ def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
     """Design the block-local residual generators for observer ``j``.
 
     One generator per within-block candidate agent and decoupled
-    candidate subset, synthesized against the h-th diagonal block only.
+    candidate subset, synthesized against the h-th diagonal block only;
+    the generators of one target form one bank (``fdi._synthesize_bank``).
     Requires the block digraph to be at least ``k_j + 1`` connected.
     """
     agents = decomp.block_agents(h)
@@ -340,8 +345,9 @@ def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
         raise ValueError(f"observer {j} not in block {h}")
     A_h = decomp.block_matrix(h)
     n_h = len(agents)
-    conn = graphmod.vertex_connectivity(graphmod.from_matrix(A_h))
-    if n_h > 1 and conn < k_j + 1:
+    G_h = graphmod.from_matrix(A_h)
+    if n_h > 1 and not graphmod._connectivity_at_least(G_h, k_j + 1):
+        conn = graphmod.vertex_connectivity(G_h)
         raise ValueError(f"block connectivity {conn} below required {k_j + 1}")
     pos = {a: idx for idx, a in enumerate(agents)}
     C_loc = _output_matrix(A_h, pos[j] + 1)
@@ -350,14 +356,17 @@ def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
     candidates = [a for a in agents if a != j]
     for c in candidates:
         pool = [a for a in candidates if a != c]
-        size = min(k_j, len(pool))
-        for D in combinations(pool, size):
-            B_t = np.zeros((n_h, 1))
-            B_t[pos[c], 0] = 1.0
+        decoupled = list(combinations(pool, min(k_j, len(pool))))
+        B_t = np.zeros((n_h, 1))
+        B_t[pos[c], 0] = 1.0
+        B_ds = []
+        for D in decoupled:
             B_d = np.zeros((n_h, len(D)))
             for col, a in enumerate(D):
                 B_d[pos[a], col] = 1.0
-            report = fdi.synthesize_residual_generator(A_h, B_t, B_d, C_loc)
+            B_ds.append(B_d)
+        reports = fdi._synthesize_bank(A_h, C_loc, [B_t] * len(B_ds), B_ds)
+        for D, report in zip(decoupled, reports):
             gen = report.generator
             if gen is not None:
                 gen = fdi.ResidualGenerator(F=gen.F, E=gen.E, M=gen.M, H=gen.H,

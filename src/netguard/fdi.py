@@ -23,6 +23,18 @@ the decoupled set.  The filters built here are shift registers of the
 last L outputs: the residual is a parity relation ``W [y(t-L); ...;
 y(t)]`` whose weights annihilate the window's observability and
 decoupled-input maps (Chow and Willsky, IEEE TAC 1984).
+
+An observer's residual bank, one generator per candidate decoupled set,
+is synthesized as one computation: the V* and S* fixpoints of all
+candidates advance together, one stacked kernel or image a step, and so
+do S_M, the coordinates outside it and the parity-window search, on
+powers ``C A^s`` taken once for the bank.  A stack is capped by
+``numerics._STACK_ENTRIES`` entries in its largest SVD factor, and the
+bank advances at most as many candidates at once as keep their V*
+iterates within that cap.  LAPACK factors each member of a stack on its
+own, so every generator is bit for bit the one its candidate alone
+gives; :func:`synthesize_residual_generator` and the two fixpoint
+functions are the same code with one member.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ import numpy as np
 import scipy.linalg
 
 from . import numerics
-from .numerics import Subspace, as_matrix, image, kernel, subspace_sum
+from .numerics import Subspace, as_matrix, image, subspace_sum
 
 
 def max_controlled_invariant(A, B, C) -> Subspace:
@@ -50,15 +62,32 @@ def max_controlled_invariant(A, B, C) -> Subspace:
     n = A.shape[0]
     B = _input_or_empty(B, n)
     C = _output_or_empty(C, n)
-    V = kernel(C).basis
-    while V.shape[1]:
-        Q = image(np.hstack([V, B])).basis
-        AV = A @ V
-        inner = kernel(AV - Q @ (Q.T @ AV)).basis
-        if inner.shape[1] == V.shape[1]:
-            break
-        V = V @ inner
-    return Subspace(n, V)
+    return Subspace(n, _controlled_invariants(A, [B], C)[0])
+
+
+def _controlled_invariants(A, Bs, C) -> list:
+    """Bases of V* of ``(A, B, C)`` for every ``B`` in ``Bs``.
+
+    The iteration of :func:`max_controlled_invariant` for all of them at
+    once: every step takes one stacked image and one stacked kernel over
+    the iterates not yet fixed.
+    """
+    V0 = numerics._kernels([C])[0]
+    Vs = [V0] * len(Bs)
+    live = list(range(len(Bs))) if V0.shape[1] else []
+    while live:
+        Qs = numerics._images([np.hstack([Vs[i], Bs[i]]) for i in live])
+        AVs = [A @ Vs[i] for i in live]
+        inners = numerics._kernels([AV - Q @ (Q.T @ AV)
+                                    for AV, Q in zip(AVs, Qs)])
+        moving = []
+        for i, inner in zip(live, inners):
+            if inner.shape[1] < Vs[i].shape[1]:
+                Vs[i] = Vs[i] @ inner
+                if Vs[i].shape[1]:
+                    moving.append(i)
+        live = moving
+    return Vs
 
 
 def min_conditioned_invariant(A, B, C) -> Subspace:
@@ -72,14 +101,31 @@ def min_conditioned_invariant(A, B, C) -> Subspace:
     n = A.shape[0]
     B = _input_or_empty(B, n)
     C = _output_or_empty(C, n)
-    S = image(B)
+    return numerics._trusted(n, _conditioned_invariants(A, [B], C)[0])
+
+
+def _conditioned_invariants(A, Bs, C) -> list:
+    """Bases of S* of ``(A, B, C)`` for every ``B`` in ``Bs``.
+
+    The iteration of :func:`min_conditioned_invariant` for all of them at
+    once, one stacked kernel and one stacked image a step; each returns
+    the basis of the first step that keeps the dimension, or of step
+    ``n + 1``.
+    """
+    n = A.shape[0]
+    Ss = numerics._images(Bs)
+    live = list(range(len(Bs)))
     for _ in range(n + 1):
-        meet = S.basis @ kernel(C @ S.basis).basis
-        nxt = image(np.hstack([B, A @ meet]))
-        if nxt.dim == S.dim:
-            return nxt
-        S = nxt
-    return S
+        if not live:
+            break
+        meets = numerics._kernels([C @ Ss[i] for i in live])
+        nxts = numerics._images([np.hstack([Bs[i], A @ (Ss[i] @ K)])
+                                 for i, K in zip(live, meets)])
+        moving = [i for i, S in zip(live, nxts) if S.shape[1] != Ss[i].shape[1]]
+        for i, S in zip(live, nxts):
+            Ss[i] = S
+        live = moving
+    return Ss
 
 
 def unobservability_subspace(A, B_others, C) -> Subspace:
@@ -94,21 +140,37 @@ def unobservability_subspace(A, B_others, C) -> Subspace:
     return subspace_sum(V, S)
 
 
-def _meets_trivially(S_M: Subspace, bases: np.ndarray) -> np.ndarray:
-    """Which of the subspaces ``Im bases[g]`` meet ``S_M`` only in zero.
+def _meets_trivially(Q: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Which of the subspaces ``Im bases[..., g, :, :]`` meet ``Im Q`` only
+    in zero.
 
-    ``bases`` stacks orthonormal ``(n, r)`` bases as a ``(g, n, r)`` array.
-    Each is projected off ``S_M`` once, as ``(I - Q Q^T) U`` with ``Q`` the
-    basis of ``S_M``; its image meets ``S_M`` trivially exactly when the
+    ``Q`` is an orthonormal ``(n, r)`` basis of S_M, or a stack of them
+    that broadcasts against ``bases``, which stacks orthonormal ``(n, c)``
+    bases as a ``(..., g, n, c)`` array.  Each is projected off S_M once,
+    as ``(I - Q Q^T) U``; its image meets S_M trivially exactly when the
     smallest singular value of that projection exceeds the membership
     tolerance of the shared policy.  For one unit vector this is its
     residual norm, the negation of ``Subspace.contains``; an empty basis
     meets everything trivially.
     """
-    Q = S_M.basis
-    projected = bases - Q @ (Q.T @ bases)
+    projected = bases - Q @ (np.swapaxes(Q, -1, -2) @ bases)
     sigma = np.linalg.svd(projected, compute_uv=False)
     return np.min(sigma, axis=-1, initial=np.inf) > numerics.get_policy().membership
+
+
+def _meet_each(Qs, bases) -> list:
+    """``_meets_trivially(Qs[i], bases[i])`` for every ``i``, one call per
+    group of equal shapes."""
+    groups = {}
+    for i, (Q, U) in enumerate(zip(Qs, bases)):
+        groups.setdefault((Q.shape, U.shape), []).append(i)
+    out = [None] * len(Qs)
+    for members in groups.values():
+        flags = _meets_trivially(np.stack([Qs[i] for i in members])[:, None],
+                                 np.stack([bases[i] for i in members]))
+        for i, f in zip(members, flags):
+            out[i] = f
+    return out
 
 
 def fdi_solvable(A, B_all, C, i: int) -> bool:
@@ -126,7 +188,7 @@ def fdi_solvable(A, B_all, C, i: int) -> bool:
     others = [b for k, b in enumerate(mats) if k != i]
     B_others = np.hstack(others) if others else np.zeros((A.shape[0], 0))
     S_M = unobservability_subspace(A, B_others, C)
-    return bool(_meets_trivially(S_M, image(mats[i]).basis[None])[0])
+    return bool(_meets_trivially(S_M.basis, image(mats[i]).basis[None])[0])
 
 
 def _input_or_empty(B, n: int) -> np.ndarray:
@@ -266,16 +328,17 @@ def run_residual(gen: ResidualGenerator, ys) -> np.ndarray:
     return windows.reshape(T, (h + 1) * p) @ K.T
 
 
-def _block_toeplitz(markov: list, p: int, m: int) -> np.ndarray:
-    """Block Toeplitz map of ``L = len(markov)`` Markov parameters.
+def _block_toeplitz(markov: np.ndarray) -> np.ndarray:
+    """Block Toeplitz map of the ``L`` Markov parameters ``markov``, an
+    ``(L, p, m)`` array.
 
     Block ``(s, tau)``, ``s, tau = 0..L``, is ``markov[s - tau - 1]`` below
     the diagonal and zero on and above it.
     """
-    L = len(markov)
+    L, p, m = markov.shape
     s, tau = np.tril_indices(L + 1, -1)
     T = np.zeros((L + 1, p, L + 1, m))
-    T[s, :, tau, :] = np.reshape(markov, (L, p, m))[s - tau - 1]
+    T[s, :, tau, :] = markov[s - tau - 1]
     return T.reshape((L + 1) * p, (L + 1) * m)
 
 
@@ -290,46 +353,75 @@ def _window_maps(A, B, C, L: int):
     rows = [C]
     for _ in range(L):
         rows.append(rows[-1] @ A)
-    markov = [CA @ B for CA in rows[:L]]
-    return np.vstack(rows), _block_toeplitz(markov, C.shape[0], B.shape[1])
+    markov = np.reshape([CA @ B for CA in rows[:L]], (L, C.shape[0], B.shape[1]))
+    return np.vstack(rows), _block_toeplitz(markov)
 
 
-def _parity_weights(A, Bd, watched, C):
-    """Shortest parity relation ignoring ``Bd`` that sees every watched input.
+def _output_powers(A, C) -> np.ndarray:
+    """``C A^s`` for ``s = 0..n``, each the product of the last with ``A``,
+    stacked as an ``(n + 1, p, n)`` array."""
+    powers = [C]
+    for _ in range(A.shape[0]):
+        powers.append(powers[-1] @ A)
+    return np.array(powers)
 
-    For ``L = 1..n`` the rows of ``W`` span the left null space of
-    ``[O_L, T_L Bd]``, so ``W`` applied to the last ``L + 1`` outputs
-    cancels the state and the decoupled inputs; the first ``L`` at which
-    ``W T_L b`` is nonzero, relative to ``T_L b``, for each watched column
-    ``b`` is returned with ``W``.  ``None`` when no window up to ``n``
-    does.  ``C A^s`` and ``C A^s [Bd, watched]`` grow by one power per
-    window, and the maps are stacked from them.  No null space is taken
-    while some watched ``C A^s b``, ``s < L``, is still exactly zero: that
-    ``T_L b`` is zero, so the window fails the test.
+
+def _parity_weights(powers: np.ndarray, Bds, watched) -> list:
+    """Shortest parity relation ignoring ``Bds[i]`` that sees every column
+    of ``watched[i]``, for each ``i``: ``(L, W)``, or ``None``.
+
+    ``powers`` stacks ``C A^s`` for ``s = 0..n``.  For ``L = 1..n`` the rows
+    of ``W`` span the left null space of ``[O_L, T_L Bd]``, so ``W`` applied
+    to the last ``L + 1`` outputs cancels the state and the decoupled
+    inputs; the first ``L`` at which ``W T_L b`` is nonzero, relative to
+    ``T_L b``, for each watched column ``b`` is returned with ``W``.  The
+    Markov parameters ``C A^s [Bd, watched]`` grow by one power per window.
+    No null space is taken while some watched ``C A^s b``, ``s < L``, is
+    still exactly zero: that ``T_L b`` is zero, so the window fails the
+    test.  The null spaces of the members at one window are taken in
+    stacked kernels of at most ``numerics._stack_size`` members, and all
+    watched columns of a member are tested with one product.
     """
-    n = A.shape[0]
-    p, md = C.shape[0], Bd.shape[1]
+    n = powers.shape[0] - 1
     atol = numerics.get_policy().membership
-    B = np.hstack([Bd, watched])
-    rows, markov = [C], []
-    unseen = np.ones(watched.shape[1], dtype=bool)
+    Bs = [np.hstack([Bd, Bw]) for Bd, Bw in zip(Bds, watched)]
+    mds = [Bd.shape[1] for Bd in Bds]
+    markov = [[] for _ in Bs]
+    unseen = [np.ones(Bw.shape[1], dtype=bool) for Bw in watched]
+    found = [None] * len(Bs)
+    pending = list(range(len(Bs)))
     for L in range(1, n + 1):
-        markov.append(rows[-1] @ B)
-        rows.append(rows[-1] @ A)
-        unseen &= ~np.any(markov[-1][:, md:], axis=0)
-        if np.any(unseen):
+        for i in pending:
+            markov[i].append(powers[L - 1] @ Bs[i])
+            unseen[i] &= ~markov[i][-1][:, mds[i]:].any(axis=0)
+        at = [i for i in pending if not unseen[i].any()]
+        if not at:
             continue
-        T = _block_toeplitz(markov, p, B.shape[1])
-        T = T.reshape(T.shape[0], L + 1, -1)
-        decoupled = T[:, :, :md].reshape(T.shape[0], -1)
-        W = kernel(np.hstack([np.vstack(rows), decoupled]).T).basis.T
-        if W.shape[0] == 0:
-            continue
-        seen = [T[:, :, c] for c in range(md, T.shape[2])]
-        if all(np.linalg.norm(W @ Tb) > atol * np.linalg.norm(Tb)
-               for Tb in seen):
-            return L, W
-    return None
+        O = powers[:L + 1].reshape(-1, n)
+        chunk = numerics._stack_size(n + (L + 1) * max(mds[i] for i in at),
+                                     O.shape[0])
+        for lo in range(0, len(at), chunk):
+            part = at[lo:lo + chunk]
+            maps = [np.array(markov[i]) for i in part]
+            nulls = numerics._kernels(
+                [np.hstack([O, _block_toeplitz(G[:, :, :mds[i]])]).T
+                 for i, G in zip(part, maps)])
+            for i, G, N in zip(part, maps, nulls):
+                W = N.T
+                if W.shape[0] and _sees_every_column(W, G[:, :, mds[i]:], atol):
+                    found[i] = (L, W)
+                    pending.remove(i)
+    return found
+
+
+def _sees_every_column(W, markov, atol) -> bool:
+    """Whether ``||W T_L b|| > atol ||T_L b||`` for every column ``b`` of the
+    ``(L, p, m)`` Markov parameters, all columns in one product."""
+    L, _, m = markov.shape
+    T = _block_toeplitz(markov)
+    response = (W @ T).reshape(-1, L + 1, m)
+    return bool(np.all(np.linalg.norm(response, axis=(0, 1))
+                       > atol * np.linalg.norm(T.reshape(-1, L + 1, m), axis=(0, 1))))
 
 
 def _echelon(W: np.ndarray, p: int) -> np.ndarray:
@@ -366,27 +458,64 @@ def synthesize_residual_generator(A, B_target, B_decouple, C) -> SynthesisReport
     Bt = _input_or_empty(B_target, n)
     Bd = _input_or_empty(B_decouple, n)
     C = _output_or_empty(C, n)
-    V_star = max_controlled_invariant(A, Bd, C)
-    S_star = min_conditioned_invariant(A, Bd, C)
-    S_M = subspace_sum(V_star, S_star)
+    return next(_synthesize_bank(A, C, [Bt], [Bd]))
+
+
+def _synthesize_bank(A, C, targets, decouples):
+    """:func:`synthesize_residual_generator` for every pair ``(targets[i],
+    decouples[i])`` on one ``(A, C)``; the reports, in order, as a generator.
+
+    The powers ``C A^s`` are taken once for the bank.  The pairs advance
+    together in slices of as many as one stacked SVD of ``n x n``
+    operands takes (``numerics._stack_size``), so that their V* iterates
+    hold about ``numerics._STACK_ENTRIES`` entries: V*, S*, S_M, the
+    coordinates outside S_M, the target tests and the parity search of a
+    slice each run on stacked SVDs, every member computed bit for bit as
+    a bank of one computes it.
+    """
+    n = A.shape[0]
+    powers = _output_powers(A, C)
+    size = numerics._stack_size(n, n)
+    for lo in range(0, len(decouples), size):
+        yield from _synthesize_slice(A, C, powers, targets[lo:lo + size],
+                                     decouples[lo:lo + size])
+
+
+def _synthesize_slice(A, C, powers, targets, decouples):
+    """The reports of one slice of :func:`_synthesize_bank`, in order."""
+    n, p = A.shape[0], C.shape[0]
     eye = np.eye(n)
-    isolable = _meets_trivially(S_M, eye[:, :, None])
-    outside = tuple(np.flatnonzero(isolable).tolist())
-    if Bt.shape[1]:
-        solvable = bool(_meets_trivially(S_M, image(Bt).basis[None])[0])
-        watched = Bt
-    else:
-        solvable = bool(outside)
-        watched = eye[:, list(outside)]
-    found = _parity_weights(A, Bd, watched, C) if solvable else None
-    if found is None:
-        return SynthesisReport(V_star=V_star, S_star=S_star, S_M=S_M,
-                               outside=outside, solvable=False, generator=None)
-    L, W = found
-    p = C.shape[0]
-    W = _echelon(W, p)
-    F = np.eye(L * p, k=p)
-    E = np.vstack([np.zeros(((L - 1) * p, p)), np.eye(p)])
-    gen = ResidualGenerator(F=F, E=E, M=W[:, :-p], H=W[:, -p:], horizon=L)
-    return SynthesisReport(V_star=V_star, S_star=S_star, S_M=S_M,
-                           outside=outside, solvable=True, generator=gen)
+    Vs = _controlled_invariants(A, decouples, C)
+    Ss = _conditioned_invariants(A, decouples, C)
+    Ms = numerics._images([np.hstack([V, S]) for V, S in zip(Vs, Ss)])
+    isolable = _meet_each(Ms, [eye[:, :, None]] * len(Ms))
+    aimed = [i for i, Bt in enumerate(targets) if Bt.shape[1]]
+    images = numerics._images([targets[i] for i in aimed])
+    target_free = dict(zip(aimed, _meet_each([Ms[i] for i in aimed],
+                                             [U[None] for U in images])))
+    outside, search, watched = [], [], []
+    for i, Bt in enumerate(targets):
+        outside.append(tuple(np.flatnonzero(isolable[i]).tolist()))
+        if i in target_free:
+            solvable, Bw = bool(target_free[i][0]), Bt
+        else:
+            solvable, Bw = bool(outside[i]), eye[:, list(outside[i])]
+        if solvable:
+            search.append(i)
+            watched.append(Bw)
+    found = dict(zip(search, _parity_weights(
+        powers, [decouples[i] for i in search], watched)))
+    for i in range(len(decouples)):
+        gen = None
+        if found.get(i) is not None:
+            L, W = found[i]
+            W = _echelon(W, p)
+            F = np.eye(L * p, k=p)
+            E = np.vstack([np.zeros(((L - 1) * p, p)), np.eye(p)])
+            gen = ResidualGenerator(F=F, E=E, M=W[:, :-p], H=W[:, -p:],
+                                    horizon=L)
+        yield SynthesisReport(V_star=Subspace(n, Vs[i]),
+                              S_star=numerics._trusted(n, Ss[i]),
+                              S_M=numerics._trusted(n, Ms[i]),
+                              outside=outside[i], solvable=gen is not None,
+                              generator=gen)

@@ -200,11 +200,27 @@ def vertex_connectivity(G: DiGraph) -> int:
     digraph has connectivity ``n - 1`` by convention and a graph that is
     not strongly connected has connectivity 0.
     """
+    return _even_scan(G, G.n)
+
+
+def _connectivity_at_least(G: DiGraph, m: int) -> bool:
+    """Whether ``vertex_connectivity(G) >= m``, scanning at most m vertices.
+
+    A connectivity below m is found among the local connectivities of
+    v_1 .. v_m, so the scan stops there.
+    """
+    return _even_scan(G, m) >= m
+
+
+def _even_scan(G: DiGraph, limit: int) -> int:
+    """Least local connectivity to and from v_1 .. v_min(limit, k + 1),
+    capped at ``n - 1``, with k the connectivity: k when ``k < limit``, at
+    least ``limit`` otherwise (0 for a graph not strongly connected)."""
     n = G.n
     if n <= 1 or not is_strongly_connected(G):
         return 0
     best = n - 1
-    for i in G.vertices():
+    for i in range(1, min(limit, n) + 1):
         if i > best + 1:
             break
         # pairs with an earlier vertex were taken when it was scanned

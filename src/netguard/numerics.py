@@ -15,9 +15,14 @@ accept complex matrices as well as real ones.
 
 A public ``Subspace(n, basis)`` checks that its basis is orthonormal.
 The bases this module builds itself are trusted and skip that check:
-the zero and full subspaces, and the singular-vector factors that
-``image`` and ``kernel`` take from an SVD, which LAPACK returns
-orthonormal to working precision.
+the zero subspace, the identity basis of a full kernel, and the
+singular-vector factors that ``image`` and ``kernel`` take from an
+SVD, which LAPACK returns orthonormal to working precision.
+
+``image`` and ``kernel`` are the one-operand case of private stacked
+forms that take many operands at once: operands of one shape share one
+``np.linalg.svd`` call, in chunks capped by ``_STACK_ENTRIES``, and every
+member is cut by the same :func:`_numeric_rank`.
 """
 
 from __future__ import annotations
@@ -158,37 +163,93 @@ def zero_subspace(n: int) -> Subspace:
     return _trusted(n, np.zeros((n, 0)))
 
 
-def full_subspace(n: int) -> Subspace:
-    return _trusted(n, np.eye(n))
-
-
 def _numeric_rank(s: np.ndarray) -> int:
     """Singular values above ``rank_rel`` times the largest, and above
     ``zero_abs``."""
     if s.size == 0:
         return 0
     thresh = max(s[0] * _POLICY.rank_rel, _POLICY.zero_abs)
-    return int(np.sum(s > thresh))
+    return int(np.count_nonzero(s > thresh))
+
+
+# Most entries the largest SVD factor of one stack holds.  ``_images`` and
+# ``_kernels`` split a larger group of equal-shaped operands into chunks,
+# and ``netguard.fdi`` sizes what it advances at once by the same measure,
+# which bounds the memory of the stacked calls.
+_STACK_ENTRIES = 1 << 16
+
+
+def _stack_size(rows: int, cols: int) -> int:
+    """How many ``rows x cols`` operands one stacked SVD takes: as many as
+    keep its largest factor within ``_STACK_ENTRIES`` entries, at least one."""
+    return max(1, _STACK_ENTRIES // max(rows, cols, 1) ** 2)
+
+
+def _stacked_svds(Ms, full_matrices: bool) -> list:
+    """``np.linalg.svd`` of each matrix in ``Ms``, as ``(U, s, Vh)``.
+
+    Operands of one shape and dtype share a call, in chunks of at most
+    :func:`_stack_size` members.  LAPACK factors each member of a stack on
+    its own, so every result is bitwise the one a separate call returns.
+    """
+    groups = {}
+    for i, M in enumerate(Ms):
+        groups.setdefault((M.shape, M.dtype), []).append(i)
+    out = [None] * len(Ms)
+    for (shape, _), members in groups.items():
+        chunk = _stack_size(*shape)
+        for lo in range(0, len(members), chunk):
+            part = members[lo:lo + chunk]
+            U, s, Vh = np.linalg.svd(np.stack([Ms[i] for i in part]),
+                                     full_matrices=full_matrices)
+            for g, i in enumerate(part):
+                out[i] = (U[g], s[g], Vh[g])
+    return out
+
+
+def _images(Ms) -> list:
+    """Orthonormal bases of the column spaces of the 2-d arrays ``Ms``.
+
+    An operand with no nonzero entry has the zero subspace; the others are
+    cut at :func:`_numeric_rank` of their singular values, their SVDs
+    stacked by :func:`_stacked_svds`.
+    """
+    bases = [np.zeros((M.shape[0], 0)) for M in Ms]
+    live = [i for i, M in enumerate(Ms) if M.any()]
+    for i, (U, s, _) in zip(live, _stacked_svds([Ms[i] for i in live], False)):
+        bases[i] = U[:, :_numeric_rank(s)].copy()
+    return bases
+
+
+def _kernels(Ms) -> list:
+    """Orthonormal bases of the null spaces of the 2-d arrays ``Ms``.
+
+    An operand with no nonzero entry (no rows included) has the full
+    space; the others are cut at :func:`_numeric_rank` of their singular
+    values, their SVDs stacked by :func:`_stacked_svds`.
+    """
+    bases = [None] * len(Ms)
+    live = []
+    for i, M in enumerate(Ms):
+        if M.any():
+            live.append(i)
+        else:
+            bases[i] = np.eye(M.shape[1])
+    for i, (_, s, Vh) in zip(live, _stacked_svds([Ms[i] for i in live], True)):
+        bases[i] = Vh[_numeric_rank(s):].conj().T.copy()
+    return bases
 
 
 def image(M) -> Subspace:
     """Orthonormal basis of the column space of ``M``."""
     M = _operand(M)
-    n = M.shape[0]
-    if M.shape[1] == 0 or not np.any(M):
-        return zero_subspace(n)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    return _trusted(n, U[:, :_numeric_rank(s)].copy())
+    return _trusted(M.shape[0], _images([M])[0])
 
 
 def kernel(M) -> Subspace:
     """Orthonormal basis of the null space of ``M``."""
     M = _operand(M)
-    rows, cols = M.shape
-    if rows == 0 or not np.any(M):
-        return full_subspace(cols)
-    _, s, Vh = np.linalg.svd(M, full_matrices=True)
-    return _trusted(cols, Vh[_numeric_rank(s):].conj().T.copy())
+    return _trusted(M.shape[1], _kernels([M])[0])
 
 
 def rank(M) -> int:

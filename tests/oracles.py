@@ -15,7 +15,11 @@ among the subsets of the fired decoupled sets.
 is the parity-window search that rebuilds both window maps for every
 ``L = 1..n``, and :func:`run_residual_steps` steps the filter recursion
 one sample at a time, where ``netguard.fdi`` grows the maps once and
-convolves with the filter's Markov blocks.
+convolves with the filter's Markov blocks.  :func:`synthesis_loop` is
+one candidate's synthesis as separate calls: the V* and S* loops of one
+decoupled set, one 2-d SVD per image or kernel, and the parity search
+growing its own powers, where ``netguard.fdi`` advances a whole bank in
+stacked SVDs on shared powers.
 """
 
 from fractions import Fraction
@@ -26,7 +30,7 @@ import scipy.optimize
 import sympy
 
 from netguard.consensus import Trajectory
-from netguard.numerics import as_vector, get_policy, kernel, rank
+from netguard.numerics import _numeric_rank, as_vector, get_policy, kernel, rank
 
 
 def _span(cols):
@@ -199,6 +203,108 @@ def parity_weights_scan(A, Bd, watched, C):
                for Tb in seen):
             return L, W
     return None
+
+
+def _image_basis(M):
+    """Orthonormal basis of the column space of ``M`` from one 2-d SVD."""
+    if M.shape[1] == 0 or not np.any(M):
+        return np.zeros((M.shape[0], 0))
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    return U[:, :_numeric_rank(s)].copy()
+
+
+def _kernel_basis(M):
+    """Orthonormal basis of the null space of ``M`` from one 2-d SVD."""
+    if M.shape[0] == 0 or not np.any(M):
+        return np.eye(M.shape[1])
+    _, s, Vh = np.linalg.svd(M, full_matrices=True)
+    return Vh[_numeric_rank(s):].conj().T.copy()
+
+
+def controlled_invariant_loop(A, B, C):
+    """V* of one ``(A, B, C)``: ``V_0 = Ker C``, ``V_{k+1} = V_k Ker(P_k A
+    V_k)`` with ``P_k`` projecting off ``V_k + Im B``, until the dimension
+    stays."""
+    V = _kernel_basis(C)
+    while V.shape[1]:
+        Q = _image_basis(np.hstack([V, B]))
+        AV = A @ V
+        inner = _kernel_basis(AV - Q @ (Q.T @ AV))
+        if inner.shape[1] == V.shape[1]:
+            break
+        V = V @ inner
+    return V
+
+
+def conditioned_invariant_loop(A, B, C):
+    """S* of one ``(A, B, C)``: ``S_0 = Im B``, ``S_{k+1} = Im [B, A S_k
+    Ker(C S_k)]``, until the dimension stays or ``n + 1`` steps."""
+    S = _image_basis(B)
+    for _ in range(A.shape[0] + 1):
+        meet = S @ _kernel_basis(C @ S)
+        nxt = _image_basis(np.hstack([B, A @ meet]))
+        if nxt.shape[1] == S.shape[1]:
+            return nxt
+        S = nxt
+    return S
+
+
+def meets_trivially(Q, bases):
+    """Which of the ``(n, c)`` bases stacked in ``bases`` meet ``Im Q`` only
+    in zero: the smallest singular value of ``(I - Q Q^T) U`` exceeds the
+    membership tolerance."""
+    projected = bases - Q @ (Q.T @ bases)
+    sigma = np.linalg.svd(projected, compute_uv=False)
+    return np.min(sigma, axis=-1, initial=np.inf) > get_policy().membership
+
+
+def parity_weights_loop(A, Bd, watched, C):
+    """The parity search of one candidate, ``(L, W)`` or None: the Markov
+    parameters grow by one power of its own per window, no null space is
+    taken before they reach every watched column, and each watched column
+    is tested on its own."""
+    n = A.shape[0]
+    p, md = C.shape[0], Bd.shape[1]
+    atol = get_policy().membership
+    B = np.hstack([Bd, watched])
+    rows, markov = [C], []
+    unseen = np.ones(watched.shape[1], dtype=bool)
+    for L in range(1, n + 1):
+        markov.append(rows[-1] @ B)
+        rows.append(rows[-1] @ A)
+        unseen &= ~np.any(markov[-1][:, md:], axis=0)
+        if np.any(unseen):
+            continue
+        _, T = _window_maps_rebuilt(A, B, C, L)
+        T = T.reshape(T.shape[0], L + 1, -1)
+        decoupled = T[:, :, :md].reshape(T.shape[0], -1)
+        W = _kernel_basis(np.hstack([np.vstack(rows), decoupled]).T).T
+        if W.shape[0] == 0:
+            continue
+        seen = [T[:, :, c] for c in range(md, T.shape[2])]
+        if all(np.linalg.norm(W @ Tb) > atol * np.linalg.norm(Tb)
+               for Tb in seen):
+            return L, W
+    return None
+
+
+def synthesis_loop(A, Bt, Bd, C):
+    """One candidate's synthesis: ``(V*, S*, S_M, outside, found)`` with
+    ``found`` the parity search's ``(L, W)``, or None when the target meets
+    S_M or no window separates it."""
+    n = A.shape[0]
+    V = controlled_invariant_loop(A, Bd, C)
+    S = conditioned_invariant_loop(A, Bd, C)
+    S_M = _image_basis(np.hstack([V, S]))
+    eye = np.eye(n)
+    outside = tuple(np.flatnonzero(meets_trivially(S_M, eye[:, :, None])).tolist())
+    if Bt.shape[1]:
+        solvable = bool(meets_trivially(S_M, _image_basis(Bt)[None])[0])
+        watched = Bt
+    else:
+        solvable, watched = bool(outside), eye[:, list(outside)]
+    found = parity_weights_loop(A, Bd, watched, C) if solvable else None
+    return V, S, S_M, outside, found
 
 
 def run_residual_steps(gen, ys):

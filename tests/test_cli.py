@@ -220,3 +220,71 @@ def test_trace_cells_read_back_as_floats(tmp_path, command):
     assert header == ["t"] + [f"x{i}" for i in range(1, 9)]
     assert np.array_equal(table[:, 0], np.arange(31))
     assert table[:, 1:].tobytes() == traj.states.tobytes()
+
+
+# The parser is built once per process: consecutive calls with different
+# subcommands, seeds and output directories write what calls on a freshly
+# built parser write.
+def test_consecutive_calls_match_fresh_calls(tmp_path):
+    calls = [("simulate", 4), ("identify", 5), ("detect", None),
+             ("simulate", None), ("local-identify", 6)]
+    paths = {}
+    for command in {c for c, _ in calls}:
+        paths[command] = tmp_path / f"{command}.json"
+        paths[command].write_text(json.dumps(TRACE_SCENARIOS[command]))
+
+    def argv(i, command, seed, root):
+        args = [command, "--scenario", str(paths[command]),
+                "--out", str(root / f"{i}-{command}")]
+        return args + (["--seed", str(seed)] if seed is not None else [])
+
+    for i, (command, seed) in enumerate(calls):
+        assert cli.main(argv(i, command, seed, tmp_path / "reused")) == cli.EXIT_OK
+    for i, (command, seed) in enumerate(calls):
+        cli._parser.cache_clear()
+        assert cli.main(argv(i, command, seed, tmp_path / "fresh")) == cli.EXIT_OK
+    for i, (command, _) in enumerate(calls):
+        fresh, reused = (tmp_path / side / f"{i}-{command}"
+                         for side in ("fresh", "reused"))
+        names = sorted(f.name for f in fresh.iterdir())
+        assert names == sorted(f.name for f in reused.iterdir())
+        for name in names:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_validate_without_matrix_exits_invalid_on_a_reused_parser(tmp_path):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate"])
+        assert exc.value.code == cli.EXIT_INVALID
+    path = tmp_path / "A.txt"
+    np.savetxt(path, BENCH8_A)
+    assert cli.main(["validate", "--matrix", str(path)]) == cli.EXIT_OK
+
+
+# A NaN or infinite attack parameter is invalid input, not a verdict: it
+# used to give "identified misbehaving set: []" and NaN states.
+@pytest.mark.parametrize("command", ["identify", "simulate"])
+@pytest.mark.parametrize("attack", [
+    {"kind": "constant", "value": float("nan")},
+    {"kind": "exponential", "rate": 0.9, "value": float("inf")},
+    {"kind": "exponential", "rate": float("nan"), "value": 1.0},
+    {"kind": "initial_offset", "value": float("-inf")},
+    {"kind": "state_feedback", "row": [0.0] * 8, "offset": float("nan")}])
+def test_non_finite_attack_parameter_exits_invalid(tmp_path, capsys, command,
+                                                   attack):
+    code, out = run(tmp_path, command, {
+        "matrix": {"rows": BENCH8_A.tolist()}, "observer": 1, "k": 1,
+        "horizon": 24, "attacks": [dict(attack, agent=3)]})
+    assert code == cli.EXIT_INVALID
+    assert "must be finite" in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()
+
+
+def test_negative_k_exits_invalid(tmp_path, capsys):
+    code, out = run(tmp_path, "identify", {
+        "matrix": {"rows": BENCH8_A.tolist()}, "observer": 1, "k": -1,
+        "horizon": 24})
+    assert code == cli.EXIT_INVALID
+    assert "k must be nonnegative, got -1" in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()

@@ -55,8 +55,8 @@ def test_isolability_is_decided_by_one_rule(seed, D, i, monkeypatch):
     assert not fdi.synthesize_residual_generator(net.A, B_i, B_D, C).solvable
     # the networks are 2-connected; the pair set does not depend on
     # connectivity, so the k + 1 guard is lifted to read it at k = 2
-    monkeypatch.setattr(detect.graphmod, "vertex_connectivity",
-                        lambda g: len(D) + 1)
+    monkeypatch.setattr(detect.graphmod, "_connectivity_at_least",
+                        lambda g, m: True)
     traj = consensus.simulate(net, rng.uniform(-1, 1, n), [], 3 * n)
     verdict = detect.complete_identification(net, 1, len(D),
                                              net.outputs(traj.states, 1))

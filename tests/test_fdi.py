@@ -1,8 +1,9 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from netguard import cli, consensus, fdi, numerics
 
@@ -10,7 +11,8 @@ from fixtures import (BENCH8_A, BENCH8_SM_37, LOCAL_GEN2, LOCAL_GEN3, RING9_A,
                       SYMMETRIC4_A, UNSTABLE_ZEROS_A, WEAK7_BLOCKS,
                       observer_matrix)
 from oracles import (exact_conditioned_invariant, exact_controlled_invariant,
-                     parity_weights_scan, run_residual_steps, same_span)
+                     parity_weights_scan, run_residual_steps, same_span,
+                     synthesis_loop)
 
 
 @pytest.mark.parametrize("A, K, j", [
@@ -237,13 +239,90 @@ def test_parity_search_matches_the_scan_over_every_window(data, n, kind):
         outside = fdi.synthesize_residual_generator(
             net.A, np.zeros((n, 0)), Bd, C).outside
         watched = np.eye(n)[:, list(outside)]
-    got = fdi._parity_weights(net.A, Bd, watched, C)
+    got = fdi._parity_weights(fdi._output_powers(net.A, C), [Bd],
+                              [watched])[0]
     want = parity_weights_scan(net.A, Bd, watched, C)
     if want is None:
         assert got is None
     else:
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
+
+
+def bank_inputs(net, j, k, targeted, rng):
+    """A complete-identification bank of observer ``j`` (no targets), or one
+    target per decoupled set drawn from the agents outside it."""
+    n = net.n
+    others = [a for a in range(1, n + 1) if a != j]
+    decoupled = list(combinations(others, k))
+    Bds = [consensus.input_matrix(n, D) for D in decoupled]
+    if targeted:
+        targets = [consensus.input_matrix(
+            n, [int(rng.choice([a for a in others if a not in D]))])
+            for D in decoupled]
+    else:
+        targets = [np.zeros((n, 0))] * len(decoupled)
+    return net.output_matrix(j), targets, Bds
+
+
+def bank_arrays(reports):
+    """Every array and decision of a bank's reports, in order."""
+    out = []
+    for r in reports:
+        gen = r.generator
+        out.append((r.V_star.basis, r.S_star.basis, r.S_M.basis, r.outside,
+                    r.solvable, None if gen is None else gen.horizon,
+                    None if gen is None else np.hstack([gen.M, gen.H])))
+    return out
+
+
+def assert_banks_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert (np.array_equal(a, b) if isinstance(a, np.ndarray)
+                    else a == b)
+
+
+# The bank advances all candidates of an observer in stacked SVDs; each
+# member must come out bit for bit as the candidate's own loops compute it.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(4, 14), k=st.integers(1, 2),
+       targeted=st.booleans())
+def test_bank_matches_separate_syntheses(data, n, k, targeted):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=int(rng.integers(0, 2 * n)))
+    j = data.draw(st.integers(1, n), label="observer")
+    C, targets, Bds = bank_inputs(net, j, k, targeted, rng)
+    got = bank_arrays(fdi._synthesize_bank(net.A, C, targets, Bds))
+    want = []
+    for Bt, Bd in zip(targets, Bds):
+        V, S, S_M, outside, found = synthesis_loop(net.A, Bt, Bd, C)
+        W = None if found is None else fdi._echelon(found[1], C.shape[0])
+        want.append((V, S, S_M, outside, found is not None,
+                     None if found is None else found[0], W))
+    assert_banks_equal(got, want)
+    dims = {tuple(a.shape[1] for a in member[:3]) for member in want}
+    event(f"shape groups split: {len(dims) > 1}")
+
+
+# A cap small enough to split every stack and slice, or to leave a partial
+# chunk, gives the results of one stack.
+@pytest.mark.parametrize("entries", [1, 500])
+@pytest.mark.parametrize("targeted", [False, True])
+def test_bank_split_by_the_stack_cap_matches_one_stack(entries, targeted,
+                                                       monkeypatch):
+    rng = np.random.default_rng(5)
+    net = consensus.random_consensus_matrix(14, rng, extra_edges=10)
+    C, targets, Bds = bank_inputs(net, 1, 2, targeted, rng)
+    whole = bank_arrays(fdi._synthesize_bank(net.A, C, targets, Bds))
+    # the members fall into several shape groups
+    assert len({tuple(a.shape[1] for a in member[:3]) for member in whole}) > 1
+    monkeypatch.setattr(numerics, "_STACK_ENTRIES", entries)
+    split = bank_arrays(fdi._synthesize_bank(net.A, C, targets, Bds))
+    assert_banks_equal(split, whole)
 
 
 @pytest.mark.parametrize("case", sorted(GENERATOR_CASES))

@@ -73,6 +73,17 @@ def test_connectivity_matches_bruteforce(seed):
     assert gm.vertex_connectivity(G) == gm.vertex_connectivity_bruteforce(G)
 
 
+# The gate stops Even's scan after m vertices; whether it stops early or
+# not, it must answer exactly "connectivity >= m".
+@pytest.mark.parametrize("seed", range(25))
+def test_connectivity_gate_matches_bruteforce(seed):
+    rng = np.random.default_rng(100 + seed)
+    G = random_digraph(rng, int(rng.integers(2, 8)))
+    kappa = gm.vertex_connectivity_bruteforce(G)
+    for m in range(-1, G.n + 2):
+        assert gm._connectivity_at_least(G, m) == (kappa >= m)
+
+
 def test_find_vertex_cut_cycle():
     cut = gm.find_vertex_cut(cycle_graph(4), 1)
     assert cut is not None and len(cut.cut) == 1

@@ -21,7 +21,7 @@ def e(i, n=3):
 
 def meets_trivially(S, U):
     """The isolability rule of ``netguard.fdi`` for one subspace ``U``."""
-    return bool(_meets_trivially(S, U.basis[None])[0])
+    return bool(_meets_trivially(S.basis, U.basis[None])[0])
 
 
 def test_image_identity_is_full():
