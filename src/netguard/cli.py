@@ -296,9 +296,8 @@ def cmd_identify(args) -> int:
         "identified": [int(a) for a in verdict.identified],
         "candidates": [[int(a) for a in S] for S in verdict.candidates],
         "horizon": verdict.horizon,
-        "unsolvable": [[list(map(int, pair[0] if isinstance(pair[0], tuple)
-                                 else [pair[0]])), list(map(int, pair[1]))]
-                       for pair in verdict.unsolvable],
+        "unsolvable": [[[int(i)], [int(a) for a in D]]
+                       for i, D in verdict.unsolvable],
     }
     _write_json(out / "verdict.json", payload)
     if verdict.status == "identified":

@@ -12,7 +12,7 @@ threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -103,8 +103,9 @@ class IdentificationVerdict:
 
     ``status`` is ``identified`` when exactly one minimal candidate set
     is consistent with the residual pattern, else ``ambiguous`` with the
-    surviving candidates.  ``unsolvable`` lists (target, decouple-set)
-    pairs whose generator could not isolate the target.
+    surviving candidates.  ``unsolvable`` lists the ``(i, D)`` pairs,
+    agent ``i`` outside the decoupled set ``D``, that ``D``'s generator
+    cannot isolate: every ``i`` when ``D`` has no generator.
     """
 
     observer: int
@@ -145,43 +146,33 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
     C = net.output_matrix(j)
     fired = {}
     horizons = [1]
-    unsolvable = []
+    unsolvable = set()
     norms = {}
     candidates = list(combinations(others, k))
     reports = fdi._synthesize_bank(
         net.A, C, [np.zeros((net.n, 0))] * len(candidates),
         [input_matrix(net.n, D) for D in candidates])
     for D, report in zip(candidates, reports):
-        if report.generator is None:
-            unsolvable.append(((), D))
+        gen = report.generator
+        # i is isolable against D iff D has a generator and e_i avoids S_M(D)
+        unsolvable.update((i, D) for i in others if i not in D and (
+            gen is None or i - 1 not in report.outside))
+        if gen is None:
             fired[D] = None
             continue
-        gen = report.generator
-        # i is isolable against D iff e_i meets S_M(D) trivially
-        unsolvable.extend((i, D) for i in others
-                          if i not in D and i - 1 not in report.outside)
         res = fdi.run_residual(gen, ys)
         tail = res[min(gen.horizon, res.shape[0] - 1):]
         level = float(np.max(np.abs(tail))) if tail.size else 0.0
         fired[D] = level > floor
         norms[D] = np.max(np.abs(res), axis=1)
         horizons.append(gen.horizon)
-    unsolvable_pairs = {(i, D) for (i, D) in unsolvable}
     consistent = _consistent_sets(others, fired, k)
-    horizon = max(horizons)
-    if len(consistent) == 1:
-        return IdentificationVerdict(observer=j, status="identified",
-                                     identified=consistent[0],
-                                     candidates=tuple(consistent),
-                                     horizon=horizon,
-                                     unsolvable=tuple(sorted(unsolvable_pairs)),
-                                     residual_norms=norms)
-    return IdentificationVerdict(observer=j, status="ambiguous",
-                                 identified=(),
-                                 candidates=tuple(consistent),
-                                 horizon=horizon,
-                                 unsolvable=tuple(sorted(unsolvable_pairs)),
-                                 residual_norms=norms)
+    identified = len(consistent) == 1
+    return IdentificationVerdict(
+        observer=j, status="identified" if identified else "ambiguous",
+        identified=consistent[0] if identified else (),
+        candidates=tuple(consistent), horizon=max(horizons),
+        unsolvable=tuple(sorted(unsolvable)), residual_norms=norms)
 
 
 def _consistent_sets(others, fired: dict, k: int) -> list:
@@ -336,10 +327,13 @@ def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
     """Design the block-local residual generators for observer ``j``.
 
     One generator per within-block candidate agent and decoupled
-    candidate subset, synthesized against the h-th diagonal block only;
-    the generators of one target form one bank (``fdi._synthesize_bank``).
-    Requires the block digraph to be at least ``k_j + 1`` connected.
+    candidate subset, synthesized against the h-th diagonal block only,
+    all of them one bank (``fdi._synthesize_bank``) on block-local labels.
+    Requires ``k_j >= 0`` and the block digraph to be at least ``k_j + 1``
+    connected.
     """
+    if k_j < 0:
+        raise ValueError(f"k_j must be nonnegative, got {k_j}")
     agents = decomp.block_agents(h)
     if j not in agents:
         raise ValueError(f"observer {j} not in block {h}")
@@ -349,36 +343,27 @@ def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
     if n_h > 1 and not graphmod._connectivity_at_least(G_h, k_j + 1):
         conn = graphmod.vertex_connectivity(G_h)
         raise ValueError(f"block connectivity {conn} below required {k_j + 1}")
-    pos = {a: idx for idx, a in enumerate(agents)}
-    C_loc = _output_matrix(A_h, pos[j] + 1)
-    entries = []
-    horizons = [1]
+    local = {a: idx for idx, a in enumerate(agents, start=1)}
+    C_loc = _output_matrix(A_h, local[j])
     candidates = [a for a in agents if a != j]
-    for c in candidates:
-        pool = [a for a in candidates if a != c]
-        decoupled = list(combinations(pool, min(k_j, len(pool))))
-        B_t = np.zeros((n_h, 1))
-        B_t[pos[c], 0] = 1.0
-        B_ds = []
-        for D in decoupled:
-            B_d = np.zeros((n_h, len(D)))
-            for col, a in enumerate(D):
-                B_d[pos[a], col] = 1.0
-            B_ds.append(B_d)
-        reports = fdi._synthesize_bank(A_h, C_loc, [B_t] * len(B_ds), B_ds)
-        for D, report in zip(decoupled, reports):
-            gen = report.generator
-            if gen is not None:
-                gen = fdi.ResidualGenerator(F=gen.F, E=gen.E, M=gen.M, H=gen.H,
-                                            horizon=gen.horizon, target=(c,),
-                                            decoupled=tuple(D))
-                horizons.append(gen.horizon)
-            entries.append(BankEntry(target=c, decouple=tuple(D),
-                                     generator=gen, solvable=gen is not None))
+    pairs = [(c, D) for c in candidates
+             for D in combinations([a for a in candidates if a != c],
+                                   min(k_j, n_h - 2))]
+    reports = fdi._synthesize_bank(
+        A_h, C_loc, [input_matrix(n_h, [local[c]]) for c, _ in pairs],
+        [input_matrix(n_h, [local[a] for a in D]) for _, D in pairs])
+    entries = []
+    for (c, D), report in zip(pairs, reports):
+        gen = report.generator
+        if gen is not None:
+            gen = replace(gen, target=(c,), decoupled=D)
+        entries.append(BankEntry(target=c, decouple=D, generator=gen,
+                                 solvable=gen is not None))
     observed = tuple(agents[idx] for idx in np.argmax(C_loc, axis=1))
+    eval_time = max([1] + [e.generator.horizon for e in entries if e.solvable])
     return LocalBank(block=h, observer=j, k_j=k_j, agents=agents,
                      observed=observed, entries=tuple(entries),
-                     eval_time=max(horizons))
+                     eval_time=eval_time)
 
 
 def block_outputs(decomp: BlockDecomposition, bank: LocalBank,
@@ -435,12 +420,8 @@ class ThresholdCalibration:
 def _network_powers(A_full, observed, t_star: int) -> np.ndarray:
     """``P_p = C_O A^p`` for ``p = 0..t_star``, a ``(t_star + 1, |O|, n)``
     array, ``C_O`` selecting the states of the ``observed`` agents."""
-    idx = [a - 1 for a in observed]
-    P = np.empty((t_star + 1, len(idx), A_full.shape[0]))
-    P[0] = np.eye(A_full.shape[0])[idx]
-    for p in range(t_star):
-        np.matmul(P[p], A_full, out=P[p + 1])
-    return P
+    C_O = np.eye(A_full.shape[0])[[a - 1 for a in observed]]
+    return fdi._output_powers(A_full, C_O, t_star)
 
 
 def _decision_maps(P: np.ndarray, gen: fdi.ResidualGenerator) -> np.ndarray:
@@ -491,31 +472,20 @@ class _BoundMaps:
         input-sample rows of ``q`` entries; ``active`` holds the maps with
         the target acting, ``silent`` those with it silent.
         """
-        # column by column: a variable's column holds its coefficients K_e
-        # in the block's first q rows and -K_e in the next q, the level
-        # column -1 in all 2q, so that -t_e <= K_e v_e <= t_e
-        data, indices, per_col, is_state, levels = [], [], [], [], []
-        n_rows = 0
+        # generator e's block [[K_e, -1], [-K_e, -1]] on its variables
+        # [v_e, t_e] holds -t_e <= K_e v_e <= t_e
+        blocks, is_state, levels = [], [], []
         for Psi_x, samples in active:
-            q, n = Psi_x.shape
-            cols = np.empty((n + samples.shape[0] + 1, 2 * q))
-            cols[:n, :q] = Psi_x.T
-            cols[n:-1, :q] = samples
-            cols[:-1, q:] = -cols[:-1, :q]
-            cols[-1] = -1.0
-            keep = cols != 0.0
-            data.append(cols[keep])
-            indices.append(n_rows + np.nonzero(keep)[1])
-            per_col.append(np.count_nonzero(keep, axis=1))
-            is_state += [True] * n + [False] * (cols.shape[0] - n)
+            K = np.hstack([Psi_x, samples.T])
+            level = np.full((K.shape[0], 1), -1.0)
+            blocks.append(np.block([[K, level], [-K, level]]))
+            n, m = Psi_x.shape[1], samples.shape[0]
+            is_state += [True] * n + [False] * (m + 1)
             levels.append(len(is_state) - 1)
-            n_rows += 2 * q
         constraints = None
-        if active:
-            indptr = np.concatenate([[0], np.cumsum(np.concatenate(per_col))])
-            matrix = scipy.sparse.csc_array(
-                (np.concatenate(data), np.concatenate(indices), indptr),
-                shape=(n_rows, len(is_state)))
+        if blocks:
+            matrix = scipy.sparse.block_diag(blocks, format="csc")
+            matrix.eliminate_zeros()
             constraints = scipy.optimize.LinearConstraint(matrix, -np.inf, 0.0)
         levels = np.array(levels, dtype=np.int64)
         cost = np.zeros(len(is_state))
@@ -688,20 +658,26 @@ def threshold_crossing(decomp: BlockDecomposition, bank: LocalBank,
     g0, _ = gap(0.0)
     if g0 <= 0:
         return 0.0, 0.0
-    lo_e, hi_e = 0.0, eps_hi
     g_hi, _ = gap(eps_hi)
     if g_hi > 0:
         return np.inf, np.inf
-    while hi_e - lo_e > tol:
-        mid = 0.5 * (lo_e + hi_e)
-        g, _ = gap(mid)
-        if g > 0:
-            lo_e = mid
-        else:
-            hi_e = mid
+    lo_e, hi_e = _bisect(lambda eps: gap(eps)[0] > 0, 0.0, eps_hi, tol)
     eps_star = 0.5 * (lo_e + hi_e)
     _, value = gap(eps_star)
     return eps_star, value
+
+
+def _bisect(below, lo: float, hi: float, tol: float):
+    """Halve ``[lo, hi]`` until it is at most ``tol`` wide and return it:
+    the upper half where ``below(mid)`` holds (the sought point lies above
+    the midpoint), the lower half otherwise."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def calibrate_threshold(decomp: BlockDecomposition, bank: LocalBank,
@@ -751,13 +727,7 @@ def _smallest_separating_ratio(maps, eps, u_max, x_max,
 
     if not separated(u_max):
         return np.inf
-    lo_u, hi_u = 0.0, u_max
-    while hi_u - lo_u > tol * u_max:
-        mid = 0.5 * (lo_u + hi_u)
-        if separated(mid):
-            hi_u = mid
-        else:
-            lo_u = mid
+    _, hi_u = _bisect(lambda u: not separated(u), 0.0, u_max, tol * u_max)
     return hi_u / (eps * u_max)
 
 

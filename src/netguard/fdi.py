@@ -281,8 +281,11 @@ class SynthesisReport:
     the target cannot be isolated).  ``outside`` lists the coordinates
     ``i`` (from 0) whose unit vector ``e_i`` meets ``S_M`` only in zero,
     so an input entering there is isolable against the decoupled set.
-    It and ``solvable`` are decided by one rule: the smallest singular
+    It and the target test are decided by one rule: the smallest singular
     value of the projection off ``S_M`` exceeds the membership tolerance.
+    ``solvable`` needs that test to pass (with no target, some coordinate
+    outside ``S_M``) and a parity window of at most ``n`` steps that sees
+    every watched column; it is true exactly when ``generator`` is set.
     """
 
     V_star: Subspace
@@ -350,18 +353,16 @@ def _window_maps(A, B, C, L: int):
     Toeplitz, its block ``(s, tau)`` being ``C A^(s-tau-1) B`` below the
     diagonal and zero on and above it.
     """
-    rows = [C]
-    for _ in range(L):
-        rows.append(rows[-1] @ A)
-    markov = np.reshape([CA @ B for CA in rows[:L]], (L, C.shape[0], B.shape[1]))
-    return np.vstack(rows), _block_toeplitz(markov)
+    powers = _output_powers(A, C, L)
+    O = powers.reshape((L + 1) * C.shape[0], A.shape[0])
+    return O, _block_toeplitz(powers[:L] @ B)
 
 
-def _output_powers(A, C) -> np.ndarray:
-    """``C A^s`` for ``s = 0..n``, each the product of the last with ``A``,
-    stacked as an ``(n + 1, p, n)`` array."""
+def _output_powers(A, C, L: int | None = None) -> np.ndarray:
+    """``C A^s`` for ``s = 0..L`` (``L = n`` by default), each the product
+    of the last with ``A``, stacked as an ``(L + 1, p, n)`` array."""
     powers = [C]
-    for _ in range(A.shape[0]):
+    for _ in range(A.shape[0] if L is None else L):
         powers.append(powers[-1] @ A)
     return np.array(powers)
 

@@ -139,15 +139,14 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
     def contains(self, x) -> bool:
-        """Membership test by projection residual."""
+        """Membership test by projection residual relative to the vector:
+        ``||v - Q Q^H v|| <= membership * ||v||``, so the zero vector is in
+        every subspace and scaling ``v`` never changes the answer."""
         v = np.ravel(x) if np.iscomplexobj(x) else as_vector(x)
         if v.size != self.ambient_dim:
             raise ValueError("vector dimension does not match ambient space")
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return True
-        resid = v - self.basis @ (self.basis.conj().T @ v)
-        return np.linalg.norm(resid) <= _POLICY.membership * max(1.0, norm)
+        resid = np.linalg.norm(v - self.basis @ (self.basis.conj().T @ v))
+        return bool(resid <= _POLICY.membership * np.linalg.norm(v))
 
 
 def _trusted(n: int, basis: np.ndarray) -> Subspace:

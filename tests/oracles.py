@@ -19,7 +19,12 @@ convolves with the filter's Markov blocks.  :func:`synthesis_loop` is
 one candidate's synthesis as separate calls: the V* and S* loops of one
 decoupled set, one 2-d SVD per image or kernel, and the parity search
 growing its own powers, where ``netguard.fdi`` advances a whole bank in
-stacked SVDs on shared powers.
+stacked SVDs on shared powers.  :func:`local_bank_loop` synthesizes a
+local bank one target at a time on hand-built input matrices, where
+``netguard.detect`` makes one bank call for the whole block, and
+:func:`bound_lp_columns` assembles the joint bound LP column by column,
+where ``detect`` stacks the generators' blocks with
+``scipy.sparse.block_diag``.
 """
 
 from fractions import Fraction
@@ -27,9 +32,11 @@ from itertools import combinations, product
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 import sympy
 
-from netguard.consensus import Trajectory
+from netguard import fdi
+from netguard.consensus import Trajectory, _output_matrix
 from netguard.numerics import _numeric_rank, as_vector, get_policy, kernel, rank
 
 
@@ -497,3 +504,65 @@ def consistent_sets(others, fired, k: int) -> list:
         if consistent:
             break
     return consistent
+
+
+def local_bank_loop(decomp, h, j, k_j):
+    """``(target, decoupled, generator or None)`` of every generator of the
+    local bank of block ``h`` seen from ``j``: one bank per target, its
+    input matrices built column by column, its labels set by hand."""
+    agents = decomp.block_agents(h)
+    A_h = decomp.block_matrix(h)
+    n_h = len(agents)
+    pos = {a: idx for idx, a in enumerate(agents)}
+    C_loc = _output_matrix(A_h, pos[j] + 1)
+    out = []
+    candidates = [a for a in agents if a != j]
+    for c in candidates:
+        pool = [a for a in candidates if a != c]
+        decoupled = list(combinations(pool, min(k_j, len(pool))))
+        B_t = np.zeros((n_h, 1))
+        B_t[pos[c], 0] = 1.0
+        B_ds = []
+        for D in decoupled:
+            B_d = np.zeros((n_h, len(D)))
+            for col, a in enumerate(D):
+                B_d[pos[a], col] = 1.0
+            B_ds.append(B_d)
+        reports = fdi._synthesize_bank(A_h, C_loc, [B_t] * len(B_ds), B_ds)
+        for D, report in zip(decoupled, reports):
+            gen = report.generator
+            if gen is not None:
+                gen = fdi.ResidualGenerator(F=gen.F, E=gen.E, M=gen.M, H=gen.H,
+                                            horizon=gen.horizon, target=(c,),
+                                            decoupled=tuple(D))
+            out.append((c, tuple(D), gen))
+    return out
+
+
+def bound_lp_columns(active):
+    """The joint bound LP's constraint matrix, one variable column at a time.
+
+    For each ``(Psi_x, samples)`` pair a variable's column holds its
+    coefficients ``K_e`` in the generator's first ``q`` rows and ``-K_e``
+    in the next ``q``, and the level column ``-1`` in all ``2q``, so that
+    ``-t_e <= K_e v_e <= t_e``; only nonzero entries are stored.
+    """
+    data, indices, per_col = [], [], []
+    n_rows = 0
+    for Psi_x, samples in active:
+        q, n = Psi_x.shape
+        cols = np.empty((n + samples.shape[0] + 1, 2 * q))
+        cols[:n, :q] = Psi_x.T
+        cols[n:-1, :q] = samples
+        cols[:-1, q:] = -cols[:-1, :q]
+        cols[-1] = -1.0
+        keep = cols != 0.0
+        data.append(cols[keep])
+        indices.append(n_rows + np.nonzero(keep)[1])
+        per_col.append(np.count_nonzero(keep, axis=1))
+        n_rows += 2 * q
+    per_col = np.concatenate(per_col)
+    indptr = np.concatenate([[0], np.cumsum(per_col)])
+    return scipy.sparse.csc_array(
+        (np.concatenate(data), np.concatenate(indices), indptr),
+        shape=(n_rows, len(per_col)))

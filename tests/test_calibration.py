@@ -10,8 +10,9 @@ from netguard import cli, detect, fdi
 
 from fixtures import (LOCAL_GEN2, LOCAL_GEN3, WEAK7_PARTITION, block_network,
                       weak7_matrix)
-from oracles import (box_max_vertices, box_min_lp,
-                     certified_bounds_per_generator, residual_coefficients)
+from oracles import (bound_lp_columns, box_max_vertices, box_min_lp,
+                     certified_bounds_per_generator, local_bank_loop,
+                     residual_coefficients)
 
 
 def weak7(eps):
@@ -132,12 +133,65 @@ def test_maps_from_network_powers_match_augmented_system(eps, outside, block,
 @pytest.mark.parametrize("observer", [1, 4])
 @pytest.mark.parametrize("outside", [(), (6,), (8, 12)])
 def test_maps_match_augmented_system_for_a_k2_bank(observer, outside):
-    A, partition = block_network((5, 3, 4), 0.05, np.random.default_rng(0),
-                                 (3, 2, 2))
-    decomp = detect.block_decompose(A, partition)
+    decomp = k2_decomposition()
     bank = detect.build_local_bank(decomp, 1, observer, 2)
     assert len(bank.entries) == 12
     assert_maps_match_augmented_powers(decomp.A, bank, outside)
+
+
+def k2_decomposition():
+    A, partition = block_network((5, 3, 4), 0.05, np.random.default_rng(0),
+                                 (3, 2, 2))
+    return detect.block_decompose(A, partition)
+
+
+@pytest.mark.parametrize("decomp, h, j, k", [
+    (weak7(0.01), 1, 1, 1), (weak7(0.01), 2, 4, 1), (weak7(0.01), 2, 5, 0),
+    (weak7(0.01), 2, 6, 2), (k2_decomposition(), 1, 1, 2),
+    (k2_decomposition(), 1, 4, 2), (k2_decomposition(), 3, 9, 1)])
+def test_local_bank_matches_per_target_loop(decomp, h, j, k):
+    bank = detect.build_local_bank(decomp, h, j, k)
+    want = local_bank_loop(decomp, h, j, k)
+    assert [(e.target, e.decouple) for e in bank.entries] == [
+        (c, D) for c, D, _ in want]
+    for entry, (_, _, gen) in zip(bank.entries, want):
+        assert entry.solvable == (gen is not None)
+        if gen is None:
+            assert entry.generator is None
+            continue
+        got = entry.generator
+        assert (got.horizon, got.target, got.decoupled) == (
+            gen.horizon, gen.target, gen.decoupled)
+        for name in ("F", "E", "M", "H"):
+            assert np.array_equal(getattr(got, name), getattr(gen, name))
+    assert bank.eval_time == max([1] + [g.horizon for _, _, g in want if g])
+
+
+def test_local_bank_rejects_negative_k():
+    with pytest.raises(ValueError, match="k_j must be nonnegative, got -1"):
+        detect.build_local_bank(weak7(0.01), 1, 1, -1)
+
+
+@pytest.mark.parametrize("decomp, h, j, k, outside", [
+    (weak7(0.01), 1, 1, 1, (4, 7)), (k2_decomposition(), 1, 4, 2, (6,))])
+def test_bound_lp_matches_column_by_column_assembly(decomp, h, j, k, outside,
+                                                     monkeypatch):
+    seen = []
+    original = detect._BoundMaps.from_blocks
+
+    def recorded(cls, active, silent):
+        seen.append(active)
+        return original(active, silent)
+
+    monkeypatch.setattr(detect._BoundMaps, "from_blocks",
+                        classmethod(recorded))
+    bank = detect.build_local_bank(decomp, h, j, k)
+    maps = detect._coefficient_maps(decomp, bank, decomp.epsilon, outside)
+    got = maps.constraints.A
+    want = bound_lp_columns(seen[0])
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 @pytest.mark.parametrize("q, n, m", [(1, 3, 1), (2, 7, 2), (3, 5, 6)])

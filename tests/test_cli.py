@@ -288,3 +288,13 @@ def test_negative_k_exits_invalid(tmp_path, capsys):
     assert code == cli.EXIT_INVALID
     assert "k must be nonnegative, got -1" in capsys.readouterr().err
     assert not (out / "verdict.json").exists()
+
+
+def test_negative_local_k_exits_invalid(tmp_path, capsys):
+    code, out = run(tmp_path, "local-identify", {
+        "matrix": {"rows": weak7_matrix(0.01).tolist()},
+        "partition": [list(b) for b in WEAK7_PARTITION], "observer": 1,
+        "block": 1, "k": -1, "horizon": 30})
+    assert code == cli.EXIT_INVALID
+    assert "k_j must be nonnegative, got -1" in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()

@@ -27,12 +27,9 @@ def test_unsolvable_pairs_match_fdi_solvable(A, k):
         B_D = consensus.input_matrix(n, D)
         report = fdi.synthesize_residual_generator(net.A, np.zeros((n, 0)),
                                                    B_D, C)
-        if report.generator is None:
-            expected.add(((), D))
-            continue
         for i in (a for a in others if a not in D):
-            if not fdi.fdi_solvable(net.A, [consensus.input_matrix(n, [i]), B_D],
-                                    C, 0):
+            if report.generator is None or not fdi.fdi_solvable(
+                    net.A, [consensus.input_matrix(n, [i]), B_D], C, 0):
                 expected.add((i, D))
     assert len(expected) == (20 if A is RING9_A else 0)
     assert set(verdict.unsolvable) == expected

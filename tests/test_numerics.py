@@ -94,6 +94,18 @@ def test_contains_basics():
     assert zero_subspace(3).contains(np.zeros(3))
 
 
+# Membership is relative to the vector alone: a direction off the
+# subspace stays off it however small the vector, and scaling never
+# changes the answer.
+def test_contains_is_scale_free():
+    S = image(np.array([[1.0], [0.0]]))
+    assert not S.contains([0.0, 1e-9])
+    assert S.contains([1e-9, 0.0])
+    for scale in (1e-12, 1.0, 1e12):
+        assert S.contains(scale * np.array([1.0, 1e-10]))
+        assert not S.contains(scale * np.array([1.0, 1e-6]))
+
+
 def test_same_span_different_bases():
     S1 = image(np.column_stack([e(0), e(1)]))
     S2 = image(np.column_stack([e(0) + e(1), e(0) - e(1)]))
