@@ -244,6 +244,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_detect(args) -> int:
     scn, base = _load_scenario(args.scenario)
+    raw = scn.get("residual_floor", 1e-6)
+    try:
+        floor = float(raw)
+    except (TypeError, ValueError):
+        floor = np.nan
+    if not 0.0 <= floor < np.inf:
+        raise ValueError(f"residual_floor must be finite and nonnegative, "
+                         f"got {raw!r}")
     out = _prepare_out(args)
     seed = args.seed if args.seed is not None else scn.get("seed", 0)
     net, traj, _, horizon = _simulate_from_scenario(scn, base, seed)
@@ -252,9 +260,8 @@ def cmd_detect(args) -> int:
     ys = net.outputs(traj.states, j)
     estimates, residuals = filt.run(ys)
     norms = np.max(np.abs(residuals), axis=1)
-    floor = float(scn.get("residual_floor", 1e-6))
     tail = norms[-max(1, len(norms) // 4):]
-    flagged = bool(np.max(tail) > floor)
+    flagged = not numerics._negligible(tail, ys, floor)
     _write_trace(out / "trace.csv", ["t", "residual_norm"],
                  [range(len(norms)), norms])
     _write_json(out / "verdict.json", {

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graph as graphmod
-from .numerics import as_matrix, as_vector, left_fixed_vector
+from .numerics import _negligible, as_matrix, as_vector, left_fixed_vector
 
 
 class ConsensusError(ValueError):
@@ -369,20 +369,20 @@ def unobservable_offset_is_neutral(net: ConsensusMatrix, j: int, v,
     """Check that an unobservable initial-state offset leaves the limit alone.
 
     Requires ``v`` to lie in the unobservable subspace of ``(A, C_j)``;
-    then ``pi @ v`` must vanish and trajectories from ``x0`` and
-    ``x0 + v`` share the same consensus value.
+    then ``pi @ v`` must vanish against ``v`` and trajectories from ``x0``
+    and ``x0 + v`` reach the same state, up to ``tol`` of their scale.
     """
     v = as_vector(v)
     unobs = unobservable_subspace(net, j)
     if not unobs.contains(v):
         raise ValueError("offset is observable from the chosen agent")
-    if abs(float(net.pi @ v)) > tol:
+    if not _negligible(net.pi @ v, v, tol):
         return False
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal(net.n)
     base = simulate(net, x0, (), T).states[-1]
     moved = simulate(net, x0 + v, (), T).states[-1]
-    return bool(np.max(np.abs(moved - base)) < tol * max(1.0, np.max(np.abs(base))))
+    return _negligible(moved - base, np.concatenate([x0, v]), tol)
 
 
 def random_consensus_matrix(n: int, rng: np.random.Generator,

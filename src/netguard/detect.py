@@ -21,7 +21,7 @@ import scipy.sparse
 
 from . import fdi, graph as graphmod
 from .consensus import ConsensusMatrix, _output_matrix, input_matrix
-from .numerics import as_matrix, as_vector
+from .numerics import _negligible, as_matrix, as_vector
 
 
 @dataclass
@@ -141,7 +141,6 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
         conn = graphmod.vertex_connectivity(net.graph)
         raise ValueError(f"connectivity {conn} below required {k + 1}")
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    floor = residual_floor * float(np.max(np.abs(ys), initial=0.0))
     others = [a for a in range(1, net.n + 1) if a != j]
     C = net.output_matrix(j)
     fired = {}
@@ -162,8 +161,7 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
             continue
         res = fdi.run_residual(gen, ys)
         tail = res[min(gen.horizon, res.shape[0] - 1):]
-        level = float(np.max(np.abs(tail))) if tail.size else 0.0
-        fired[D] = level > floor
+        fired[D] = not _negligible(tail, ys, residual_floor)
         norms[D] = np.max(np.abs(res), axis=1)
         horizons.append(gen.horizon)
     consistent = _consistent_sets(others, fired, k)

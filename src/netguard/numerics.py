@@ -13,6 +13,9 @@ reads the ``membership`` tolerance: the smallest singular value of the
 projection off the other subspace.  ``image``, ``kernel`` and ``rank``
 accept complex matrices as well as real ones.
 
+Whether a signal (a residual, a leak, a fit's error) is zero is decided
+by :func:`_negligible` alone, against a scale and with no absolute floor.
+
 A public ``Subspace(n, basis)`` checks that its basis is orthonormal.
 The bases this module builds itself are trusted and skip that check:
 the zero subspace, the identity basis of a full kernel, and the
@@ -88,6 +91,13 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     if v.size and not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def _negligible(r, scale, rel: float) -> bool:
+    """``max|r| <= rel * max|scale|``: scaling both never changes it, and
+    an all-zero ``r`` is zero against any scale, a zero one included."""
+    return bool(np.max(np.abs(r), initial=0.0)
+                <= rel * np.max(np.abs(scale), initial=0.0))
 
 
 def _operand(M) -> np.ndarray:

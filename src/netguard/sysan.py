@@ -5,9 +5,11 @@ read from one object, the zero dynamics on V*, the maximal output-nulling
 controlled invariant: the triple is left-invertible iff no input drives
 the state inside V*, and its zeros are then the eigenvalues of the friend
 map on V*, each verified by a rank drop of the pencil with its directions.
-Also eigenvector (PBH) tests, zero-dynamics stability classification from
-the network structure, and explicit construction of undetectable and
-unidentifiable misbehaviors.
+The output-zeroing inputs from ``x0`` exist exactly when V* contains it,
+and come from the same friend map.  Also eigenvector (PBH) tests,
+zero-dynamics stability classification from the network structure, and
+explicit construction of undetectable and unidentifiable misbehaviors.
+Every "signal is zero" verdict is the relative ``numerics._negligible``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .numerics import as_matrix, as_vector
 _WITNESS_SEED = 20260811
 # eigenvalues this close to the unit circle count as not asymptotically stable
 _UNIT_CIRCLE_MARGIN = 1e-9
+# an equation holds when its error is this small against the terms it balances
+_FIT_REL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -129,13 +133,14 @@ class PencilAnalysis:
 
 
 def _friend_realization(A, B, V):
-    """Coordinates (X, U) with A V = V X + B U, and the fit's residual."""
+    """Coordinates (X, U) with A V = V X + B U, and whether they fit:
+    the fit's error is negligible against A V."""
     stacked = np.hstack([V, B])
-    sol, *_ = np.linalg.lstsq(stacked, A @ V, rcond=None)
+    AV = A @ V
+    sol, *_ = np.linalg.lstsq(stacked, AV, rcond=None)
     r = V.shape[1]
-    X, U = sol[:r], sol[r:]
-    resid = np.linalg.norm(stacked @ sol - A @ V)
-    return X, U, resid
+    return sol[:r], sol[r:], numerics._negligible(stacked @ sol - AV, AV,
+                                                  _FIT_REL)
 
 
 def _zero_dynamics(T: Triple):
@@ -187,7 +192,7 @@ def invariant_zeros(T: Triple) -> PencilAnalysis:
         # the cost of the kernel's full one
         if numerics.rank(P) >= nr:
             continue
-        zero = _verify_zero_direction(T, z, numerics.kernel(P).basis)
+        zero = _verify_zero_direction(T, z, P, numerics.kernel(P).basis)
         if zero is not None:
             found.append(zero)
     found.sort(key=lambda w: (round(w.z.real, 9), round(w.z.imag, 9)))
@@ -195,22 +200,22 @@ def invariant_zeros(T: Triple) -> PencilAnalysis:
                           zeros=tuple(found))
 
 
-def _verify_zero_direction(T: Triple, z: complex,
+def _verify_zero_direction(T: Triple, z: complex, P: np.ndarray,
                            null_basis: np.ndarray) -> InvariantZero | None:
-    """Pick a null vector with nonzero state part and re-check the equations."""
+    """Pick a null vector of the pencil ``P`` at ``z`` with nonzero state
+    part, scale that part to unit norm and re-check the equations against
+    ``||P||``: a near null vector whose state part is small leaves a large
+    residual once scaled, and is no zero direction."""
     n = T.n
+    norm_P = np.linalg.norm(P)
     for col in null_basis.T:
-        x0, g = col[:n], col[n:]
-        if np.linalg.norm(x0) < 1e-8:
+        if numerics._negligible(col[:n], col, 1e-8):
             continue
-        scale = np.linalg.norm(x0)
-        x0, g = x0 / scale, g / scale
-        resid = max(
-            np.linalg.norm((z * np.eye(n) - T.A) @ x0 + T.B @ g),
-            np.linalg.norm(T.C @ x0),
-        )
-        if resid < 1e-7:
-            return InvariantZero(z=z, x0=x0, g=g, residual=float(resid))
+        col = col / np.linalg.norm(col[:n])
+        r = P @ col
+        if numerics._negligible(np.linalg.norm(r), norm_P, _FIT_REL):
+            return InvariantZero(z=z, x0=col[:n], g=col[n:], residual=float(
+                max(np.linalg.norm(r[:n]), np.linalg.norm(r[n:]))))
     return None
 
 
@@ -249,7 +254,7 @@ def local_observer_gain(net: ConsensusMatrix, j: int) -> np.ndarray:
     Cj[0, j - 1] = 1.0
     closed = net.A + G @ Cj
     radius = np.max(np.abs(np.linalg.eigvals(closed)))
-    if radius >= 1.0 - 1e-12:
+    if radius >= 1.0 - _UNIT_CIRCLE_MARGIN:
         raise ValueError("closed-loop spectral radius not below one; "
                          "input is not a consensus matrix")
     return G
@@ -314,44 +319,31 @@ def first_markov_index(T: Triple):
     return nu, T.C @ np.linalg.matrix_power(T.A, nu) @ T.B
 
 
-def output_zeroing_input(T: Triple, x0, check_horizon: int | None = None):
-    """Generator of an input sequence keeping the output at zero.
+def output_zeroing_input(T: Triple, x0):
+    """Generator of an input sequence keeping the output at zero from ``x0``.
 
-    Uses the closed-form output-zeroing recursion built on the first
-    nonzero Markov parameter, with the homogeneous part chosen zero:
-    the driven state follows ``x(k+1) = K_nu A x(k)`` and the input is
-    ``u(k) = -(C A^nu B)^+ C A^(nu+1) x(k)``.
-
-    Requires ``x0`` in the kernel of ``C A^l`` for ``l = 0..nu``; the
-    construction additionally verifies that the resulting trajectory is
-    output-nulling over ``check_horizon`` steps (default n) and raises
-    otherwise.
+    The output-zeroing motions are the motions inside V*, so ``x0`` is
+    accepted exactly when V* contains it, a test that does not change
+    when ``x0`` is scaled.  With the friend fit ``A V* = V* X + B U`` the
+    input is ``u(t) = -U c(t)`` with ``c(0) = V*^T x0`` and ``c(t+1) =
+    X c(t)``: the state stays at ``V* c(t)``, inside ``Ker C``.  When the
+    triple is not left-invertible, ``(X, U)`` is one of many friends.
+    Raises ``ValueError`` when ``x0`` is outside V* (or no friend fits).
     """
     x0 = as_vector(x0)
-    nu, markov = first_markov_index(T)
-    pinv = np.linalg.pinv(markov)
-    CA = T.C @ np.linalg.matrix_power(T.A, nu + 1)
-    gain = -pinv @ CA
-    K_nu = np.eye(T.n) - T.B @ pinv @ T.C @ np.linalg.matrix_power(T.A, nu)
-    closed = K_nu @ T.A
-    power = np.eye(T.n)
-    for l in range(nu + 1):
-        if np.linalg.norm(T.C @ power @ x0) > 1e-8 * max(1.0, np.linalg.norm(x0)):
-            raise ValueError(f"initial state not in Ker(C A^{l})")
-        power = power @ T.A
-    horizon = T.n if check_horizon is None else check_horizon
-    x = x0.copy()
-    for k in range(horizon):
-        if np.linalg.norm(T.C @ x) > 1e-7 * max(1.0, np.linalg.norm(x)):
-            raise ValueError("output cannot be zeroed from this initial state "
-                             "with a vanishing homogeneous part")
-        x = closed @ x
+    V = _zero_dynamics(T)[0]
+    if not V.contains(x0):
+        raise ValueError("initial state not in V*: no input keeps the output "
+                         "at zero")
+    X, U, fits = _friend_realization(T.A, T.B, V.basis)
+    if not fits:
+        raise ValueError("no friend map fits A V* = V* X + B U")
 
     def generate():
-        state = x0.copy()
+        c = V.basis.T @ x0
         while True:
-            yield gain @ state
-            state = closed @ state
+            yield -U @ c
+            c = X @ c
 
     return generate()
 
@@ -413,7 +405,7 @@ def construct_undetectable_attack(net: ConsensusMatrix, cutK, extra, j: int,
         attacks.append(Attack.constant(e, scale * (0.3 + 0.1 * idx)))
     traj = simulate(net, x0, attacks, horizon)
     ys = net.outputs(traj.states, j)
-    if np.max(np.abs(ys)) > 1e-8:
+    if not numerics._negligible(ys, traj.states, 1e-8):
         raise ValueError("constructed attack leaks into the observer output")
     return UndetectableAttack(x0=x0, attacks=tuple(attacks), cut=cutK,
                               observer_side=tuple(observer_side),
@@ -460,10 +452,10 @@ def unidentifiability_witness(net: ConsensusMatrix, K1, K2, j: int,
     C = net.output_matrix(j)
     m1 = len(K1)
     V_star, d = _zero_dynamics(Triple.from_matrices(net.A, B, C))
-    if V_star.dim > 0:
+    if V_star.dim:
         V = V_star.basis
-        X, U, resid = _friend_realization(net.A, B, V)
-        if resid < 1e-7:
+        X, U, fits = _friend_realization(net.A, B, V)
+        if fits:
             coords = _invisible_motion(X, horizon)
             full_u = -(U @ coords.T).T
             witness = UnidentifiabilityWitness(
@@ -527,13 +519,13 @@ def _toeplitz_kernel_input(A, B, C, horizon: int):
 
 def _witness_outputs_match(net: ConsensusMatrix, w: UnidentifiabilityWitness,
                            j: int) -> bool:
-    """The two attributions' outputs agree relative to the larger of one
-    and the shared output's magnitude, which grows without bound when the
-    invisible motion is unstable."""
+    """The two attributions' outputs agree relative to the shared output's
+    magnitude, which grows without bound when the invisible motion is
+    unstable."""
     atk1 = [Attack.sequence(a, w.inputs_1[:, k])
             for k, a in enumerate(w.K1)]
     atk2 = [Attack.sequence(a, w.inputs_2[:, k])
             for k, a in enumerate(w.K2)]
     y1 = net.outputs(simulate(net, w.x0, atk1, w.horizon).states, j)
     y2 = net.outputs(simulate(net, np.zeros(net.n), atk2, w.horizon).states, j)
-    return bool(np.max(np.abs(y1 - y2)) < 1e-7 * max(1.0, np.max(np.abs(y1))))
+    return numerics._negligible(y1 - y2, y1, _FIT_REL)

@@ -298,3 +298,16 @@ def test_negative_local_k_exits_invalid(tmp_path, capsys):
     assert code == cli.EXIT_INVALID
     assert "k_j must be nonnegative, got -1" in capsys.readouterr().err
     assert not (out / "verdict.json").exists()
+
+
+@pytest.mark.parametrize("floor", [float("nan"), -1e-6, float("inf"), None,
+                                   "low"])
+def test_bad_residual_floor_exits_invalid(tmp_path, capsys, floor):
+    # a NaN floor would never flag this attack, a negative one always flags
+    code, out = run(tmp_path, "detect", {
+        "matrix": {"rows": BENCH8_A.tolist()}, "observer": 1, "horizon": 24,
+        "residual_floor": floor,
+        "attacks": [{"agent": 3, "kind": "constant", "value": 1.0}]})
+    assert code == cli.EXIT_INVALID
+    assert "residual_floor must be finite and nonnegative" in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()

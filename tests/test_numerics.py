@@ -3,8 +3,8 @@ import pytest
 
 from netguard.consensus import input_matrix
 from netguard.fdi import _meets_trivially
-from netguard.numerics import (Subspace, get_policy, image, kernel,
-                               left_fixed_vector, rank, subspace_sum,
+from netguard.numerics import (Subspace, _negligible, get_policy, image,
+                               kernel, left_fixed_vector, rank, subspace_sum,
                                zero_subspace)
 from netguard.sysan import Triple, pencil
 
@@ -104,6 +104,17 @@ def test_contains_is_scale_free():
     for scale in (1e-12, 1.0, 1e12):
         assert S.contains(scale * np.array([1.0, 1e-10]))
         assert not S.contains(scale * np.array([1.0, 1e-6]))
+
+
+# A signal is zero against a scale, never against an absolute floor.
+def test_negligible_is_relative():
+    for scale in (1e-12, 1.0, 1e12):
+        assert _negligible(scale * np.array([1e-7, -1e-8]),
+                           scale * np.array([[1.0], [-0.5]]), 1e-7)
+        assert not _negligible(scale * np.array([2e-7]), [scale], 1e-7)
+    assert _negligible(np.zeros(3), np.zeros(2), 1e-7)
+    assert _negligible([], [], 1e-7)
+    assert not _negligible([1e-300], [0.0], 1e-7)
 
 
 def test_same_span_different_bases():

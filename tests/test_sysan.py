@@ -103,6 +103,26 @@ def test_zero_directions_satisfy_equations(unstable_triple):
         assert np.linalg.norm(w.x0) > 0.9
 
 
+def test_near_null_vector_with_small_state_part_is_no_zero(unstable_triple):
+    # with A scaled by 100 the zero at -200 has an input direction about
+    # 235 times its state direction; a near null vector off it by 1e-8
+    # keeps a residual of 1e-8 ||P|| but leaves about 2e-6 ||P|| once its
+    # state part is scaled to one
+    T = Triple.from_matrices(100 * unstable_triple.A, unstable_triple.B,
+                             unstable_triple.C)
+    zero = [w for w in invariant_zeros(T).zeros if abs(w.z + 200) < 1e-4][0]
+    P = sysan.pencil(T, zero.z)
+    exact = np.concatenate([zero.x0, zero.g])
+    exact /= np.linalg.norm(exact)
+    assert np.linalg.norm(exact[:8]) < 1e-2
+    off = np.zeros(exact.shape)
+    off[0] = np.linalg.norm(P) / np.linalg.norm(P[:, 0])
+    near = exact + 1e-8 * off
+    assert np.linalg.norm(P @ near) <= 1e-7 * np.linalg.norm(P)
+    assert sysan._verify_zero_direction(T, zero.z, P, exact[:, None])
+    assert sysan._verify_zero_direction(T, zero.z, P, near[:, None]) is None
+
+
 def test_complete_graph_single_intruder_no_zeros():
     A = np.full((5, 5), 0.2)
     net = validate(A)
@@ -331,6 +351,65 @@ def test_output_zeroing_random_nulling_state(unstable_triple):
 def test_output_zeroing_rejects_visible_state(unstable_triple):
     with pytest.raises(ValueError):
         output_zeroing_input(unstable_triple, np.ones(8))
+
+
+def _zeroed_outputs(T, x0, steps):
+    """States and outputs of ``x0`` driven by its output-zeroing input."""
+    useq = take_inputs(output_zeroing_input(T, x0), steps)
+    states = [x0]
+    for u in useq:
+        states.append(T.A @ states[-1] + T.B @ u)
+    states = np.array(states)
+    return states, states @ T.C.T
+
+
+@pytest.fixture(scope="module")
+def v_star_sweep():
+    """Seeds 0-39: n 6-12, observer 1, one to three inputs among agents
+    2..n, and one state drawn in V* wherever V* is nonzero."""
+    sweep = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 13))
+        net = consensus.random_consensus_matrix(
+            n, rng, extra_edges=int(rng.integers(0, n)))
+        K = rng.choice(np.arange(2, n + 1), int(rng.integers(1, 4)),
+                       replace=False)
+        T = Triple.from_network(net, K.tolist(), 1)
+        V = sysan._zero_dynamics(T)[0]
+        if V.dim:
+            sweep.append((seed, T, V.basis @ rng.standard_normal(V.dim)))
+    return sweep
+
+
+# Every state of V* is output-nulled, at every scale: left-invertible or
+# not, whatever the inputs' relative degrees.
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_output_zeroing_accepts_every_state_of_v_star(v_star_sweep, scale):
+    assert len(v_star_sweep) == 25
+    for seed, T, x in v_star_sweep:
+        states, ys = _zeroed_outputs(T, scale * x, 3 * T.n)
+        assert np.max(np.abs(ys)) <= 1e-12 * np.max(np.abs(states)), seed
+
+
+def test_output_zeroing_with_unequal_relative_degrees():
+    # inputs 6 and 7 first reach the measured agents {1, 2, 11} after 3
+    # and 4 steps, so C A^3 B has rank one though the triple is
+    # left-invertible; its one zero z moves x0 along z^t x0
+    rng = np.random.default_rng(2)
+    n = int(rng.integers(6, 13))
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=int(rng.integers(0, n)))
+    T = Triple.from_network(net, (6, 7), 1)
+    assert [first_markov_index(Triple.from_network(net, (a,), 1))[0]
+            for a in T.agents] == [3, 4]
+    assert is_left_invertible(T)
+    (zero,) = invariant_zeros(T).zeros
+    x0 = np.real(zero.x0)
+    states, ys = _zeroed_outputs(T, x0, 3 * n)
+    assert np.max(np.abs(ys)) <= 1e-12 * np.max(np.abs(states))
+    motion = np.real(zero.z) ** np.arange(3 * n + 1)[:, None] * x0
+    assert np.max(np.abs(states - motion)) <= 1e-12
 
 
 def test_undetectable_attack_from_benchmark_cut(bench8):
