@@ -47,6 +47,18 @@ def _matrix_from_scenario(scn: dict, base: Path) -> np.ndarray:
     raise ValueError("matrix must give 'rows' or 'file'")
 
 
+def _scalar(spec: dict, name: str, kind, default=None):
+    """Field ``name`` of ``spec`` read by ``kind`` (``int`` or ``float``);
+    ``default``, when given, stands in for an absent field.  ``null`` or a
+    value ``kind`` cannot read is invalid input naming the field."""
+    raw = spec[name] if default is None else spec.get(name, default)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {what}, got {raw!r}") from None
+
+
 def _attacks_from_scenario(scn: dict, n: int, horizon: int,
                            rng: np.random.Generator) -> list:
     attacks = []
@@ -180,8 +192,9 @@ def cmd_analyze(args) -> int:
         "stationary_vector": net.pi.tolist() if net else None,
         "pairs": [],
     }
-    observers = scn.get("observers") or ([scn["observer"]] if "observer" in scn
-                                         else list(range(1, n + 1)))
+    observers = scn.get("observers") or (
+        [_scalar(scn, "observer", int)] if "observer" in scn
+        else list(range(1, n + 1)))
     outputs = [(int(j), consensus._output_matrix(A, int(j))) for j in observers]
     for K in scn.get("sets", []):
         for j, C in outputs:
@@ -211,7 +224,7 @@ def cmd_analyze(args) -> int:
 def _simulate_from_scenario(scn, base, seed):
     A = _matrix_from_scenario(scn, base)
     net = consensus.validate(A)
-    horizon = int(scn.get("horizon", 100))
+    horizon = _scalar(scn, "horizon", int, 100)
     rng = np.random.default_rng(seed)
     attacks = _attacks_from_scenario(scn, net.n, horizon, rng)
     x0 = _x0_from_scenario(scn, net.n, rng)
@@ -255,7 +268,7 @@ def cmd_detect(args) -> int:
     out = _prepare_out(args)
     seed = args.seed if args.seed is not None else scn.get("seed", 0)
     net, traj, _, horizon = _simulate_from_scenario(scn, base, seed)
-    j = int(scn["observer"])
+    j = _scalar(scn, "observer", int)
     filt = detect.DetectionFilter.from_network(net, j)
     ys = net.outputs(traj.states, j)
     estimates, residuals = filt.run(ys)
@@ -282,8 +295,8 @@ def cmd_identify(args) -> int:
     out = _prepare_out(args)
     seed = args.seed if args.seed is not None else scn.get("seed", 0)
     net, traj, _, horizon = _simulate_from_scenario(scn, base, seed)
-    j = int(scn["observer"])
-    k = int(scn.get("k", 1))
+    j = _scalar(scn, "observer", int)
+    k = _scalar(scn, "k", int, 1)
     ys = net.outputs(traj.states, j)
     verdict = detect.complete_identification(net, j, k, ys)
     times, labels, norms = [], [], []
@@ -319,19 +332,19 @@ def cmd_local_identify(args) -> int:
     out = _prepare_out(args)
     seed = args.seed if args.seed is not None else scn.get("seed", 0)
     net, traj, _, horizon = _simulate_from_scenario(scn, base, seed)
-    j = int(scn["observer"])
+    j = _scalar(scn, "observer", int)
     partition = scn["partition"]
-    h = int(scn.get("block", 1))
-    k_j = int(scn.get("k", 1))
+    h = _scalar(scn, "block", int, 1)
+    k_j = _scalar(scn, "k", int, 1)
     cal_spec = scn.get("calibration", {})
     decomp = detect.block_decompose(net.A, partition)
     bank = detect.build_local_bank(decomp, h, j, k_j)
     try:
         cal = detect.calibrate_threshold(
             decomp, bank,
-            u_max=float(cal_spec.get("u_max", 1.0)),
-            u_min=float(cal_spec.get("u_min", 0.1)),
-            x_max=float(cal_spec.get("x_max", 1.0)),
+            u_max=_scalar(cal_spec, "u_max", float, 1.0),
+            u_min=_scalar(cal_spec, "u_min", float, 0.1),
+            x_max=_scalar(cal_spec, "x_max", float, 1.0),
             outside=tuple(cal_spec.get("outside", ())))
     except detect.CalibrationError as exc:
         _write_json(out / "verdict.json", {
@@ -371,7 +384,7 @@ def cmd_synthesize(args) -> int:
     out = _prepare_out(args)
     A = _matrix_from_scenario(scn, base)
     net = consensus.validate(A)
-    j = int(scn["observer"])
+    j = _scalar(scn, "observer", int)
     targets = [int(a) for a in scn.get("targets", [])]
     decouple = [int(a) for a in scn.get("decouple", [])]
     C = net.output_matrix(j)

@@ -13,6 +13,7 @@ threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -398,12 +399,13 @@ class ThresholdCalibration:
     whose target is active with magnitude in ``[u_min, u_max]``.  The
     threshold sits at their midpoint.  ``alpha`` is the input-floor
     ratio ``u_min / (epsilon * u_max)`` and ``alpha_min`` the smallest
-    ratio at which the bounds still separate.
+    ratio at which the bounds still separate.  The verdict never reads
+    ``alpha_min``, so it is bisected on the calibration's coefficient
+    maps when first read, not when the threshold is placed.
     """
 
     block: int
     alpha: float
-    alpha_min: float
     u_min: float
     u_max: float
     x_max: float
@@ -413,6 +415,12 @@ class ThresholdCalibration:
     epsilon: float
     bound_wellbehaving: float
     bound_misbehaving: float
+    _maps: _BoundMaps = field(compare=False, repr=False)
+
+    @cached_property
+    def alpha_min(self) -> float:
+        return _smallest_separating_ratio(self._maps, self.epsilon,
+                                          self.u_max, self.x_max)
 
 
 def _network_powers(A_full, observed, t_star: int) -> np.ndarray:
@@ -644,31 +652,45 @@ def threshold_crossing(decomp: BlockDecomposition, bank: LocalBank,
                        outside=(), eps_hi: float = 1.0, tol: float = 1e-5):
     """Coupling strength where the certified bounds meet, with their value.
 
-    Bisects the gap between the misbehaving lower bound (shrinking in
-    epsilon) and the well-behaving upper bound (growing in epsilon).
+    Brent's method on the gap between the misbehaving lower bound
+    (shrinking in epsilon) and the well-behaving upper bound (growing in
+    epsilon) over ``[0, eps_hi]``; the returned coupling lies within
+    ``tol`` of the crossing, and the value is the misbehaving bound
+    there.  ``(0, 0)`` when the bounds do not separate even uncoupled,
+    ``(inf, inf)`` when they still separate at ``eps_hi``.
     """
+    return _crossing(decomp, bank, u_min, u_max, x_max, outside, eps_hi, tol,
+                     {})
+
+
+def _crossing(decomp, bank, u_min, u_max, x_max, outside, eps_hi, tol, known):
+    """:func:`threshold_crossing` with the bound pairs memoised by coupling
+    in ``known``, which may already hold some of them."""
+
+    def bounds(eps):
+        if eps not in known:
+            known[eps] = certified_bounds(decomp, bank, u_min, u_max, x_max,
+                                          outside, epsilon=eps)
+        return known[eps]
 
     def gap(eps):
-        lo, hi = certified_bounds(decomp, bank, u_min, u_max, x_max,
-                                  outside, epsilon=eps)
-        return lo - hi, lo
+        lo, hi = bounds(eps)
+        return lo - hi
 
-    g0, _ = gap(0.0)
-    if g0 <= 0:
+    if gap(0.0) <= 0:
         return 0.0, 0.0
-    g_hi, _ = gap(eps_hi)
-    if g_hi > 0:
+    if gap(eps_hi) > 0:
         return np.inf, np.inf
-    lo_e, hi_e = _bisect(lambda eps: gap(eps)[0] > 0, 0.0, eps_hi, tol)
-    eps_star = 0.5 * (lo_e + hi_e)
-    _, value = gap(eps_star)
-    return eps_star, value
+    eps_star = scipy.optimize.brentq(gap, 0.0, eps_hi, xtol=0.5 * tol)
+    return eps_star, bounds(eps_star)[0]
 
 
 def _bisect(below, lo: float, hi: float, tol: float):
     """Halve ``[lo, hi]`` until it is at most ``tol`` wide and return it:
     the upper half where ``below(mid)`` holds (the sought point lies above
-    the midpoint), the lower half otherwise."""
+    the midpoint), the lower half otherwise.  Unlike a root finder, it
+    needs only a yes/no test and leaves a bracket whose either end can
+    be taken as the conservative answer."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if below(mid):
@@ -683,6 +705,10 @@ def calibrate_threshold(decomp: BlockDecomposition, bank: LocalBank,
                         outside=()) -> ThresholdCalibration:
     """Place the decision threshold between the certified bounds.
 
+    One bound evaluation at the decomposition's coupling strength places
+    the threshold.  When the bounds do not separate there, the crossing
+    is searched on ``[0, epsilon]`` only, reusing that evaluation.
+
     Raises
     ------
     CalibrationError
@@ -695,22 +721,21 @@ def calibrate_threshold(decomp: BlockDecomposition, bank: LocalBank,
     maps = _coefficient_maps(decomp, bank, eps, outside)
     bound_mis, bound_well = _bounds_from_maps(maps, u_min, u_max, x_max)
     if bound_mis <= bound_well:
-        eps_star, value = threshold_crossing(decomp, bank, u_min, u_max,
-                                             x_max, outside)
+        eps_star, value = _crossing(decomp, bank, u_min, u_max, x_max,
+                                    outside, eps, 1e-5,
+                                    {eps: (bound_mis, bound_well)})
         raise CalibrationError(
             f"certified bounds do not separate at coupling {eps:.4g}: "
             f"misbehaving floor {bound_mis:.4g} <= well-behaving cap "
             f"{bound_well:.4g} (bounds cross at {eps_star:.4g})",
             epsilon_star=eps_star, crossing_value=value)
     alpha = u_min / (eps * u_max) if eps > 0 else 0.0
-    alpha_min = _smallest_separating_ratio(maps, eps, u_max, x_max)
     return ThresholdCalibration(
-        block=bank.block, alpha=alpha, alpha_min=alpha_min,
-        u_min=u_min, u_max=u_max, x_max=x_max,
+        block=bank.block, alpha=alpha, u_min=u_min, u_max=u_max, x_max=x_max,
         T_h=0.5 * (bound_mis + bound_well),
         horizon=len(bank.agents), eval_time=bank.eval_time,
         epsilon=eps, bound_wellbehaving=bound_well,
-        bound_misbehaving=bound_mis)
+        bound_misbehaving=bound_mis, _maps=maps)
 
 
 def _smallest_separating_ratio(maps, eps, u_max, x_max,

@@ -24,7 +24,12 @@ local bank one target at a time on hand-built input matrices, where
 ``netguard.detect`` makes one bank call for the whole block, and
 :func:`bound_lp_columns` assembles the joint bound LP column by column,
 where ``detect`` stacks the generators' blocks with
-``scipy.sparse.block_diag``.
+``scipy.sparse.block_diag``.  :func:`threshold_crossing_bisection`
+bisects the bound gap on ``[0, eps_hi]``, where ``detect`` runs Brent's
+method on memoised evaluations, and
+:func:`smallest_separating_ratio_eager` bisects the input floor as soon
+as it is called, where ``detect`` does so when ``alpha_min`` is first
+read.
 """
 
 from fractions import Fraction
@@ -35,7 +40,7 @@ import scipy.optimize
 import scipy.sparse
 import sympy
 
-from netguard import fdi
+from netguard import detect, fdi
 from netguard.consensus import Trajectory, _output_matrix
 from netguard.numerics import _numeric_rank, as_vector, get_policy, kernel, rank
 
@@ -566,3 +571,60 @@ def bound_lp_columns(active):
     return scipy.sparse.csc_array(
         (np.concatenate(data), np.concatenate(indices), indptr),
         shape=(n_rows, len(per_col)))
+
+
+def threshold_crossing_bisection(decomp, bank, u_min, u_max, x_max=1.0,
+                                 outside=(), eps_hi=1.0, tol=1e-5):
+    """Coupling where the certified bounds meet, and the misbehaving bound
+    there: the midpoint of a bracket halved until ``tol`` wide, the
+    bounds evaluated afresh at every midpoint and once more at the
+    answer.  ``(0, 0)`` when the bounds do not separate uncoupled,
+    ``(inf, inf)`` when they still separate at ``eps_hi``."""
+
+    def gap(eps):
+        lo, hi = detect.certified_bounds(decomp, bank, u_min, u_max, x_max,
+                                         outside, epsilon=eps)
+        return lo - hi
+
+    if gap(0.0) <= 0:
+        return 0.0, 0.0
+    if gap(eps_hi) > 0:
+        return np.inf, np.inf
+    lo_e, hi_e = 0.0, eps_hi
+    while hi_e - lo_e > tol:
+        mid = 0.5 * (lo_e + hi_e)
+        if gap(mid) > 0:
+            lo_e = mid
+        else:
+            hi_e = mid
+    eps_star = 0.5 * (lo_e + hi_e)
+    value, _ = detect.certified_bounds(decomp, bank, u_min, u_max, x_max,
+                                       outside, epsilon=eps_star)
+    return eps_star, value
+
+
+def smallest_separating_ratio_eager(decomp, bank, u_max, x_max=1.0,
+                                    outside=(), tol=1e-4):
+    """Smallest input-floor ratio ``u_min / (epsilon u_max)`` at which the
+    certified bounds separate at the decomposition's coupling: the upper
+    end of a bracket on ``u_min`` halved until ``tol u_max`` wide, on the
+    coefficient maps built once at that coupling."""
+    eps = decomp.epsilon
+    if eps == 0.0:
+        return 0.0
+    maps = detect._coefficient_maps(decomp, bank, eps, outside)
+
+    def separated(u_min):
+        lo, hi = detect._bounds_from_maps(maps, u_min, u_max, x_max)
+        return lo > hi
+
+    if not separated(u_max):
+        return np.inf
+    lo_u, hi_u = 0.0, u_max
+    while hi_u - lo_u > tol * u_max:
+        mid = 0.5 * (lo_u + hi_u)
+        if not separated(mid):
+            lo_u = mid
+        else:
+            hi_u = mid
+    return hi_u / (eps * u_max)

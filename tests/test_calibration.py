@@ -12,7 +12,8 @@ from fixtures import (LOCAL_GEN2, LOCAL_GEN3, WEAK7_PARTITION, block_network,
                       weak7_matrix)
 from oracles import (bound_lp_columns, box_max_vertices, box_min_lp,
                      certified_bounds_per_generator, local_bank_loop,
-                     residual_coefficients)
+                     residual_coefficients, smallest_separating_ratio_eager,
+                     threshold_crossing_bisection)
 
 
 def weak7(eps):
@@ -247,14 +248,47 @@ def test_one_lp_per_bound_evaluation(monkeypatch):
     assert len(lps) == 1
 
 
+# Placing the threshold takes one map build and one LP; alpha_min, which
+# the verdict never reads, bisects the input floor on the same maps only
+# when it is read.
 def test_calibration_builds_the_maps_once(monkeypatch):
     decomp = weak7(0.01)
     bank = detect.build_local_bank(decomp, 1, 1, 1)
     maps = count_calls(monkeypatch, detect, "_coefficient_maps")
     lps = count_calls(monkeypatch, scipy.optimize, "milp")
-    detect.calibrate_threshold(decomp, bank, u_max=1.0, u_min=0.1)
+    cal = detect.calibrate_threshold(decomp, bank, u_max=1.0, u_min=0.1)
+    assert (len(maps), len(lps)) == (1, 1)
+    cal.alpha_min
     assert len(maps) == 1
     assert len(lps) > 10
+
+
+@pytest.mark.parametrize("decomp, h, j, k", [
+    (weak7(0.01), 1, 1, 1),
+    (detect.block_decompose(*block_network((5, 3, 4), 0.01,
+                                           np.random.default_rng(0),
+                                           (3, 2, 2))), 1, 1, 2)])
+def test_alpha_min_is_the_eager_bisection_read_once(decomp, h, j, k,
+                                                    monkeypatch):
+    bank = detect.build_local_bank(decomp, h, j, k)
+    want = smallest_separating_ratio_eager(decomp, bank, 1.0)
+    cal = detect.calibrate_threshold(decomp, bank, u_max=1.0, u_min=0.1)
+    assert cal.alpha_min == want
+    lps = count_calls(monkeypatch, scipy.optimize, "milp")
+    assert cal.alpha_min == want
+    assert lps == []
+
+
+# Above the crossing the search runs on [0, epsilon] and reuses the failed
+# evaluation at epsilon; bisecting [0, 1] down to 1e-5 would take 21 map
+# builds.
+def test_crossing_search_builds_few_maps(monkeypatch):
+    decomp = weak7(0.1)
+    bank = detect.build_local_bank(decomp, 1, 1, 1)
+    maps = count_calls(monkeypatch, detect, "_coefficient_maps")
+    with pytest.raises(detect.CalibrationError):
+        detect.calibrate_threshold(decomp, bank, u_max=1.0, u_min=0.1)
+    assert len(maps) <= 7
 
 
 class FailedLP:
@@ -342,7 +376,7 @@ def test_threshold_crossing_is_where_the_bounds_meet(reference_bank):
     mis, well = detect.bound_curves(decomp, bank, 0.1, 1.0,
                                     [eps_star - tol, eps_star, eps_star + tol])
     gap = mis - well
-    # the misbehaving bound still leads a bisection tolerance below the
+    # the misbehaving bound still leads a search tolerance below the
     # crossing and no longer leads one above it ...
     assert gap[0] > 0.0 >= gap[2]
     # ... so at the crossing the bounds differ by less than that bracket
@@ -357,14 +391,9 @@ BLOCK_SIZES = [s for blocks in (2, 3)
                for s in product(range(3, 6), repeat=blocks) if sum(s) <= 10]
 
 
-# The stacked LP, the shared network powers and the closed-form maximum
-# agree with one LP and one vertex enumeration per generator on random
-# weakly coupled networks.
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(data=st.data(), k=st.integers(1, 2), sizes=st.sampled_from(BLOCK_SIZES),
-       eps=st.floats(1e-3, 0.3), u_min=st.floats(0.05, 0.5))
-def test_certified_bounds_match_per_generator_oracles(data, k, sizes, eps,
-                                                      u_min):
+def random_block_bank(data, k, sizes, eps):
+    """A random weakly coupled network's local bank, a random block and
+    observer of it, and up to one acting agent outside the block."""
     sizes = list(sizes)
     h = data.draw(st.integers(1, len(sizes)), label="block")
     if k == 2:
@@ -380,7 +409,45 @@ def test_certified_bounds_match_per_generator_oracles(data, k, sizes, eps,
                for a in block]
     outside = tuple(sorted(data.draw(st.lists(st.sampled_from(foreign),
                                               max_size=1), label="outside")))
+    return decomp, bank, outside
+
+
+# The stacked LP, the shared network powers and the closed-form maximum
+# agree with one LP and one vertex enumeration per generator on random
+# weakly coupled networks.
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 2), sizes=st.sampled_from(BLOCK_SIZES),
+       eps=st.floats(1e-3, 0.3), u_min=st.floats(0.05, 0.5))
+def test_certified_bounds_match_per_generator_oracles(data, k, sizes, eps,
+                                                      u_min):
+    decomp, bank, outside = random_block_bank(data, k, sizes, eps)
     got = detect.certified_bounds(decomp, bank, u_min, 1.0, 1.0, outside)
     want = certified_bounds_per_generator(residual_coefficients, decomp, bank,
                                           u_min, 1.0, 1.0, outside)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+# Brent's method lands within the tolerance of the crossing the bisection
+# finds, on random weakly coupled networks, and reports the misbehaving
+# bound at the coupling it returns.
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 2), sizes=st.sampled_from(BLOCK_SIZES),
+       eps=st.floats(1e-3, 0.3), u_min=st.floats(0.05, 0.5))
+def test_threshold_crossing_matches_the_bisection(data, k, sizes, eps, u_min):
+    decomp, bank, outside = random_block_bank(data, k, sizes, eps)
+    tol = 1e-5
+    eps_star, value = detect.threshold_crossing(decomp, bank, u_min, 1.0,
+                                                outside=outside, tol=tol)
+    want, _ = threshold_crossing_bisection(decomp, bank, u_min, 1.0,
+                                           outside=outside, tol=tol)
+    if not 0.0 < want < np.inf:
+        assert (eps_star, value) == (want, want)
+        return
+    mis, well = detect.bound_curves(decomp, bank, u_min, 1.0,
+                                    [eps_star - tol, eps_star, eps_star + tol],
+                                    outside=outside)
+    gap = mis - well
+    assert gap[0] > 0.0 >= gap[2]
+    assert abs(eps_star - want) <= tol
+    assert value == mis[1]
+

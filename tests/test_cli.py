@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -311,3 +312,36 @@ def test_bad_residual_floor_exits_invalid(tmp_path, capsys, floor):
     assert code == cli.EXIT_INVALID
     assert "residual_floor must be finite and nonnegative" in capsys.readouterr().err
     assert not (out / "verdict.json").exists()
+
+
+SCALAR_SCENARIOS = dict(
+    TRACE_SCENARIOS,
+    analyze={"matrix": {"rows": BENCH8_A.tolist()}, "observer": 1,
+             "sets": [[3]]},
+    synthesize={"matrix": {"rows": BENCH8_A.tolist()}, "observer": 1,
+                "targets": [3], "decouple": [5]})
+
+
+# A null scalar field is invalid input that names the field, not a
+# TypeError traceback from int(None) or float(None).
+@pytest.mark.parametrize("command, field", [
+    ("analyze", "observer"), ("simulate", "horizon"), ("detect", "observer"),
+    ("detect", "horizon"), ("identify", "observer"), ("identify", "k"),
+    ("identify", "horizon"), ("local-identify", "observer"),
+    ("local-identify", "k"), ("local-identify", "block"),
+    ("local-identify", "horizon"), ("local-identify", "calibration.u_min"),
+    ("local-identify", "calibration.u_max"),
+    ("local-identify", "calibration.x_max"), ("synthesize", "observer")])
+def test_null_field_exits_invalid(tmp_path, capsys, command, field):
+    scenario = copy.deepcopy(SCALAR_SCENARIOS[command])
+    *path, name = field.split(".")
+    spec = scenario
+    for part in path:
+        spec = spec.setdefault(part, {})
+    spec[name] = None
+    code, out = run(tmp_path, command, scenario)
+    assert code == cli.EXIT_INVALID
+    kind = "a number" if path else "an integer"
+    assert f"{name} must be {kind}, got None" in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()
+    assert not (out / "report.json").exists()
