@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Scenario files are JSON documents (see README for the schema) naming a
+Scenario files are JSON objects (see README for the schema) naming a
 matrix inline or by file, an attack list, observers, horizons, and a
-seed; every run is deterministic given the scenario and seed.  Outputs
-are written as ``trace.csv``, ``verdict.json`` and ``report.json`` in
-the chosen output directory.
+seed.  Every field goes through one reader, :func:`_read`, so a field
+that is missing, null or of the wrong type is invalid input that names
+the field.  A run is deterministic given the scenario and the seed.
+Outputs are written as ``trace.csv``, ``verdict.json`` and
+``report.json`` in the chosen output directory.
 
 Exit codes: 0 success / clean identification, 2 invalid input,
 3 ambiguous identification, 4 threshold calibration failure.
@@ -16,6 +18,7 @@ import argparse
 import functools
 import json
 import os
+import reprlib
 import sys
 from pathlib import Path
 
@@ -36,82 +39,159 @@ def load_matrix_file(path) -> np.ndarray:
     return np.loadtxt(path, ndmin=2)
 
 
+# Field kinds: a description for error messages and a parser that raises
+# TypeError, ValueError or LookupError on a value it cannot read.
+
+def _number(raw) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError
+    return float(raw)
+
+
+def _integer(raw) -> int:
+    if not _number(raw).is_integer():
+        raise ValueError
+    return int(raw)
+
+
+def _floor(raw) -> float:
+    value = _number(raw)
+    if not 0.0 <= value < np.inf:
+        raise ValueError
+    return value
+
+
+def _typed(kind: type):
+    """Parser of a value of type ``kind``, returned as it is."""
+    def parse(raw):
+        if not isinstance(raw, kind):
+            raise TypeError
+        return raw
+    return parse
+
+
+def _list_of(item):
+    """Parser of a list whose entries ``item`` parses."""
+    def parse(raw) -> list:
+        return [item(v) for v in _typed(list)(raw)]
+    return parse
+
+
+def _numbers(raw) -> list:
+    # checked by entry type alone, which stays cheap on long sequences
+    if not set(map(type, _typed(list)(raw))) <= {int, float}:
+        raise TypeError
+    return raw
+
+
+_INTEGER = ("an integer", _integer)
+_NUMBER = ("a number", _number)
+_FLOOR = ("finite and nonnegative", _floor)
+_BOOLEAN = ("true or false", _typed(bool))
+_STRING = ("a string", _typed(str))
+_OBJECT = ("an object", _typed(dict))
+_NUMBERS = ("a list of numbers", _numbers)
+_AGENTS = ("a list of agents", _list_of(_integer))
+_AGENT_LISTS = ("a list of agent lists", _list_of(_list_of(_integer)))
+_OBJECTS = ("a list of objects", _list_of(_typed(dict)))
+_ROWS = ("a list of equal-length rows of numbers",
+         lambda raw: np.array(_list_of(_numbers)(raw), dtype=float, ndmin=2))
+_X0 = ('a list of numbers or {"random": {...}}',
+       lambda raw: raw if isinstance(raw, dict) else _numbers(raw))
+_REQUIRED = object()
+
+
+def _read(spec: dict, name: str, kind: tuple, default=_REQUIRED):
+    """Field ``name`` of ``spec`` read as ``kind``.  An absent field takes
+    ``default``, or is missing input without one; ``null`` or a value the
+    kind cannot read is invalid input that names the field."""
+    if name not in spec:
+        if default is _REQUIRED:
+            raise ValueError(f"the {name!r} field is missing")
+        return default
+    what, parse = kind
+    raw = spec[name]
+    try:
+        if raw is not None:
+            return parse(raw)
+    except (TypeError, ValueError, LookupError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be {what}, got {reprlib.repr(raw)}")
+
+
+def _load_scenario(path: str) -> tuple:
+    """The scenario object at ``path`` and the directory it is in."""
+    with open(path, "r", encoding="utf-8") as fh:
+        scn = json.load(fh)
+    if not isinstance(scn, dict):
+        raise ValueError(f"scenario must be a JSON object, got {reprlib.repr(scn)}")
+    version = _read(scn, "schema_version", _INTEGER, SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version}")
+    return scn, Path(path).parent
+
+
 def _matrix_from_scenario(scn: dict, base: Path) -> np.ndarray:
-    spec = scn.get("matrix")
-    if spec is None:
-        raise ValueError("scenario is missing the 'matrix' field")
+    spec = _read(scn, "matrix", _OBJECT)
     if "rows" in spec:
-        return np.array(spec["rows"], dtype=float)
+        return _read(spec, "rows", _ROWS)
     if "file" in spec:
-        return load_matrix_file(base / spec["file"])
+        return load_matrix_file(base / _read(spec, "file", _STRING))
     raise ValueError("matrix must give 'rows' or 'file'")
 
 
-def _scalar(spec: dict, name: str, kind, default=None):
-    """Field ``name`` of ``spec`` read by ``kind`` (``int`` or ``float``);
-    ``default``, when given, stands in for an absent field.  ``null`` or a
-    value ``kind`` cannot read is invalid input naming the field."""
-    raw = spec[name] if default is None else spec.get(name, default)
-    try:
-        return kind(raw)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name} must be {what}, got {raw!r}") from None
+# Each attack kind's consensus.Attack constructor and the _read arguments
+# of the fields it takes after the agent.  A random attack is a sequence
+# whose values are drawn from its fields.
+_ATTACKS = {
+    "constant": (consensus.Attack.constant, (("value", _NUMBER),)),
+    "exponential": (consensus.Attack.exponential,
+                    (("rate", _NUMBER), ("value", _NUMBER))),
+    "state_feedback": (consensus.Attack.state_feedback,
+                       (("row", _NUMBERS), ("offset", _NUMBER, 0.0))),
+    "sequence": (consensus.Attack.sequence, (("values", _NUMBERS),)),
+    "initial_offset": (consensus.Attack.initial_offset, (("value", _NUMBER),)),
+    "random": (consensus.Attack.sequence,
+               (("low", _NUMBER, 0.1), ("high", _NUMBER, 1.0),
+                ("signed", _BOOLEAN, False))),
+}
+_ATTACK_KIND = ("one of " + ", ".join(_ATTACKS),
+                lambda raw: (raw, *_ATTACKS[raw]))
 
 
-def _attacks_from_scenario(scn: dict, n: int, horizon: int,
+def _attacks_from_scenario(scn: dict, horizon: int,
                            rng: np.random.Generator) -> list:
     attacks = []
-    for spec in scn.get("attacks", []):
-        agent = int(spec["agent"])
-        kind = spec["kind"]
-        if kind == "constant":
-            attacks.append(consensus.Attack.constant(agent, spec["value"]))
-        elif kind == "exponential":
-            attacks.append(consensus.Attack.exponential(
-                agent, spec["rate"], spec["value"]))
-        elif kind == "state_feedback":
-            attacks.append(consensus.Attack.state_feedback(
-                agent, spec["row"], spec.get("offset", 0.0)))
-        elif kind == "sequence":
-            attacks.append(consensus.Attack.sequence(agent, spec["values"]))
-        elif kind == "initial_offset":
-            attacks.append(consensus.Attack.initial_offset(agent, spec["value"]))
-        elif kind == "random":
-            lo, hi = spec.get("low", 0.1), spec.get("high", 1.0)
+    for spec in _read(scn, "attacks", _OBJECTS, []):
+        agent = _read(spec, "agent", _INTEGER)
+        kind, make, fields = _read(spec, "kind", _ATTACK_KIND)
+        args = [_read(spec, *field) for field in fields]
+        if kind == "random":
+            lo, hi, signed = args
             values = rng.uniform(lo, hi, size=horizon)
-            if spec.get("signed", False):
+            if signed:
                 values *= rng.choice([-1.0, 1.0], size=horizon)
-            attacks.append(consensus.Attack.sequence(agent, values))
-        else:
-            raise ValueError(f"unknown attack kind {kind!r}")
+            args = [values]
+        attacks.append(make(agent, *args))
     return attacks
 
 
 def _x0_from_scenario(scn: dict, n: int, rng: np.random.Generator) -> np.ndarray:
-    spec = scn.get("x0")
+    spec = _read(scn, "x0", _X0, None)
     if spec is None:
         return np.zeros(n)
-    if isinstance(spec, dict) and "random" in spec:
-        lo = spec["random"].get("low", -1.0)
-        hi = spec["random"].get("high", 1.0)
-        return rng.uniform(lo, hi, size=n)
-    return np.asarray(spec, dtype=float)
+    if isinstance(spec, list):
+        return np.asarray(spec, dtype=float)
+    box = _read(spec, "random", _OBJECT)
+    return rng.uniform(_read(box, "low", _NUMBER, -1.0),
+                       _read(box, "high", _NUMBER, 1.0), size=n)
 
 
-def _load_scenario(path: str) -> tuple:
-    p = Path(path)
-    with open(p, "r", encoding="utf-8") as fh:
-        scn = json.load(fh)
-    version = scn.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {version}")
-    return scn, p.parent
-
-
-def _write_json(path: Path, payload: dict):
+def _write_json(path: Path, **fields):
+    """Write ``fields`` and the schema version as one JSON object."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump({"schema_version": SCHEMA_VERSION, **fields}, fh,
+                  sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -130,22 +210,13 @@ def _write_trace(path: Path, header: list, columns: list):
         fh.write("\r\n".join(lines) + "\r\n")
 
 
-def _prepare_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# Every handler takes the scenario, the directory its paths are relative to,
+# the seed and the output directory (created), and returns the exit code.
 
-
-def cmd_validate(args) -> int:
-    if args.scenario:
-        scn, base = _load_scenario(args.scenario)
-        A = _matrix_from_scenario(scn, base)
-    else:
-        A = load_matrix_file(args.matrix)
-    checks = []
-    ok = True
+def cmd_validate(scn: dict, base: Path, seed: int, out: Path) -> int:
+    A = _matrix_from_scenario(scn, base)
     n, m = A.shape
-    checks.append(("square", n == m, f"{n}x{m}"))
+    checks = [("square", n == m, f"{n}x{m}")]
     if n == m:
         neg = float(A.min())
         checks.append(("nonnegative entries", neg >= 0.0, f"min entry {neg:.3g}"))
@@ -162,113 +233,79 @@ def cmd_validate(args) -> int:
             except consensus.ConsensusError as exc:
                 checks.append(("primitive", False, str(exc)))
     for name, passed, detail in checks:
-        ok &= passed
         print(f"{'ok  ' if passed else 'FAIL'} {name}: {detail}")
+    ok = all(passed for _, passed, _ in checks)
     print("valid consensus matrix" if ok else "not a consensus matrix")
     return EXIT_OK if ok else EXIT_INVALID
 
 
-def cmd_analyze(args) -> int:
-    scn, base = _load_scenario(args.scenario)
-    out = _prepare_out(args)
+def cmd_analyze(scn: dict, base: Path, seed: int, out: Path) -> int:
     A = _matrix_from_scenario(scn, base)
     n = A.shape[0]
-    G = graph.from_matrix(A)
+    observer = _read(scn, "observer", _INTEGER, None)
+    observers = _read(scn, "observers", _AGENTS, []) or (
+        [observer] if observer is not None else list(range(1, n + 1)))
+    sets = [sorted(K) for K in _read(scn, "sets", _AGENT_LISTS, [])]
+    outputs = [(j, consensus._output_matrix(A, j)) for j in observers]
     try:
         net = consensus.validate(A)
         consensus_valid, invalid_reason = True, None
     except consensus.ConsensusError as exc:
         # pencil analysis and connectivity are still meaningful
         net, consensus_valid, invalid_reason = None, False, str(exc)
-    bounds = graph.resilience_bounds(G)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "n": n,
-        "consensus_valid": consensus_valid,
-        "invalid_reason": invalid_reason,
-        "connectivity": bounds.connectivity,
-        "max_generic_faulty": bounds.max_generic_faulty,
-        "max_generic_malicious": bounds.max_generic_malicious,
-        "stationary_vector": net.pi.tolist() if net else None,
-        "pairs": [],
-    }
-    observers = scn.get("observers") or (
-        [_scalar(scn, "observer", int)] if "observer" in scn
-        else list(range(1, n + 1)))
-    outputs = [(int(j), consensus._output_matrix(A, int(j))) for j in observers]
-    for K in scn.get("sets", []):
+    bounds = graph.resilience_bounds(graph.from_matrix(A))
+    pairs = []
+    for K in sets:
+        B = consensus.input_matrix(n, K)
         for j, C in outputs:
-            B = consensus.input_matrix(n, sorted(int(a) for a in K))
-            triple = sysan.Triple.from_matrices(A, B, C, observer=j)
-            analysis = sysan.invariant_zeros(triple)
-            entry = {
-                "set": sorted(int(a) for a in K),
-                "observer": int(j),
-                "left_invertible": analysis.left_invertible,
-                "normal_rank": analysis.normal_rank,
-            }
-            if analysis.zeros is None:
-                entry["zeros"] = None
-            else:
-                entry["zeros"] = [{"re": w.z.real, "im": w.z.imag,
-                                   "modulus": abs(w.z)}
-                                  for w in analysis.zeros]
-            report["pairs"].append(entry)
-    _write_json(out / "report.json", report)
+            analysis = sysan.invariant_zeros(
+                sysan.Triple.from_matrices(A, B, C, observer=j))
+            zeros = None if analysis.zeros is None else [
+                {"re": w.z.real, "im": w.z.imag, "modulus": abs(w.z)}
+                for w in analysis.zeros]
+            pairs.append({"set": K, "observer": j, "zeros": zeros,
+                          "left_invertible": analysis.left_invertible,
+                          "normal_rank": analysis.normal_rank})
+    _write_json(out / "report.json", n=n, consensus_valid=consensus_valid,
+                invalid_reason=invalid_reason, connectivity=bounds.connectivity,
+                max_generic_faulty=bounds.max_generic_faulty,
+                max_generic_malicious=bounds.max_generic_malicious,
+                stationary_vector=net.pi.tolist() if net else None, pairs=pairs)
     print(f"connectivity {bounds.connectivity}, "
           f"faulty bound {bounds.max_generic_faulty}, "
           f"malicious bound {bounds.max_generic_malicious}")
     return EXIT_OK
 
 
-def _simulate_from_scenario(scn, base, seed):
-    A = _matrix_from_scenario(scn, base)
-    net = consensus.validate(A)
-    horizon = _scalar(scn, "horizon", int, 100)
+def _simulate_from_scenario(scn: dict, base: Path, seed: int) -> tuple:
+    net = consensus.validate(_matrix_from_scenario(scn, base))
+    horizon = _read(scn, "horizon", _INTEGER, 100)
     rng = np.random.default_rng(seed)
-    attacks = _attacks_from_scenario(scn, net.n, horizon, rng)
+    attacks = _attacks_from_scenario(scn, horizon, rng)
     x0 = _x0_from_scenario(scn, net.n, rng)
-    traj = consensus.simulate(net, x0, attacks, horizon)
-    return net, traj, attacks, horizon
+    return net, consensus.simulate(net, x0, attacks, horizon)
 
 
-def cmd_simulate(args) -> int:
-    scn, base = _load_scenario(args.scenario)
-    out = _prepare_out(args)
-    seed = args.seed if args.seed is not None else scn.get("seed", 0)
-    net, traj, attacks, horizon = _simulate_from_scenario(scn, base, seed)
+def cmd_simulate(scn: dict, base: Path, seed: int, out: Path) -> int:
+    net, traj = _simulate_from_scenario(scn, base, seed)
     header = ["t"] + [f"x{i}" for i in range(1, net.n + 1)]
     _write_trace(out / "trace.csv", header,
-                 [range(horizon + 1), *traj.states.T])
-    verdict = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "simulate",
-        "seed": seed,
-        "horizon": horizon,
-        "attacked_agents": list(traj.input_agents),
-        "final_state": traj.states[-1].tolist(),
-        "unforced_consensus_value": consensus.consensus_value(net, traj.states[0]),
-    }
-    _write_json(out / "verdict.json", verdict)
-    print(f"simulated {horizon} steps, final spread "
+                 [range(traj.horizon + 1), *traj.states.T])
+    _write_json(out / "verdict.json", mode="simulate", seed=seed,
+                horizon=traj.horizon,
+                attacked_agents=list(traj.input_agents),
+                final_state=traj.states[-1].tolist(),
+                unforced_consensus_value=consensus.consensus_value(
+                    net, traj.states[0]))
+    print(f"simulated {traj.horizon} steps, final spread "
           f"{float(np.ptp(traj.states[-1])):.3g}")
     return EXIT_OK
 
 
-def cmd_detect(args) -> int:
-    scn, base = _load_scenario(args.scenario)
-    raw = scn.get("residual_floor", 1e-6)
-    try:
-        floor = float(raw)
-    except (TypeError, ValueError):
-        floor = np.nan
-    if not 0.0 <= floor < np.inf:
-        raise ValueError(f"residual_floor must be finite and nonnegative, "
-                         f"got {raw!r}")
-    out = _prepare_out(args)
-    seed = args.seed if args.seed is not None else scn.get("seed", 0)
-    net, traj, _, horizon = _simulate_from_scenario(scn, base, seed)
-    j = _scalar(scn, "observer", int)
+def cmd_detect(scn: dict, base: Path, seed: int, out: Path) -> int:
+    j = _read(scn, "observer", _INTEGER)
+    floor = _read(scn, "residual_floor", _FLOOR, 1e-6)
+    net, traj = _simulate_from_scenario(scn, base, seed)
     filt = detect.DetectionFilter.from_network(net, j)
     ys = net.outputs(traj.states, j)
     estimates, residuals = filt.run(ys)
@@ -277,26 +314,17 @@ def cmd_detect(args) -> int:
     flagged = not numerics._negligible(tail, ys, floor)
     _write_trace(out / "trace.csv", ["t", "residual_norm"],
                  [range(len(norms)), norms])
-    _write_json(out / "verdict.json", {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "detect",
-        "observer": j,
-        "seed": seed,
-        "residual_floor": floor,
-        "misbehavior_detected": flagged,
-        "final_residual_norm": float(norms[-1]),
-    })
+    _write_json(out / "verdict.json", mode="detect", seed=seed, observer=j,
+                residual_floor=floor, misbehavior_detected=flagged,
+                final_residual_norm=float(norms[-1]))
     print("misbehavior detected" if flagged else "no active misbehavior seen")
     return EXIT_OK
 
 
-def cmd_identify(args) -> int:
-    scn, base = _load_scenario(args.scenario)
-    out = _prepare_out(args)
-    seed = args.seed if args.seed is not None else scn.get("seed", 0)
-    net, traj, _, horizon = _simulate_from_scenario(scn, base, seed)
-    j = _scalar(scn, "observer", int)
-    k = _scalar(scn, "k", int, 1)
+def cmd_identify(scn: dict, base: Path, seed: int, out: Path) -> int:
+    j = _read(scn, "observer", _INTEGER)
+    k = _read(scn, "k", _INTEGER, 1)
+    net, traj = _simulate_from_scenario(scn, base, seed)
     ys = net.outputs(traj.states, j)
     verdict = detect.complete_identification(net, j, k, ys)
     times, labels, norms = [], [], []
@@ -306,20 +334,13 @@ def cmd_identify(args) -> int:
         norms += d_norms.tolist()
     _write_trace(out / "trace.csv", ["t", "candidate_set", "residual_norm"],
                  [times, labels, norms])
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "identify",
-        "observer": j,
-        "k": k,
-        "seed": seed,
-        "status": verdict.status,
-        "identified": [int(a) for a in verdict.identified],
-        "candidates": [[int(a) for a in S] for S in verdict.candidates],
-        "horizon": verdict.horizon,
-        "unsolvable": [[[int(i)], [int(a) for a in D]]
-                       for i, D in verdict.unsolvable],
-    }
-    _write_json(out / "verdict.json", payload)
+    _write_json(out / "verdict.json", mode="identify", seed=seed, observer=j,
+                k=k, status=verdict.status,
+                identified=[int(a) for a in verdict.identified],
+                candidates=[[int(a) for a in S] for S in verdict.candidates],
+                horizon=verdict.horizon,
+                unsolvable=[[[int(i)], [int(a) for a in D]]
+                            for i, D in verdict.unsolvable])
     if verdict.status == "identified":
         print(f"identified misbehaving set: {sorted(verdict.identified)}")
         return EXIT_OK
@@ -327,84 +348,54 @@ def cmd_identify(args) -> int:
     return EXIT_AMBIGUOUS
 
 
-def cmd_local_identify(args) -> int:
-    scn, base = _load_scenario(args.scenario)
-    out = _prepare_out(args)
-    seed = args.seed if args.seed is not None else scn.get("seed", 0)
-    net, traj, _, horizon = _simulate_from_scenario(scn, base, seed)
-    j = _scalar(scn, "observer", int)
-    partition = scn["partition"]
-    h = _scalar(scn, "block", int, 1)
-    k_j = _scalar(scn, "k", int, 1)
-    cal_spec = scn.get("calibration", {})
+def cmd_local_identify(scn: dict, base: Path, seed: int, out: Path) -> int:
+    j = _read(scn, "observer", _INTEGER)
+    partition = _read(scn, "partition", _AGENT_LISTS)
+    h = _read(scn, "block", _INTEGER, 1)
+    k_j = _read(scn, "k", _INTEGER, 1)
+    cal_spec = _read(scn, "calibration", _OBJECT, {})
+    band = {name: _read(cal_spec, name, _NUMBER, default)
+            for name, default in (("u_max", 1.0), ("u_min", 0.1), ("x_max", 1.0))}
+    outside = tuple(_read(cal_spec, "outside", _AGENTS, []))
+    net, traj = _simulate_from_scenario(scn, base, seed)
     decomp = detect.block_decompose(net.A, partition)
     bank = detect.build_local_bank(decomp, h, j, k_j)
+    header = dict(mode="local-identify", seed=seed, observer=j,
+                  epsilon=decomp.epsilon)
     try:
-        cal = detect.calibrate_threshold(
-            decomp, bank,
-            u_max=_scalar(cal_spec, "u_max", float, 1.0),
-            u_min=_scalar(cal_spec, "u_min", float, 0.1),
-            x_max=_scalar(cal_spec, "x_max", float, 1.0),
-            outside=tuple(cal_spec.get("outside", ())))
+        cal = detect.calibrate_threshold(decomp, bank, **band, outside=outside)
     except detect.CalibrationError as exc:
-        _write_json(out / "verdict.json", {
-            "schema_version": SCHEMA_VERSION,
-            "mode": "local-identify",
-            "observer": j,
-            "seed": seed,
-            "status": "calibration_failure",
-            "epsilon": decomp.epsilon,
-            "epsilon_star": exc.epsilon_star,
-            "crossing_value": exc.crossing_value,
-        })
+        _write_json(out / "verdict.json", **header,
+                    status="calibration_failure",
+                    epsilon_star=exc.epsilon_star,
+                    crossing_value=exc.crossing_value)
         print(f"calibration failure: {exc}")
         return EXIT_CALIBRATION
     block_ys = detect.block_outputs(decomp, bank, traj.states)
     flagged = detect.local_identification(decomp, bank, cal, block_ys)
     _write_trace(out / "trace.csv", ["t", "block_output_norm"],
                  [range(block_ys.shape[0]), np.max(np.abs(block_ys), axis=1)])
-    _write_json(out / "verdict.json", {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "local-identify",
-        "observer": j,
-        "block": h,
-        "seed": seed,
-        "status": "identified",
-        "identified": [int(a) for a in flagged],
-        "threshold": cal.T_h,
-        "epsilon": decomp.epsilon,
-        "eval_time": cal.eval_time,
-    })
+    _write_json(out / "verdict.json", **header, block=h, status="identified",
+                identified=[int(a) for a in flagged], threshold=cal.T_h,
+                eval_time=cal.eval_time)
     print(f"flagged within block {h}: {sorted(flagged)}")
     return EXIT_OK
 
 
-def cmd_synthesize(args) -> int:
-    scn, base = _load_scenario(args.scenario)
-    out = _prepare_out(args)
-    A = _matrix_from_scenario(scn, base)
-    net = consensus.validate(A)
-    j = _scalar(scn, "observer", int)
-    targets = [int(a) for a in scn.get("targets", [])]
-    decouple = [int(a) for a in scn.get("decouple", [])]
-    C = net.output_matrix(j)
-    B_t = consensus.input_matrix(net.n, targets)
-    B_d = consensus.input_matrix(net.n, decouple)
-    report = fdi.synthesize_residual_generator(net.A, B_t, B_d, C)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "synthesize",
-        "observer": j,
-        "targets": targets,
-        "decouple": decouple,
-        "solvable": report.solvable,
-        "dim_V_star": report.V_star.dim,
-        "dim_S_star": report.S_star.dim,
-        "dim_unobservability": report.S_M.dim,
-        "generator": json.loads(report.generator.to_json())
-        if report.generator else None,
-    }
-    _write_json(out / "report.json", payload)
+def cmd_synthesize(scn: dict, base: Path, seed: int, out: Path) -> int:
+    j = _read(scn, "observer", _INTEGER)
+    targets = _read(scn, "targets", _AGENTS, [])
+    decouple = _read(scn, "decouple", _AGENTS, [])
+    net = consensus.validate(_matrix_from_scenario(scn, base))
+    report = fdi.synthesize_residual_generator(
+        net.A, consensus.input_matrix(net.n, targets),
+        consensus.input_matrix(net.n, decouple), net.output_matrix(j))
+    _write_json(out / "report.json", mode="synthesize", observer=j,
+                targets=targets, decouple=decouple, solvable=report.solvable,
+                dim_V_star=report.V_star.dim, dim_S_star=report.S_star.dim,
+                dim_unobservability=report.S_M.dim,
+                generator=json.loads(report.generator.to_json())
+                if report.generator else None)
     print("solvable" if report.solvable else "not solvable")
     return EXIT_OK if report.solvable else EXIT_INVALID
 
@@ -450,9 +441,17 @@ def main(argv=None) -> int:
         tol_env = os.environ.get("NETGUARD_TOL")
         if tol_env:
             numerics.set_rank_tolerance(float(tol_env))
-        return handlers[args.command](args)
-    except (ValueError, consensus.ConsensusError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+        if args.scenario:
+            scn, base = _load_scenario(args.scenario)
+        else:  # validate --matrix: a scenario naming the matrix file alone
+            scn, base = {"matrix": {"file": args.matrix}}, Path()
+        seed = (args.seed if args.seed is not None
+                else _read(scn, "seed", _INTEGER, 0))
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return handlers[args.command](scn, base, seed, out)
+    # ConsensusError and JSONDecodeError are ValueErrors
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     finally:

@@ -599,6 +599,16 @@ def _bounds_from_maps(maps: _BoundMaps, u_min: float, u_max: float,
     return _joint_box_min(maps, box, x_max), _box_max(maps, box, x_max)
 
 
+def _check_band(u_min: float, u_max: float, x_max: float):
+    """Reject an input band ``[u_min, u_max]`` or a state bound ``x_max``
+    that no bound LP can use: inverted, negative or not finite."""
+    if not 0.0 <= u_min <= u_max < np.inf:
+        raise ValueError(f"need finite 0 <= u_min <= u_max, got u_min {u_min} "
+                         f"and u_max {u_max}")
+    if not 0.0 <= x_max < np.inf:
+        raise ValueError(f"x_max must be finite and nonnegative, got {x_max}")
+
+
 def certified_bounds(decomp: BlockDecomposition, bank: LocalBank,
                      u_min: float, u_max: float, x_max: float = 1.0,
                      outside=(), epsilon: float | None = None):
@@ -623,12 +633,12 @@ def certified_bounds(decomp: BlockDecomposition, bank: LocalBank,
     Raises
     ------
     ValueError
-        When ``u_min > u_max``.
+        When the band is not finite with ``0 <= u_min <= u_max``, or
+        ``x_max`` is negative or not finite.
     CalibrationError
         When the bound LP fails.
     """
-    if u_min > u_max:
-        raise ValueError("need u_min <= u_max")
+    _check_band(u_min, u_max, x_max)
     eps = decomp.epsilon if epsilon is None else float(epsilon)
     maps = _coefficient_maps(decomp, bank, eps, outside)
     return _bounds_from_maps(maps, u_min, u_max, x_max)
@@ -711,12 +721,13 @@ def calibrate_threshold(decomp: BlockDecomposition, bank: LocalBank,
 
     Raises
     ------
+    ValueError
+        As :func:`certified_bounds`.
     CalibrationError
         When the bounds do not separate at the decomposition's coupling
         strength; the error reports the crossing coupling and value.
     """
-    if not 0.0 <= u_min <= u_max:
-        raise ValueError("need 0 <= u_min <= u_max")
+    _check_band(u_min, u_max, x_max)
     eps = decomp.epsilon
     maps = _coefficient_maps(decomp, bank, eps, outside)
     bound_mis, bound_well = _bounds_from_maps(maps, u_min, u_max, x_max)

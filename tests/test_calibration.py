@@ -328,6 +328,24 @@ def test_inverted_input_band_is_invalid():
         detect.certified_bounds(decomp, gen_bank(), 0.5, 0.1)
 
 
+# A band no bound LP can use: a negative or NaN x_max made the LP fail, an
+# infinite u_max gave a NaN threshold.
+@pytest.mark.parametrize("band, message", [
+    ((0.1, 1.0, -1.0), "x_max must be finite and nonnegative"),
+    ((0.1, 1.0, np.nan), "x_max must be finite and nonnegative"),
+    ((0.1, np.inf, 1.0), "u_min <= u_max")],
+    ids=["x_max-negative", "x_max-nan", "u_max-inf"])
+def test_non_finite_or_negative_band_is_invalid(band, message):
+    decomp = weak7(0.01)
+    bank = detect.build_local_bank(decomp, 1, 1, 1)
+    u_min, u_max, x_max = band
+    with pytest.raises(ValueError, match=message):
+        detect.certified_bounds(decomp, bank, u_min, u_max, x_max)
+    with pytest.raises(ValueError, match=message):
+        detect.calibrate_threshold(decomp, bank, u_max=u_max, u_min=u_min,
+                                   x_max=x_max)
+
+
 # Reference values of WEAK7 block 1 seen from agent 1, k = 1, inputs in
 # [0.1, 1], |x0| <= 1, measured before the bound LPs were stacked.
 def test_weak7_calibration_below_crossing():

@@ -314,34 +314,110 @@ def test_bad_residual_floor_exits_invalid(tmp_path, capsys, floor):
     assert not (out / "verdict.json").exists()
 
 
-SCALAR_SCENARIOS = dict(
-    TRACE_SCENARIOS,
-    analyze={"matrix": {"rows": BENCH8_A.tolist()}, "observer": 1,
-             "sets": [[3]]},
-    synthesize={"matrix": {"rows": BENCH8_A.tolist()}, "observer": 1,
-                "targets": [3], "decouple": [5]})
+SCALAR_SCENARIOS = {
+    **TRACE_SCENARIOS,
+    "simulate": dict(TRACE_SCENARIOS["simulate"], seed=1,
+                     x0={"random": {"low": -1, "high": 1}},
+                     attacks=_ATTACKS + [{"agent": 6, "kind": "random",
+                                          "low": 0.1, "signed": True}]),
+    "local-identify": dict(TRACE_SCENARIOS["local-identify"],
+                           calibration={"u_max": 1.0, "u_min": 0.1,
+                                        "x_max": 1.0, "outside": []}),
+    "analyze": {"matrix": {"rows": BENCH8_A.tolist()}, "observer": 1,
+                "observers": [1, 2], "sets": [[3]]},
+    "synthesize": {"matrix": {"rows": BENCH8_A.tolist()}, "observer": 1,
+                   "targets": [3], "decouple": [5]},
+}
+
+_KIND = ("one of constant, exponential, state_feedback, sequence, "
+         "initial_offset, random")
+# (command, field, the kind its message names, a value of the wrong type);
+# a non-integral number or a boolean is the wrong type for an integer, and
+# the empty field is the scenario document itself.
+FIELD_CASES = [
+    ("simulate", "", "a JSON object", [1, 2]),
+    ("analyze", "observer", "an integer", "1"),
+    ("simulate", "horizon", "an integer", [30]),
+    ("detect", "observer", "an integer", 2.7),
+    ("detect", "horizon", "an integer", "30"),
+    ("identify", "observer", "an integer", False),
+    ("identify", "k", "an integer", 1.5),
+    ("identify", "horizon", "an integer", 24.5),
+    ("local-identify", "observer", "an integer", True),
+    ("local-identify", "k", "an integer", "1"),
+    ("local-identify", "block", "an integer", [1]),
+    ("local-identify", "horizon", "an integer", {}),
+    ("local-identify", "calibration.u_min", "a number", "0.1"),
+    ("local-identify", "calibration.u_max", "a number", "inf"),
+    ("local-identify", "calibration.x_max", "a number", "nan"),
+    ("synthesize", "observer", "an integer", 1.0001),
+    ("simulate", "seed", "an integer", 1.5),
+    ("analyze", "seed", "an integer", "0"),
+    ("synthesize", "seed", "an integer", True),
+    ("analyze", "matrix", "an object", [[1.0]]),
+    ("analyze", "matrix.rows", "a list of equal-length rows of numbers",
+     [[1.0, 0.0], [1.0]]),
+    ("synthesize", "matrix.file", "a string", 3),
+    ("simulate", "x0", 'a list of numbers or {"random": {...}}', "zeros"),
+    ("simulate", "x0.random", "an object", [-1, 1]),
+    ("simulate", "x0.random.low", "a number", "-1"),
+    ("simulate", "x0.random.high", "a number", [1]),
+    ("detect", "attacks", "a list of objects", {"agent": 3}),
+    ("identify", "attacks.0.agent", "an integer", "3"),
+    ("identify", "attacks.0.kind", _KIND, "steady"),
+    ("identify", "attacks.0.value", "a number", "1"),
+    ("simulate", "attacks.1.rate", "a number", "0.9"),
+    ("simulate", "attacks.2.low", "a number", [0.1]),
+    ("simulate", "attacks.2.signed", "true or false", 1),
+    ("analyze", "sets", "a list of agent lists", [3]),
+    ("analyze", "observers", "a list of agents", 1),
+    ("local-identify", "partition", "a list of agent lists", [1, 2]),
+    ("local-identify", "calibration", "an object", 1.0),
+    ("local-identify", "calibration.outside", "a list of agents", [[4]]),
+    ("synthesize", "targets", "a list of agents", 3),
+    ("synthesize", "decouple", "a list of agents", [5.5]),
+]
 
 
-# A null scalar field is invalid input that names the field, not a
-# TypeError traceback from int(None) or float(None).
-@pytest.mark.parametrize("command, field", [
-    ("analyze", "observer"), ("simulate", "horizon"), ("detect", "observer"),
-    ("detect", "horizon"), ("identify", "observer"), ("identify", "k"),
-    ("identify", "horizon"), ("local-identify", "observer"),
-    ("local-identify", "k"), ("local-identify", "block"),
-    ("local-identify", "horizon"), ("local-identify", "calibration.u_min"),
-    ("local-identify", "calibration.u_max"),
-    ("local-identify", "calibration.x_max"), ("synthesize", "observer")])
-def test_null_field_exits_invalid(tmp_path, capsys, command, field):
-    scenario = copy.deepcopy(SCALAR_SCENARIOS[command])
-    *path, name = field.split(".")
-    spec = scenario
-    for part in path:
-        spec = spec.setdefault(part, {})
-    spec[name] = None
-    code, out = run(tmp_path, command, scenario)
+# A null or wrong-typed field is invalid input that names the field, not a
+# traceback (from int(None), None.get or iterating None) or a run on a
+# truncated or defaulted value.
+@pytest.mark.parametrize("command, field, kind, wrong", FIELD_CASES,
+                         ids=[f"{c}-{f or 'document'}"
+                              for c, f, _, _ in FIELD_CASES])
+def test_null_field_exits_invalid(tmp_path, capsys, command, field, kind,
+                                  wrong):
+    *path, name = field.split(".") if field else ["scenario"]
+    for value in (None, wrong):
+        scenario = copy.deepcopy(SCALAR_SCENARIOS[command])
+        if field == "matrix.file":
+            del scenario["matrix"]["rows"]
+        spec = scenario
+        for part in path:
+            spec = spec[int(part)] if part.isdigit() else spec[part]
+        if field:
+            spec[name] = value
+        else:
+            scenario = value
+        code, out = run(tmp_path, command, scenario)
+        assert code == cli.EXIT_INVALID
+        assert f"{name} must be {kind}, got {value!r}" in capsys.readouterr().err
+        assert not (out / "verdict.json").exists()
+        assert not (out / "report.json").exists()
+
+
+# The calibration band is checked where the bound LPs use it: an infinite
+# u_max used to write "threshold": NaN and flag nothing, and a negative or
+# NaN x_max ended in a solver failure (exit 4).
+@pytest.mark.parametrize("calibration, message", [
+    ({"x_max": -1}, "x_max must be finite and nonnegative, got -1.0"),
+    ({"x_max": float("nan")}, "x_max must be finite and nonnegative, got nan"),
+    ({"u_max": float("inf")}, "need finite 0 <= u_min <= u_max")],
+    ids=["x_max-negative", "x_max-nan", "u_max-inf"])
+def test_calibration_band_is_checked(tmp_path, capsys, calibration, message):
+    code, out = run(tmp_path, "local-identify",
+                    dict(TRACE_SCENARIOS["local-identify"],
+                         calibration=calibration))
     assert code == cli.EXIT_INVALID
-    kind = "a number" if path else "an integer"
-    assert f"{name} must be {kind}, got None" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (out / "verdict.json").exists()
-    assert not (out / "report.json").exists()
