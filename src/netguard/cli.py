@@ -61,6 +61,13 @@ def _floor(raw) -> float:
     return value
 
 
+def _open_unit(raw) -> float:
+    value = float(raw)
+    if not 0.0 < value < 1.0:
+        raise ValueError
+    return value
+
+
 def _typed(kind: type):
     """Parser of a value of type ``kind``, returned as it is."""
     def parse(raw):
@@ -87,6 +94,7 @@ def _numbers(raw) -> list:
 _INTEGER = ("an integer", _integer)
 _NUMBER = ("a number", _number)
 _FLOOR = ("finite and nonnegative", _floor)
+_TOLERANCE = ("a number in (0, 1)", _open_unit)
 _BOOLEAN = ("true or false", _typed(bool))
 _STRING = ("a string", _typed(str))
 _OBJECT = ("an object", _typed(dict))
@@ -159,6 +167,15 @@ _ATTACK_KIND = ("one of " + ", ".join(_ATTACKS),
                 lambda raw: (raw, *_ATTACKS[raw]))
 
 
+def _uniform(rng: np.random.Generator, low: float, high: float, size: int,
+             owner: str) -> np.ndarray:
+    """``size`` uniform draws on [low, high], bounds finite with low <= high."""
+    if not -np.inf < low <= high < np.inf:
+        raise ValueError(f"{owner}: need finite low <= high, got low {low} "
+                         f"and high {high}")
+    return rng.uniform(low, high, size=size)
+
+
 def _attacks_from_scenario(scn: dict, horizon: int,
                            rng: np.random.Generator) -> list:
     attacks = []
@@ -168,7 +185,8 @@ def _attacks_from_scenario(scn: dict, horizon: int,
         args = [_read(spec, *field) for field in fields]
         if kind == "random":
             lo, hi, signed = args
-            values = rng.uniform(lo, hi, size=horizon)
+            values = _uniform(rng, lo, hi, horizon,
+                              f"random attack of agent {agent}")
             if signed:
                 values *= rng.choice([-1.0, 1.0], size=horizon)
             args = [values]
@@ -183,8 +201,8 @@ def _x0_from_scenario(scn: dict, n: int, rng: np.random.Generator) -> np.ndarray
     if isinstance(spec, list):
         return np.asarray(spec, dtype=float)
     box = _read(spec, "random", _OBJECT)
-    return rng.uniform(_read(box, "low", _NUMBER, -1.0),
-                       _read(box, "high", _NUMBER, 1.0), size=n)
+    return _uniform(rng, _read(box, "low", _NUMBER, -1.0),
+                    _read(box, "high", _NUMBER, 1.0), n, "x0.random")
 
 
 def _write_json(path: Path, **fields):
@@ -214,24 +232,8 @@ def _write_trace(path: Path, header: list, columns: list):
 # the seed and the output directory (created), and returns the exit code.
 
 def cmd_validate(scn: dict, base: Path, seed: int, out: Path) -> int:
-    A = _matrix_from_scenario(scn, base)
-    n, m = A.shape
-    checks = [("square", n == m, f"{n}x{m}")]
-    if n == m:
-        neg = float(A.min())
-        checks.append(("nonnegative entries", neg >= 0.0, f"min entry {neg:.3g}"))
-        err = float(np.max(np.abs(A.sum(axis=1) - 1.0)))
-        checks.append(("row sums equal one", err <= 1e-10, f"max error {err:.3g}"))
-        G = graph.from_matrix(A)
-        sc = graph.is_strongly_connected(G)
-        checks.append(("irreducible", sc, "strongly connected graph"
-                       if sc else "graph not strongly connected"))
-        if sc:
-            try:
-                consensus.validate(A)
-                checks.append(("primitive", True, "boolean power positive"))
-            except consensus.ConsensusError as exc:
-                checks.append(("primitive", False, str(exc)))
+    A = numerics.as_matrix(_matrix_from_scenario(scn, base), "consensus matrix")
+    checks = consensus._checks(A)
     for name, passed, detail in checks:
         print(f"{'ok  ' if passed else 'FAIL'} {name}: {detail}")
     ok = all(passed for _, passed, _ in checks)
@@ -253,7 +255,7 @@ def cmd_analyze(scn: dict, base: Path, seed: int, out: Path) -> int:
     except consensus.ConsensusError as exc:
         # pencil analysis and connectivity are still meaningful
         net, consensus_valid, invalid_reason = None, False, str(exc)
-    bounds = graph.resilience_bounds(graph.from_matrix(A))
+    bounds = graph.resilience_bounds(net.graph if net else graph.from_matrix(A))
     pairs = []
     for K in sets:
         B = consensus.input_matrix(n, K)
@@ -438,15 +440,17 @@ def main(argv=None) -> int:
     # NETGUARD_TOL holds for this command only
     rank_rel = numerics.get_policy().rank_rel
     try:
-        tol_env = os.environ.get("NETGUARD_TOL")
-        if tol_env:
-            numerics.set_rank_tolerance(float(tol_env))
+        if os.environ.get("NETGUARD_TOL"):
+            numerics.set_rank_tolerance(
+                _read(os.environ, "NETGUARD_TOL", _TOLERANCE))
         if args.scenario:
             scn, base = _load_scenario(args.scenario)
         else:  # validate --matrix: a scenario naming the matrix file alone
             scn, base = {"matrix": {"file": args.matrix}}, Path()
         seed = (args.seed if args.seed is not None
                 else _read(scn, "seed", _INTEGER, 0))
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](scn, base, seed, out)

@@ -9,12 +9,15 @@ columns of ``B_K`` canonical basis vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from . import graph as graphmod
-from .numerics import _negligible, as_matrix, as_vector, left_fixed_vector
+from .numerics import (_ROW_SUM_TOL, _negligible, _stationary_vector,
+                       _support, as_matrix, as_vector)
 
 
 class ConsensusError(ValueError):
@@ -64,7 +67,7 @@ def _output_matrix(A: np.ndarray, j: int) -> np.ndarray:
     n = A.shape[0]
     if not 1 <= j <= n:
         raise ValueError(f"agent {j} outside 1..{n}")
-    return np.eye(n)[np.abs(A[j - 1]) > 1e-12]
+    return np.eye(n)[_support(A[j - 1])]
 
 
 def input_matrix(n: int, agents) -> np.ndarray:
@@ -78,54 +81,57 @@ def input_matrix(n: int, agents) -> np.ndarray:
     return B
 
 
-def _wielandt_primitive(A: np.ndarray, tol: float = 1e-12) -> bool:
-    """Primitivity via boolean powers up to the Wielandt exponent."""
-    n = A.shape[0]
-    exponent = n * n - 2 * n + 2
-    M = (np.abs(A) > tol).astype(np.uint8)
-    result = np.eye(n, dtype=np.uint8)
-    base = M
-    e = exponent
-    while e:
-        if e & 1:
-            result = ((result.astype(np.int64) @ base) > 0).astype(np.uint8)
-        base = ((base.astype(np.int64) @ base) > 0).astype(np.uint8)
-        e >>= 1
-    return bool(np.all(result))
+def _period(arcs: csr_matrix) -> int:
+    """Period of a strongly connected digraph given as a CSR adjacency,
+    self-loops included: the gcd over its arcs a -> b of d(a) + 1 - d(b),
+    d the hop distance from vertex 1.  Reversed arcs give the same period."""
+    d = shortest_path(arcs, unweighted=True, indices=0).astype(int)
+    tails = np.repeat(np.arange(arcs.shape[0]), np.diff(arcs.indptr))
+    return int(np.gcd.reduce(np.abs(d[tails] + 1 - d[arcs.indices])))
 
 
-def validate(A, row_tol: float = 1e-10) -> ConsensusMatrix:
-    """Check the consensus-matrix properties and wrap the matrix.
-
-    Raises
-    ------
-    ConsensusError
-        Naming the violated property: shape, negativity, row sums,
-        reducibility, or imprimitivity.
-    """
-    A = as_matrix(A, "consensus matrix")
+def _checks(A: np.ndarray) -> list:
+    """``(name, passed, detail)`` rows of the consensus-matrix checks of a
+    finite 2-d ``A``: square (alone if not), nonnegative entries, row sums
+    one, irreducible and, if irreducible, primitive (the support digraph
+    has period 1).  A failed row's detail is what :func:`validate` raises."""
     n, m = A.shape
-    if n != m:
-        raise ConsensusError(f"matrix is not square: {n}x{m}")
-    if n == 0:
-        raise ConsensusError("matrix is empty")
+    if n != m or n == 0:
+        return [("square", False, "matrix is empty" if n == m
+                 else f"matrix is not square: {n}x{m}")]
     neg = np.argwhere(A < 0)
-    if neg.size:
-        i, j = neg[0]
-        raise ConsensusError(f"negative entry at row {i + 1}, column {j + 1}")
-    row_err = np.abs(A.sum(axis=1) - 1.0)
-    if np.max(row_err) > row_tol:
-        bad = int(np.argmax(row_err)) + 1
-        raise ConsensusError(
-            f"row {bad} sums to {A[bad - 1].sum():.12f}, not 1")
-    G = graphmod.from_matrix(A)
-    if not graphmod.is_strongly_connected(G):
-        raise ConsensusError("matrix is reducible: graph not strongly connected")
-    if not _wielandt_primitive(A):
-        raise ConsensusError("matrix is imprimitive: some boolean power "
-                             "never becomes entrywise positive")
-    pi = left_fixed_vector(A)
-    return ConsensusMatrix(A=A.copy(), pi=pi, graph=G)
+    err = np.abs(A.sum(axis=1) - 1.0)
+    bad = int(np.argmax(err))
+    sums_one = bool(err[bad] <= _ROW_SUM_TOL)
+    arcs = csr_matrix(_support(A), dtype=float)
+    strong = connected_components(arcs, connection="strong",
+                                  return_labels=False) == 1
+    rows = [("square", True, f"{n}x{n}"),
+            ("nonnegative entries", not neg.size,
+             "negative entry at row {}, column {}".format(*neg[0] + 1)
+             if neg.size else f"min entry {A.min():.3g}"),
+            ("row sums equal one", sums_one, f"max error {err[bad]:.3g}"
+             if sums_one else f"row {bad + 1} sums to {A[bad].sum():.12f}, not 1"),
+            ("irreducible", strong, "strongly connected graph" if strong
+             else "matrix is reducible: graph not strongly connected")]
+    if strong:
+        period = _period(arcs)
+        rows.append(("primitive", period == 1, ("matrix is imprimitive: "
+                     if period != 1 else "") + f"graph has period {period}"))
+    return rows
+
+
+def validate(A) -> ConsensusMatrix:
+    """Wrap ``A`` after the checks of :func:`_checks`: square, nonnegative,
+    row sums within 1e-10 of one, irreducible and primitive, the last two
+    on the support of ``A`` (``numerics._support``, |a| > 1e-12).  Raises
+    ``ConsensusError`` with the detail of the first check that fails."""
+    A = as_matrix(A, "consensus matrix")
+    for _, passed, detail in _checks(A):
+        if not passed:
+            raise ConsensusError(detail)
+    return ConsensusMatrix(A=A.copy(), pi=_stationary_vector(A),
+                           graph=graphmod.from_matrix(A))
 
 
 def _finite(x, name: str) -> float:

@@ -571,8 +571,13 @@ def _coefficient_maps(decomp: BlockDecomposition, bank: LocalBank,
     (the decoupled candidates plus ``outside``, if any), agent by agent
     and sample by sample.  The maps do not depend on the input band, so
     the returned :class:`_BoundMaps`, with the bound LP assembled, serves
-    every bound evaluation at this coupling.
+    every bound evaluation at this coupling.  An agent of ``outside``
+    not in 1..n raises ``ValueError``.
     """
+    n = decomp.A.shape[0]
+    for a in outside:
+        if not 1 <= a <= n:
+            raise ValueError(f"agent {a} outside 1..{n}")
     P = _network_powers(decomp.matrix_at(epsilon), bank.observed,
                         bank.eval_time)
     active_blocks, silent_blocks = [], []

@@ -14,14 +14,13 @@ Vertices are numbered 1..n to match agent identifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   maximum_bipartite_matching, maximum_flow)
 
-from .numerics import as_matrix
+from .numerics import _support, as_matrix
 
 
 @dataclass(frozen=True)
@@ -42,22 +41,11 @@ class DiGraph:
     def has_edge(self, a: int, b: int) -> bool:
         return (a, b) in self.edges
 
-    def out_neighbors(self, v: int) -> tuple:
-        return tuple(sorted(b for (a, b) in self.edges if a == v))
 
-    def in_neighbors(self, v: int) -> tuple:
-        return tuple(sorted(a for (a, b) in self.edges if b == v))
-
-
-def from_matrix(A, tol: float = 1e-12) -> DiGraph:
-    """Digraph of a matrix: edge (j, i) present iff ``|A[i, j]| > tol``.
-
-    Self-loops are not recorded.
-    """
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    return StructurePattern.from_matrix(A, tol).digraph()
+def from_matrix(A) -> DiGraph:
+    """Digraph of a matrix: edge (j, i) iff entry (i, j) is in the support
+    of ``A`` (``numerics._support``); self-loops are not recorded."""
+    return StructurePattern.from_matrix(A).digraph()
 
 
 def read_edge_list(text: str) -> DiGraph:
@@ -231,18 +219,6 @@ def _even_scan(G: DiGraph, limit: int) -> int:
     return best
 
 
-def vertex_connectivity_bruteforce(G: DiGraph) -> int:
-    """Exhaustive-removal connectivity, usable as an oracle for small n."""
-    n = G.n
-    if n <= 1 or not is_strongly_connected(G):
-        return 0
-    for size in range(1, n - 1):
-        for subset in combinations(G.vertices(), size):
-            if not is_strongly_connected(G, set(subset)):
-                return size
-    return n - 1
-
-
 @dataclass(frozen=True)
 class VertexCut:
     """A vertex cut with the two parts it separates.
@@ -333,9 +309,10 @@ class StructurePattern:
                 raise ValueError(f"free position ({r},{c}) out of range")
 
     @classmethod
-    def from_matrix(cls, A, tol: float = 1e-12) -> "StructurePattern":
+    def from_matrix(cls, A) -> "StructurePattern":
+        """Free positions where ``A`` has support (``numerics._support``)."""
         A = as_matrix(A)
-        rows, cols = np.nonzero(np.abs(A) > tol)
+        rows, cols = np.nonzero(_support(A))
         return cls(A.shape[0], A.shape[1],
                    frozenset(zip(rows.tolist(), cols.tolist())))
 
@@ -344,14 +321,6 @@ class StructurePattern:
             raise ValueError("pattern must be square to define a digraph")
         edges = {(c + 1, r + 1) for (r, c) in self.free if r != c}
         return DiGraph(self.rows, frozenset(edges))
-
-    def realization(self, rng: np.random.Generator,
-                    low: float = 0.1, high: float = 1.0) -> np.ndarray:
-        """Random numeric realization with free entries uniform on [low, high]."""
-        A = np.zeros((self.rows, self.cols))
-        for (r, c) in sorted(self.free):
-            A[r, c] = rng.uniform(low, high)
-        return A
 
 
 def structural_generic_rank(P: StructurePattern) -> int:

@@ -14,7 +14,8 @@ projection off the other subspace.  ``image``, ``kernel`` and ``rank``
 accept complex matrices as well as real ones.
 
 Whether a signal (a residual, a leak, a fit's error) is zero is decided
-by :func:`_negligible` alone, against a scale and with no absolute floor.
+by :func:`_negligible` alone, against a scale and with no absolute floor,
+and whether a matrix entry is an arc by :func:`_support` alone.
 
 A public ``Subspace(n, basis)`` checks that its basis is orthonormal.
 The bases this module builds itself are trusted and skip that check:
@@ -98,6 +99,15 @@ def _negligible(r, scale, rel: float) -> bool:
     an all-zero ``r`` is zero against any scale, a zero one included."""
     return bool(np.max(np.abs(r), initial=0.0)
                 <= rel * np.max(np.abs(scale), initial=0.0))
+
+
+# A row-stochastic matrix has no negative entry and row sums this close to 1.
+_ROW_SUM_TOL = 1e-10
+
+
+def _support(A) -> np.ndarray:
+    """Entries of ``A`` that are arcs: ``|a| > 1e-12``; (i, j) is j -> i."""
+    return np.abs(A) > 1e-12
 
 
 def _operand(M) -> np.ndarray:
@@ -276,14 +286,14 @@ def subspace_sum(S1: Subspace, S2: Subspace) -> Subspace:
     return image(np.hstack([S1.basis, S2.basis]))
 
 
-def left_fixed_vector(A, tol: float = 1e-8) -> np.ndarray:
+def left_fixed_vector(A) -> np.ndarray:
     """Stationary left vector of a row-stochastic irreducible matrix.
 
     Returns the unique nonnegative row vector ``pi`` with
     ``pi @ A == pi`` and ``sum(pi) == 1``: the right singular vector of
     ``A.T - I`` for its smallest singular value.  Uniqueness is read from
-    the pattern of ``A`` (exactly one closed strongly connected class),
-    so it does not depend on the rank tolerance.
+    the :func:`_support` of ``A`` (exactly one closed strongly connected
+    class), so it does not depend on the rank tolerance.
 
     Raises
     ------
@@ -295,19 +305,24 @@ def left_fixed_vector(A, tol: float = 1e-8) -> np.ndarray:
     n, m = A.shape
     if n != m:
         raise ValueError("matrix must be square")
-    if np.min(A) < -1e-12:
+    if np.any(A < 0):
         raise ValueError("matrix is not row-stochastic: negative entry")
     row_err = np.max(np.abs(A.sum(axis=1) - 1.0)) if n else 0.0
-    if row_err > tol:
+    if row_err > _ROW_SUM_TOL:
         raise ValueError(f"matrix is not row-stochastic: row sum error {row_err:.2e}")
-    # one stationary vector per closed class: a class no positive entry leaves
-    pattern = A > 0
+    # one stationary vector per closed class: a class no arc leaves
+    pattern = _support(A)
     count, labels = connected_components(pattern, connection="strong")
     rows, cols = np.nonzero(pattern)
     leaving = labels[rows][labels[rows] != labels[cols]]
     if count - len(np.unique(leaving)) != 1:
         raise ValueError("stationary vector is not unique; matrix is reducible")
-    pi = np.linalg.svd(A.T - np.eye(n))[2][-1]
+    return _stationary_vector(A)
+
+
+def _stationary_vector(A: np.ndarray) -> np.ndarray:
+    """:func:`left_fixed_vector` with its checks on ``A`` skipped."""
+    pi = np.linalg.svd(A.T - np.eye(A.shape[0]))[2][-1]
     pi = pi / pi.sum()
     if np.min(pi) < -1e-10:
         raise ValueError("stationary vector has negative entries")

@@ -304,14 +304,14 @@ def first_markov_index(T: Triple):
     ``nu`` is the length of the shortest walk from an input agent to a
     measured agent in the digraph of ``A``.  For a nonnegative ``A`` no
     walk weights cancel, so this is exact, and at most n - 1 whenever a
-    walk exists.  Raises ``ValueError`` when there are no inputs or no
-    walk.
+    walk exists.  The digraph is that of ``graph.from_matrix``.  Raises
+    ``ValueError`` when there are no inputs or no walk.
     """
     if T.m == 0:
         raise ValueError("triple has no inputs")
-    # arc a -> b wherever A[b, a] is nonzero: x_b reads x_a
-    dist = csgraph.shortest_path(csr_matrix(T.A.T != 0), unweighted=True,
-                                 indices=np.argmax(T.B, axis=0))
+    # arc a -> b wherever A[b, a] is in the support: x_b reads x_a
+    dist = csgraph.shortest_path(csr_matrix(numerics._support(T.A).T),
+                                 unweighted=True, indices=np.argmax(T.B, axis=0))
     hops = dist[:, np.argmax(T.C, axis=1)].min(initial=np.inf)
     if not np.isfinite(hops):
         raise ValueError("no walk from the inputs to the measured agents")

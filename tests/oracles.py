@@ -29,7 +29,11 @@ bisects the bound gap on ``[0, eps_hi]``, where ``detect`` runs Brent's
 method on memoised evaluations, and
 :func:`smallest_separating_ratio_eager` bisects the input floor as soon
 as it is called, where ``detect`` does so when ``alpha_min`` is first
-read.
+read.  :func:`wielandt_primitive` decides primitivity by boolean matrix
+powers up to the Wielandt exponent, where ``netguard.consensus`` reads
+it from the period of the support digraph, and
+:func:`vertex_connectivity_bruteforce` removes every vertex set in turn,
+where ``netguard.graph`` runs Even's max-flow scan.
 """
 
 from fractions import Fraction
@@ -41,6 +45,7 @@ import scipy.sparse
 import sympy
 
 from netguard import detect, fdi
+from netguard.graph import DiGraph, is_strongly_connected
 from netguard.consensus import Trajectory, _output_matrix
 from netguard.numerics import _numeric_rank, as_vector, get_policy, kernel, rank
 
@@ -628,3 +633,32 @@ def smallest_separating_ratio_eager(decomp, bank, u_max, x_max=1.0,
         else:
             hi_u = mid
     return hi_u / (eps * u_max)
+
+
+def wielandt_primitive(S) -> bool:
+    """Whether a square 0/1 pattern is primitive: its boolean power at the
+    Wielandt exponent n^2 - 2n + 2 is entrywise positive."""
+    S = np.asarray(S, dtype=bool)
+    n = S.shape[0]
+    exponent = n * n - 2 * n + 2
+    result = np.eye(n, dtype=bool)
+    base = S
+    while exponent:
+        if exponent & 1:
+            result = (result.astype(np.int64) @ base) > 0
+        base = (base.astype(np.int64) @ base) > 0
+        exponent >>= 1
+    return bool(np.all(result))
+
+
+def vertex_connectivity_bruteforce(G: DiGraph) -> int:
+    """Vertex connectivity: the size of the smallest vertex set whose
+    removal leaves a digraph that is not strongly connected."""
+    n = G.n
+    if n <= 1 or not is_strongly_connected(G):
+        return 0
+    for size in range(1, n - 1):
+        for subset in combinations(G.vertices(), size):
+            if not is_strongly_connected(G, set(subset)):
+                return size
+    return n - 1

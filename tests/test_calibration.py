@@ -346,6 +346,18 @@ def test_non_finite_or_negative_band_is_invalid(band, message):
                                    x_max=x_max)
 
 
+# An agent of ``outside`` beyond 1..n used to index past the maps (99) or
+# wrap round to agent n through index -1 (0).
+@pytest.mark.parametrize("agent", [99, 0])
+def test_outside_agent_out_of_range_is_invalid(agent):
+    decomp = weak7(0.01)
+    bank = detect.build_local_bank(decomp, 1, 1, 1)
+    with pytest.raises(ValueError, match=f"agent {agent} outside 1..7"):
+        detect.certified_bounds(decomp, bank, 0.1, 1.0, outside=(agent,))
+    with pytest.raises(ValueError, match=f"agent {agent} outside 1..7"):
+        detect.calibrate_threshold(decomp, bank, 1.0, 0.1, outside=(agent,))
+
+
 # Reference values of WEAK7 block 1 seen from agent 1, k = 1, inputs in
 # [0.1, 1], |x0| <= 1, measured before the bound LPs were stacked.
 def test_weak7_calibration_below_crossing():

@@ -99,7 +99,8 @@ def test_identify_survives_failed_synthesis(tmp_path):
     assert read_verdict(out)["identified"] == [3]
 
 
-@pytest.mark.parametrize("value", ["-1", "abc"])
+# A tolerance of 1 or more cut every rank to zero (normal rank 0 on BENCH8).
+@pytest.mark.parametrize("value", ["-1", "abc", "nan", "inf", "1", "2"])
 def test_malformed_tolerance_exits_invalid(tmp_path, monkeypatch, capsys,
                                            value):
     policy = numerics.get_policy()
@@ -108,7 +109,8 @@ def test_malformed_tolerance_exits_invalid(tmp_path, monkeypatch, capsys,
     code, out = run(tmp_path, "analyze", {
         "matrix": {"rows": BENCH8_A.tolist()}, "observer": 1, "sets": [[3]]})
     assert code == cli.EXIT_INVALID
-    assert "error:" in capsys.readouterr().err
+    assert (f"error: NETGUARD_TOL must be a number in (0, 1), got '{value}'"
+            in capsys.readouterr().err)
     assert not (out / "report.json").exists()
 
 
@@ -409,11 +411,16 @@ def test_null_field_exits_invalid(tmp_path, capsys, command, field, kind,
 # The calibration band is checked where the bound LPs use it: an infinite
 # u_max used to write "threshold": NaN and flag nothing, and a negative or
 # NaN x_max ended in a solver failure (exit 4).
+# An agent of ``outside`` beyond 1..n ended in an IndexError (99) or was
+# calibrated against agent n through index -1 (0).
 @pytest.mark.parametrize("calibration, message", [
     ({"x_max": -1}, "x_max must be finite and nonnegative, got -1.0"),
     ({"x_max": float("nan")}, "x_max must be finite and nonnegative, got nan"),
-    ({"u_max": float("inf")}, "need finite 0 <= u_min <= u_max")],
-    ids=["x_max-negative", "x_max-nan", "u_max-inf"])
+    ({"u_max": float("inf")}, "need finite 0 <= u_min <= u_max"),
+    ({"outside": [99]}, "agent 99 outside 1..7"),
+    ({"outside": [0]}, "agent 0 outside 1..7")],
+    ids=["x_max-negative", "x_max-nan", "u_max-inf", "outside-99",
+         "outside-0"])
 def test_calibration_band_is_checked(tmp_path, capsys, calibration, message):
     code, out = run(tmp_path, "local-identify",
                     dict(TRACE_SCENARIOS["local-identify"],
@@ -421,3 +428,67 @@ def test_calibration_band_is_checked(tmp_path, capsys, calibration, message):
     assert code == cli.EXIT_INVALID
     assert message in capsys.readouterr().err
     assert not (out / "verdict.json").exists()
+
+
+_RANDOM = {"agent": 6, "kind": "random", "low": 1, "high": 0}
+
+
+# A value in range for its type but not for its use names the field or the
+# attack: numpy's "expected non-negative integer" and "high - low < 0" did
+# not, and an infinite bound ended in an OverflowError traceback.
+@pytest.mark.parametrize("command, changes, argv, message", [
+    ("simulate", {"seed": -1}, [], "seed must be nonnegative, got -1"),
+    ("identify", {}, ["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ("simulate", {"attacks": [_RANDOM]}, [],
+     "random attack of agent 6: need finite low <= high, got low 1.0 and "
+     "high 0.0"),
+    ("detect", {"attacks": [dict(_RANDOM, low=0, high=float("inf"))]}, [],
+     "random attack of agent 6: need finite low <= high, got low 0.0 and "
+     "high inf"),
+    ("simulate", {"x0": {"random": {"low": 1, "high": -1}}}, [],
+     "x0.random: need finite low <= high, got low 1.0 and high -1.0")],
+    ids=["seed-field", "seed-option", "random-inverted", "random-infinite",
+         "x0-inverted"])
+def test_out_of_range_field_exits_invalid(tmp_path, capsys, command, changes,
+                                          argv, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(TRACE_SCENARIOS[command], **changes)))
+    out = tmp_path / "out"
+    code = cli.main([command, "--scenario", str(path), "--out", str(out),
+                     *argv])
+    assert code == cli.EXIT_INVALID
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()
+
+
+_NEAR_ZERO = [[0.5, 0.5, 0.0], [0.5, 0.5 - 1e-13, 1e-13], [0.3, 0.3, 0.4]]
+
+
+# Each property that fails is reported once, under its own name: a row sum
+# of 1.1 and a negative entry used to be reported as "primitive" too.
+@pytest.mark.parametrize("rows, name", [
+    ([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], "square"),
+    ([[1.2, -0.2], [0.5, 0.5]], "nonnegative entries"),
+    ([[0.6, 0.5], [0.5, 0.5]], "row sums equal one"),
+    (np.eye(3).tolist(), "irreducible"),
+    ([[0.0, 1.0], [1.0, 0.0]], "primitive"),
+    (_NEAR_ZERO, "irreducible")],
+    ids=["non-square", "negative", "row-sum", "reducible", "periodic",
+         "near-zero-arc"])
+def test_validate_names_the_failing_property(tmp_path, capsys, rows, name):
+    code, _ = run(tmp_path, "validate", {"matrix": {"rows": rows}})
+    assert code == cli.EXIT_INVALID
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL {name}: ")
+    assert lines[-1] == "not a consensus matrix"
+
+
+def test_validate_lists_every_check_of_a_consensus_matrix(tmp_path, capsys):
+    code, _ = run(tmp_path, "validate", {"matrix": {"rows": BENCH8_A.tolist()}})
+    assert code == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "ok   square", "ok   nonnegative entries", "ok   row sums equal one",
+        "ok   irreducible", "ok   primitive"]
+    assert lines[-1] == "valid consensus matrix"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from netguard import consensus
 from netguard.consensus import (Attack, ConsensusError, attack_effect_constant,
@@ -10,7 +11,7 @@ from netguard.consensus import (Attack, ConsensusError, attack_effect_constant,
                                 unobservable_offset_is_neutral, validate)
 
 from fixtures import BENCH8_A, SYMMETRIC4_A, directed_cycle
-from oracles import simulate_reference
+from oracles import simulate_reference, wielandt_primitive
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,36 @@ def test_validate_names_bad_row():
 def test_validate_rejects_nonsquare():
     with pytest.raises(ConsensusError, match="square"):
         validate(np.ones((2, 3)) / 3)
+
+
+# Arcs run only from class c to class c + 1 (mod p) of a random p-class
+# split, so imprimitive patterns of every period up to n are drawn.
+@st.composite
+def patterns(draw):
+    n = draw(st.integers(1, 9))
+    p = draw(st.integers(1, n))
+    cls = np.array(draw(st.lists(st.integers(0, p - 1), min_size=n,
+                                 max_size=n)))
+    bits = np.array(draw(st.lists(st.booleans(), min_size=n * n,
+                                  max_size=n * n))).reshape(n, n)
+    S = bits & (cls[None, :] == (cls[:, None] + 1) % p)
+    loops = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        S |= np.diag(loops)
+    else:
+        np.fill_diagonal(S, False)
+    return S
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns())
+def test_primitive_check_equals_the_wielandt_oracle(S):
+    rows = consensus._checks(S.astype(float))
+    checked = {name: passed for name, passed, _ in rows}
+    primitive = checked["irreducible"] and checked["primitive"]
+    event(f"primitive {primitive}")
+    assert primitive == wielandt_primitive(S)
+    assert ("primitive" in checked) == checked["irreducible"]
 
 
 def test_simulate_zero_everything(bench8):

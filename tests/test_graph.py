@@ -4,6 +4,7 @@ import pytest
 from netguard import graph as gm
 
 from fixtures import BENCH8_A, directed_cycle
+from oracles import vertex_connectivity_bruteforce
 
 
 def cycle_graph(n):
@@ -70,7 +71,7 @@ def test_connectivity_disconnected_is_zero():
 def test_connectivity_matches_bruteforce(seed):
     rng = np.random.default_rng(seed)
     G = random_digraph(rng, int(rng.integers(3, 8)))
-    assert gm.vertex_connectivity(G) == gm.vertex_connectivity_bruteforce(G)
+    assert gm.vertex_connectivity(G) == vertex_connectivity_bruteforce(G)
 
 
 # The gate stops Even's scan after m vertices; whether it stops early or
@@ -79,7 +80,7 @@ def test_connectivity_matches_bruteforce(seed):
 def test_connectivity_gate_matches_bruteforce(seed):
     rng = np.random.default_rng(100 + seed)
     G = random_digraph(rng, int(rng.integers(2, 8)))
-    kappa = gm.vertex_connectivity_bruteforce(G)
+    kappa = vertex_connectivity_bruteforce(G)
     for m in range(-1, G.n + 2):
         assert gm._connectivity_at_least(G, m) == (kappa >= m)
 
@@ -144,6 +145,14 @@ def test_structural_rank_single_column():
     assert gm.structural_generic_rank(P) == 1
 
 
+def realization(P, rng):
+    """A numeric matrix of pattern P, free entries uniform on [0.1, 1]."""
+    A = np.zeros((P.rows, P.cols))
+    for (r, c) in sorted(P.free):
+        A[r, c] = rng.uniform(0.1, 1.0)
+    return A
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_structural_rank_vs_realizations(seed):
     rng = np.random.default_rng(300 + seed)
@@ -152,7 +161,7 @@ def test_structural_rank_vs_realizations(seed):
                             frozenset((i, j) for i in range(5) for j in range(5)
                                       if mask[i, j]))
     generic = gm.structural_generic_rank(P)
-    sampled = [np.linalg.matrix_rank(P.realization(rng)) for _ in range(10)]
+    sampled = [np.linalg.matrix_rank(realization(P, rng)) for _ in range(10)]
     assert all(r <= generic for r in sampled)
     assert max(sampled, default=0) == generic
 
@@ -237,7 +246,7 @@ def test_connectivity_and_cut_match_networkx(seed):
 def test_pairwise_reference_on_networkx_counterexample():
     G = gm.DiGraph(3, frozenset({(1, 2), (2, 3), (3, 1), (3, 2)}))
     assert pairwise_networkx_connectivity(G) == 1
-    assert gm.vertex_connectivity(G) == gm.vertex_connectivity_bruteforce(G) == 1
+    assert gm.vertex_connectivity(G) == vertex_connectivity_bruteforce(G) == 1
 
 
 def count_flows(monkeypatch):

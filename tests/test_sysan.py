@@ -310,6 +310,16 @@ def test_first_markov_index_without_a_walk():
         first_markov_index(T)
 
 
+def test_first_markov_index_reads_the_support():
+    # agent 3's only out-weight, 1e-13, is no arc of the support digraph
+    # (validate calls the matrix reducible), so no walk reaches observer 1
+    A = [[0.5, 0.5, 0.0], [0.5, 0.5 - 1e-13, 1e-13], [0.3, 0.3, 0.4]]
+    C = consensus._output_matrix(np.array(A), 1)
+    T = Triple.from_matrices(A, consensus.input_matrix(3, [3]), C)
+    with pytest.raises(ValueError, match="no walk"):
+        first_markov_index(T)
+
+
 def test_output_zeroing_trivial_from_origin(unstable_triple):
     gen = output_zeroing_input(unstable_triple, np.zeros(8))
     useq = take_inputs(gen, 10)
