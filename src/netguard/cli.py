@@ -17,12 +17,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import reprlib
 import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import consensus, detect, fdi, graph, numerics, sysan
 
@@ -216,16 +218,30 @@ def _write_json(path: Path, **fields):
 def _write_trace(path: Path, header: list, columns: list):
     """Write equal-length columns as CSV in one pass.
 
-    A float is written as its Python ``repr`` (``str`` of a Python float
-    is the same), the shortest string that reads back to the same float;
-    ndarray columns go through ``tolist`` first.  Lines end in CRLF, as
-    with the ``csv`` module.  Cells must hold no comma, quote or newline.
+    The rows go through one ``orjson.dumps`` call, whose JSON array
+    syntax becomes CSV: the outer brackets go, ``],[`` becomes CRLF and
+    string quotes are dropped, so cells must hold no comma, quote,
+    backslash or control character.  A float is the shortest decimal
+    that reads back as the same double; exponents below -4 or above 15
+    are spelled unlike ``repr`` (``0.00001``, ``1e-7``, ``1e16`` for
+    ``1e-05``, ``1e-07``, ``1e+16``).  A non-finite float, which JSON has
+    no number for, is written as ``str`` writes it: ``inf``, ``-inf`` or
+    ``nan``.  ndarray columns go through ``tolist`` first.  Lines end in
+    CRLF, as with the ``csv`` module.
     """
-    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c)
-             for c in columns]
-    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                      for c in columns)))
+    body = orjson.dumps(rows)
+    if b"null" in body:
+        # orjson writes a non-finite float as null
+        body = orjson.dumps([
+            [str(v) if isinstance(v, float) and not math.isfinite(v) else v
+             for v in row] for row in rows])
+    lines = [",".join(header).encode("utf-8")]
+    if rows:
+        lines.append(body[2:-2].replace(b"],[", b"\r\n").replace(b'"', b""))
+    with open(path, "wb") as fh:
+        fh.write(b"\r\n".join(lines) + b"\r\n")
 
 
 # Every handler takes the scenario, the directory its paths are relative to,

@@ -282,12 +282,12 @@ def simulate(net: ConsensusMatrix, x0, attacks=(), T: int = 100) -> Trajectory:
     drive[:, [a - 1 for a in agents]] = inputs
     states = np.zeros((T + 1, n))
     states[0] = x
+    dot, add = A.dot, np.add
     for t, (x, nxt, d) in enumerate(zip(states[:-1], states[1:], drive)):
         for k, atk in looped:
             inputs[t, k] += atk.input_at(t, x)
             d[atk.agent - 1] = inputs[t, k]
-        np.dot(A, x, out=nxt)
-        np.add(nxt, d, out=nxt)
+        add(dot(x), d, out=nxt)
     states.setflags(write=False)
     inputs.setflags(write=False)
     return Trajectory(states=states, input_agents=agents, inputs=inputs)

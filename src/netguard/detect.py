@@ -89,9 +89,9 @@ class DetectionFilter:
         ys = as_matrix(ys, "output sequence")
         drive = -(ys @ self.G.T)
         zs = np.zeros((ys.shape[0] + 1, self.A.shape[0]))
+        dot, add = self._closed.dot, np.add
         for z, nxt, d in zip(zs[:-1], zs[1:], drive):
-            np.dot(self._closed, z, out=nxt)
-            np.add(nxt, d, out=nxt)
+            add(dot(z), d, out=nxt)
         self.z = zs[-1].copy()
         estimates = zs[:-1] @ self.L.T + ys @ self.H.T
         residuals = estimates[1:] - estimates[:-1] @ self.A.T

@@ -11,7 +11,10 @@ filter's Markov blocks.  :func:`consistent_sets` tests every candidate
 set against every fired generator, where ``detect`` looks candidates up
 among the subsets of the fired decoupled sets.
 :func:`simulate_reference` is the step-by-step simulation loop that
-``netguard.consensus.simulate`` replaced with precomputed input columns.  :func:`parity_weights_scan`
+``netguard.consensus.simulate`` replaced with precomputed input columns,
+and :func:`filter_run_reference` steps the detection filter with
+``np.dot(out=)`` and ``np.add``, where ``DetectionFilter.run`` adds a
+bound ``dot`` of the loop matrix to the drive.  :func:`parity_weights_scan`
 is the parity-window search that rebuilds both window maps for every
 ``L = 1..n``, and :func:`run_residual_steps` steps the filter recursion
 one sample at a time, where ``netguard.fdi`` grows the maps once and
@@ -47,7 +50,8 @@ import sympy
 from netguard import detect, fdi
 from netguard.graph import DiGraph, is_strongly_connected
 from netguard.consensus import Trajectory, _output_matrix
-from netguard.numerics import _numeric_rank, as_vector, get_policy, kernel, rank
+from netguard.numerics import (_numeric_rank, as_matrix, as_vector, get_policy,
+                               kernel, rank)
 
 
 def _span(cols):
@@ -184,6 +188,21 @@ def simulate_reference(net, x0, attacks=(), T: int = 100) -> Trajectory:
     states.setflags(write=False)
     inputs.setflags(write=False)
     return Trajectory(states=states, input_agents=agents, inputs=inputs)
+
+
+def filter_run_reference(filt, ys):
+    """``(estimates, residuals, z)`` of ``filt.run(ys)``, stepped with
+    ``np.dot(out=)`` and ``np.add`` on the loop matrix ``A + G C``."""
+    ys = as_matrix(ys, "output sequence")
+    closed = filt.A + filt.G @ filt.C
+    drive = -(ys @ filt.G.T)
+    zs = np.zeros((ys.shape[0] + 1, filt.A.shape[0]))
+    for z, nxt, d in zip(zs[:-1], zs[1:], drive):
+        np.dot(closed, z, out=nxt)
+        np.add(nxt, d, out=nxt)
+    estimates = zs[:-1] @ filt.L.T + ys @ filt.H.T
+    residuals = estimates[1:] - estimates[:-1] @ filt.A.T
+    return estimates, residuals, zs[-1].copy()
 
 
 def _window_maps_rebuilt(A, B, C, L):

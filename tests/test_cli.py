@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netguard import cli, consensus, numerics, sysan
 
@@ -223,6 +224,54 @@ def test_trace_cells_read_back_as_floats(tmp_path, command):
     assert header == ["t"] + [f"x{i}" for i in range(1, 9)]
     assert np.array_equal(table[:, 0], np.arange(31))
     assert table[:, 1:].tobytes() == traj.states.tobytes()
+
+
+_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-05,
+                     -3.0517578125e-05, 1e16, 1.7976931348623157e308]))
+_LABEL = st.lists(st.integers(1, 99), min_size=1, max_size=3).map(
+    lambda D: "+".join(map(str, D)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=st.integers(1, 3).flatmap(lambda m: st.lists(
+           st.tuples(_LABEL, st.lists(_FLOAT, min_size=m, max_size=m)),
+           min_size=1, max_size=20)),
+       as_array=st.booleans())
+def test_trace_writer_round_trip(tmp_path_factory, table, as_array):
+    labels = [label for label, _ in table]
+    values = np.array([row for _, row in table])
+    m = values.shape[1]
+    header = ["t", "candidate_set"] + [f"x{i}" for i in range(1, m + 1)]
+    floats = list(values.T) if as_array else [c.tolist() for c in values.T]
+    out = tmp_path_factory.mktemp("trace")
+    cli._write_trace(out / "trace.csv", header,
+                     [range(len(table)), labels, *floats])
+    got_header, rows = read_trace(out)
+    assert got_header == header
+    assert [row[0] for row in rows] == [str(t) for t in range(len(table))]
+    assert [row[1] for row in rows] == labels
+    read = np.array([[float(cell) for cell in row[2:]] for row in rows])
+    assert read.tobytes() == values.tobytes()
+
+
+def test_trace_writer_empty_table(tmp_path):
+    cli._write_trace(tmp_path / "trace.csv", ["t", "residual_norm"],
+                     [range(0), np.zeros(0)])
+    assert (tmp_path / "trace.csv").read_bytes() == b"t,residual_norm\r\n"
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_trace_writer_non_finite_cells(tmp_path, as_array):
+    values = [float("inf"), -float("inf"), float("nan"), 0.5]
+    cli._write_trace(tmp_path / "trace.csv", ["t", "candidate_set", "x"],
+                     [range(4), ["1", "2+5", "3", "4"],
+                      np.array(values) if as_array else values])
+    header, rows = read_trace(tmp_path)
+    assert header == ["t", "candidate_set", "x"]
+    assert rows == [["0", "1", "inf"], ["1", "2+5", "-inf"],
+                    ["2", "3", "nan"], ["3", "4", "0.5"]]
 
 
 # The parser is built once per process: consecutive calls with different

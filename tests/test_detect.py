@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from netguard import consensus, detect, fdi
 
 from fixtures import BENCH8_A, RING9_A
-from oracles import consistent_sets
+from oracles import consistent_sets, filter_run_reference
 
 
 # BENCH8 isolates every target; RING9 seen from agent 1 has 20 pairs that
@@ -110,6 +110,25 @@ def test_run_matches_stepping(A, j):
     stepped = np.array([stepper.step(y) for y in ys])
     assert np.max(np.abs(estimates - stepped)) <= 1e-12 * np.max(np.abs(ys))
     assert np.array_equal(filt.z, stepper.z)
+
+
+@pytest.mark.parametrize("A", [BENCH8_A, RING9_A], ids=["bench8", "ring9"])
+@pytest.mark.parametrize("attack", [
+    lambda A: consensus.Attack.constant(3, 1.0),
+    lambda A: consensus.Attack.exponential(5, 0.9, 2.0),
+    lambda A: consensus.Attack.state_feedback(3, -A[2], offset=2.5),
+], ids=["constant", "exponential", "state_feedback"])
+def test_run_matches_reference_loop(A, attack):
+    net = consensus.validate(A)
+    traj = consensus.simulate(
+        net, np.random.default_rng(2).uniform(-1, 1, net.n), [attack(A)], 200)
+    ys = net.outputs(traj.states, 1)
+    filt = detect.DetectionFilter.from_network(net, 1)
+    estimates, residuals = filt.run(ys)
+    want_est, want_res, want_z = filter_run_reference(filt, ys)
+    assert np.array_equal(estimates, want_est)
+    assert np.array_equal(residuals, want_res)
+    assert np.array_equal(filt.z, want_z)
 
 
 # Leakage of the exact residual scales with the data; an absolute floor
