@@ -208,11 +208,17 @@ def _x0_from_scenario(scn: dict, n: int, rng: np.random.Generator) -> np.ndarray
 
 
 def _write_json(path: Path, **fields):
-    """Write ``fields`` and the schema version as one JSON object."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, **fields}, fh,
-                  sort_keys=True, indent=2)
-        fh.write("\n")
+    """Write ``fields`` and the schema version as one JSON object.
+
+    JSON has no number for NaN or infinity, so a field holding one (a
+    state that overflowed) is invalid input and no file is written.
+    """
+    try:
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **fields},
+                          sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"cannot write {path.name}: {exc}") from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_trace(path: Path, header: list, columns: list):
@@ -345,6 +351,8 @@ def cmd_identify(scn: dict, base: Path, seed: int, out: Path) -> int:
     net, traj = _simulate_from_scenario(scn, base, seed)
     ys = net.outputs(traj.states, j)
     verdict = detect.complete_identification(net, j, k, ys)
+    # k malicious agents need connectivity 2k + 1, k faulty agents k + 1
+    guarantee = "malicious" if verdict.connectivity >= 2 * k + 1 else "faulty"
     times, labels, norms = [], [], []
     for D, d_norms in sorted(verdict.residual_norms.items()):
         times += range(len(d_norms))
@@ -358,9 +366,11 @@ def cmd_identify(scn: dict, base: Path, seed: int, out: Path) -> int:
                 candidates=[[int(a) for a in S] for S in verdict.candidates],
                 horizon=verdict.horizon,
                 unsolvable=[[[int(i)], [int(a) for a in D]]
-                            for i, D in verdict.unsolvable])
+                            for i, D in verdict.unsolvable],
+                connectivity=verdict.connectivity, guarantee=guarantee)
     if verdict.status == "identified":
-        print(f"identified misbehaving set: {sorted(verdict.identified)}")
+        print(f"identified misbehaving set: {sorted(verdict.identified)} "
+              f"({guarantee} guarantee)")
         return EXIT_OK
     print(f"ambiguous: candidates {[sorted(c) for c in verdict.candidates]}")
     return EXIT_AMBIGUOUS

@@ -107,6 +107,8 @@ class IdentificationVerdict:
     surviving candidates.  ``unsolvable`` lists the ``(i, D)`` pairs,
     agent ``i`` outside the decoupled set ``D``, that ``D``'s generator
     cannot isolate: every ``i`` when ``D`` has no generator.
+    ``connectivity`` is the network's vertex connectivity, read by the
+    k + 1 gate.
     """
 
     observer: int
@@ -116,6 +118,7 @@ class IdentificationVerdict:
     horizon: int
     unsolvable: tuple
     residual_norms: dict
+    connectivity: int
 
 
 def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
@@ -138,8 +141,8 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    if not graphmod._connectivity_at_least(net.graph, k + 1):
-        conn = graphmod.vertex_connectivity(net.graph)
+    conn = graphmod.vertex_connectivity(net.graph)
+    if conn < k + 1:
         raise ValueError(f"connectivity {conn} below required {k + 1}")
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     others = [a for a in range(1, net.n + 1) if a != j]
@@ -171,7 +174,8 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
         observer=j, status="identified" if identified else "ambiguous",
         identified=consistent[0] if identified else (),
         candidates=tuple(consistent), horizon=max(horizons),
-        unsolvable=tuple(sorted(unsolvable)), residual_norms=norms)
+        unsolvable=tuple(sorted(unsolvable)), residual_norms=norms,
+        connectivity=conn)
 
 
 def _consistent_sets(others, fired: dict, k: int) -> list:
@@ -338,9 +342,8 @@ def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
         raise ValueError(f"observer {j} not in block {h}")
     A_h = decomp.block_matrix(h)
     n_h = len(agents)
-    G_h = graphmod.from_matrix(A_h)
-    if n_h > 1 and not graphmod._connectivity_at_least(G_h, k_j + 1):
-        conn = graphmod.vertex_connectivity(G_h)
+    conn = graphmod.vertex_connectivity(graphmod.from_matrix(A_h))
+    if n_h > 1 and conn < k_j + 1:
         raise ValueError(f"block connectivity {conn} below required {k_j + 1}")
     local = {a: idx for idx, a in enumerate(agents, start=1)}
     C_loc = _output_matrix(A_h, local[j])

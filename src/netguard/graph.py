@@ -4,9 +4,12 @@ Vertex connectivity and vertex cuts via the node-splitting max-flow
 reduction (Menger), disjoint-path counts between vertex sets, and
 structural (generic) rank tests through bipartite matching.  Many local
 connectivities are solved by one max-flow on disjoint copies of the
-split network: one flow per vertex Even's scheme scans, and one per
-source vertex of a cut search.  Flows,
-reachability, strong connectivity and matchings are computed by
+split network.  The connectivity is the least local connectivity over
+the pairs Esfahanian and Hakimi (Networks 14, 1984) attach to one vertex
+v: v to each vertex it has no arc to, each vertex with no arc to v to v,
+and each in-neighbour of v to each out-neighbour it has no arc to.  A
+cut search runs one max-flow per source vertex.  Flows, reachability,
+strong connectivity and matchings are computed by
 ``scipy.sparse.csgraph`` on CSR matrices built from the edge set.
 Vertices are numbered 1..n to match agent identifiers.
 """
@@ -180,43 +183,51 @@ def _local_connectivities(G: DiGraph, pairs) -> np.ndarray:
 def vertex_connectivity(G: DiGraph) -> int:
     """Minimum number of vertices whose removal breaks strong connectivity.
 
-    Even's scheme: one of v_1 .. v_{k+1} lies outside a minimum cut of
-    size k, so the minimum of the local connectivities to and from those
-    vertices is k.  The pairs of one scanned vertex share one max-flow
-    on disjoint copies of the split network, so at most k + 1 max-flows
-    run (more only when a round is split to bound its size).  A complete
-    digraph has connectivity ``n - 1`` by convention and a graph that is
-    not strongly connected has connectivity 0.
+    Esfahanian and Hakimi (Networks 14, 1984): for any vertex v of a
+    digraph that is not complete, the connectivity is the least local
+    connectivity over three families of non-adjacent pairs,
+
+    - (v, w) for every w that is not an out-neighbour of v,
+    - (w, v) for every w that is not an in-neighbour of v,
+    - (x, y) for every in-neighbour x and out-neighbour y of v with no
+      arc x -> y.
+
+    A minimum cut that misses v separates v from some w, and a minimum
+    cut that holds v is crossed through v from an in-neighbour on its
+    source side to an out-neighbour on its sink side.  v is the vertex
+    with the fewest such pairs, ties to the lowest label, and the pairs
+    share one max-flow on disjoint copies of the split network (more
+    only when they are split to bound its size).  A complete digraph,
+    which has no pairs, has connectivity ``n - 1`` by convention and a
+    graph that is not strongly connected has connectivity 0.
     """
-    return _even_scan(G, G.n)
-
-
-def _connectivity_at_least(G: DiGraph, m: int) -> bool:
-    """Whether ``vertex_connectivity(G) >= m``, scanning at most m vertices.
-
-    A connectivity below m is found among the local connectivities of
-    v_1 .. v_m, so the scan stops there.
-    """
-    return _even_scan(G, m) >= m
-
-
-def _even_scan(G: DiGraph, limit: int) -> int:
-    """Least local connectivity to and from v_1 .. v_min(limit, k + 1),
-    capped at ``n - 1``, with k the connectivity: k when ``k < limit``, at
-    least ``limit`` otherwise (0 for a graph not strongly connected)."""
-    n = G.n
-    if n <= 1 or not is_strongly_connected(G):
+    if G.n <= 1 or not is_strongly_connected(G):
         return 0
-    best = n - 1
-    for i in range(1, min(limit, n) + 1):
-        if i > best + 1:
-            break
-        # pairs with an earlier vertex were taken when it was scanned
-        pairs = [(i, w) for w in range(i + 1, n + 1) if not G.has_edge(i, w)]
-        pairs += [(w, i) for w in range(i + 1, n + 1) if not G.has_edge(w, i)]
-        if pairs:
-            best = min(best, int(_local_connectivities(G, pairs).min()))
-    return best
+    pairs = _connectivity_pairs(G)
+    if not len(pairs):
+        return G.n - 1
+    return min(G.n - 1, int(_local_connectivities(G, pairs).min()))
+
+
+def _connectivity_pairs(G: DiGraph) -> np.ndarray:
+    """The Esfahanian-Hakimi pairs of the vertex with the fewest, 1-based."""
+    n = G.n
+    tails, heads = np.array(list(G.edges), dtype=np.int64).reshape(-1, 2).T
+    arc = np.zeros((n, n), dtype=bool)
+    arc[tails - 1, heads - 1] = True
+    np.fill_diagonal(arc, False)  # a self-loop joins no two vertices
+    # free[x, y]: x != y and no arc x -> y, so (x, y) can be a pair
+    free = ~arc
+    np.fill_diagonal(free, False)
+    # per vertex v: free (v, w), free (w, v), and free (x, y) with x -> v -> y
+    through = ((arc.T.astype(float) @ free) * arc).sum(axis=1)
+    v = int(np.argmin(free.sum(axis=1) + free.sum(axis=0) + through))
+    ins, outs = np.flatnonzero(arc[:, v]), np.flatnonzero(arc[v])
+    x, y = np.nonzero(free[np.ix_(ins, outs)])
+    w_out, w_in = np.flatnonzero(free[v]), np.flatnonzero(free[:, v])
+    sources = np.concatenate([np.full(len(w_out), v), w_in, ins[x]])
+    sinks = np.concatenate([w_out, np.full(len(w_in), v), outs[y]])
+    return np.stack([sources, sinks], axis=1) + 1
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,10 @@ read.  :func:`wielandt_primitive` decides primitivity by boolean matrix
 powers up to the Wielandt exponent, where ``netguard.consensus`` reads
 it from the period of the support digraph, and
 :func:`vertex_connectivity_bruteforce` removes every vertex set in turn,
-where ``netguard.graph`` runs Even's max-flow scan.
+and :func:`vertex_connectivity_even` runs Even's scan of the local
+connectivities to and from v_1 .. v_{k+1}, one max-flow per scanned
+vertex, where ``netguard.graph`` takes one max-flow over the
+Esfahanian-Hakimi pairs of a single vertex.
 """
 
 from fractions import Fraction
@@ -48,7 +51,8 @@ import scipy.sparse
 import sympy
 
 from netguard import detect, fdi
-from netguard.graph import DiGraph, is_strongly_connected
+from netguard.graph import (DiGraph, _local_connectivities,
+                            is_strongly_connected)
 from netguard.consensus import Trajectory, _output_matrix
 from netguard.numerics import (_numeric_rank, as_matrix, as_vector, get_policy,
                                kernel, rank)
@@ -681,3 +685,22 @@ def vertex_connectivity_bruteforce(G: DiGraph) -> int:
             if not is_strongly_connected(G, set(subset)):
                 return size
     return n - 1
+
+
+def vertex_connectivity_even(G: DiGraph) -> int:
+    """Vertex connectivity by Even's scheme (SIAM J. Comput. 1975): one of
+    v_1 .. v_{k+1} lies outside a minimum cut of size k, so the least local
+    connectivity to and from those vertices, capped at ``n - 1``, is k."""
+    n = G.n
+    if n <= 1 or not is_strongly_connected(G):
+        return 0
+    best = n - 1
+    for i in range(1, n + 1):
+        if i > best + 1:
+            break
+        # pairs with an earlier vertex were taken when it was scanned
+        pairs = [(i, w) for w in range(i + 1, n + 1) if not G.has_edge(i, w)]
+        pairs += [(w, i) for w in range(i + 1, n + 1) if not G.has_edge(w, i)]
+        if pairs:
+            best = min(best, int(_local_connectivities(G, pairs).min()))
+    return best

@@ -2,6 +2,7 @@ import copy
 import json
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,16 +11,23 @@ from netguard import cli, consensus, numerics, sysan
 from fixtures import BENCH8_A, WEAK7_PARTITION, weak7_matrix
 
 
+def strict_json(path):
+    """``path`` parsed as JSON proper, which has no NaN or Infinity."""
+    return orjson.loads(path.read_bytes())
+
+
 def run(tmp_path, command, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     out = tmp_path / "out"
     code = cli.main([command, "--scenario", str(path), "--out", str(out)])
+    for output in out.glob("*.json"):
+        strict_json(output)
     return code, out
 
 
 def read_verdict(out):
-    return json.loads((out / "verdict.json").read_text())
+    return strict_json(out / "verdict.json")
 
 
 def test_identify_single_attacker_exits_ok(tmp_path):
@@ -30,6 +38,34 @@ def test_identify_single_attacker_exits_ok(tmp_path):
     assert code == cli.EXIT_OK
     verdict = read_verdict(out)
     assert verdict["status"] == "identified" and verdict["identified"] == [3]
+
+
+# BENCH8 is 3-connected: one malicious agent is identifiable (3 >= 2k + 1),
+# two only as faulty agents (3 >= k + 1).
+@pytest.mark.parametrize("k, guarantee", [(1, "malicious"), (2, "faulty")])
+def test_identify_names_its_guarantee(tmp_path, capsys, k, guarantee):
+    code, out = run(tmp_path, "identify", {
+        "matrix": {"rows": BENCH8_A.tolist()}, "observer": 1, "k": k,
+        "horizon": 24, "x0": {"random": {}},
+        "attacks": [{"agent": 3, "kind": "constant", "value": 1.0}]})
+    assert code == cli.EXIT_OK
+    verdict = read_verdict(out)
+    assert verdict["connectivity"] == 3
+    assert verdict["guarantee"] == guarantee
+    assert capsys.readouterr().out == (
+        f"identified misbehaving set: [3] ({guarantee} guarantee)\n")
+
+
+# JSON has no NaN: a state that overflowed is not written as one.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowed_state_exits_invalid(tmp_path, capsys):
+    code, out = run(tmp_path, "simulate", {
+        "matrix": {"rows": BENCH8_A.tolist()}, "horizon": 5,
+        "attacks": [{"agent": 3, "kind": "constant", "value": 1.7e308}]})
+    assert code == cli.EXIT_INVALID
+    assert ("error: cannot write verdict.json: Out of range float values "
+            "are not JSON compliant" in capsys.readouterr().err)
+    assert not (out / "verdict.json").exists()
 
 
 def test_row_sum_error_exits_invalid(tmp_path):
@@ -302,6 +338,8 @@ def test_consecutive_calls_match_fresh_calls(tmp_path):
         assert names == sorted(f.name for f in reused.iterdir())
         for name in names:
             assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+            if name.endswith(".json"):
+                strict_json(fresh / name)
 
 
 def test_validate_without_matrix_exits_invalid_on_a_reused_parser(tmp_path):

@@ -2,9 +2,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from netguard import consensus, detect, fdi
+from netguard import consensus, detect, fdi, graph
 
 from fixtures import BENCH8_A, RING9_A
 from oracles import consistent_sets, filter_run_reference
@@ -52,8 +52,8 @@ def test_isolability_is_decided_by_one_rule(seed, D, i, monkeypatch):
     assert not fdi.synthesize_residual_generator(net.A, B_i, B_D, C).solvable
     # the networks are 2-connected; the pair set does not depend on
     # connectivity, so the k + 1 guard is lifted to read it at k = 2
-    monkeypatch.setattr(detect.graphmod, "_connectivity_at_least",
-                        lambda g, m: True)
+    monkeypatch.setattr(detect.graphmod, "vertex_connectivity",
+                        lambda g: g.n - 1)
     traj = consensus.simulate(net, rng.uniform(-1, 1, n), [], 3 * n)
     verdict = detect.complete_identification(net, 1, len(D),
                                              net.outputs(traj.states, 1))
@@ -195,6 +195,35 @@ def test_identifies_attackers_on_2k_plus_1_connected_networks(data, k, n):
                                              net.outputs(traj.states, j))
     assert verdict.status == "identified"
     assert verdict.identified == attacked
+
+
+# Identification of k faulty agents from a network of connectivity k + 1
+# to 2k, too little to identify k malicious ones: random-sequence faults
+# leave no invisible motion, and the verdict is exactly the faulty set.
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 2), n=st.integers(8, 14))
+def test_identifies_faulty_agents_below_2k_plus_1(data, k, n):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=n if k == 1 else n * n // 3,
+        min_connectivity=k + 1)
+    kappa = graph.vertex_connectivity(net.graph)
+    assume(kappa <= 2 * k)
+    j = data.draw(st.integers(1, n), label="observer")
+    others = [a for a in range(1, n + 1) if a != j]
+    faulty = tuple(sorted(data.draw(
+        st.lists(st.sampled_from(others), max_size=k, unique=True),
+        label="faulty")))
+    T = 3 * n
+    attacks = [consensus.Attack.sequence(a, rng.standard_normal(T))
+               for a in faulty]
+    traj = consensus.simulate(net, rng.uniform(-1, 1, n), attacks, T)
+    verdict = detect.complete_identification(net, j, k,
+                                             net.outputs(traj.states, j))
+    assert verdict.connectivity == kappa
+    assert verdict.status == "identified"
+    assert verdict.identified == faulty
 
 
 @pytest.mark.parametrize("A, k, attacked", [

@@ -1,10 +1,13 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netguard import graph as gm
 
 from fixtures import BENCH8_A, directed_cycle
-from oracles import vertex_connectivity_bruteforce
+from oracles import vertex_connectivity_bruteforce, vertex_connectivity_even
 
 
 def cycle_graph(n):
@@ -74,15 +77,88 @@ def test_connectivity_matches_bruteforce(seed):
     assert gm.vertex_connectivity(G) == vertex_connectivity_bruteforce(G)
 
 
-# The gate stops Even's scan after m vertices; whether it stops early or
-# not, it must answer exactly "connectivity >= m".
+# The identification gates read "connectivity >= m" from the exact count.
 @pytest.mark.parametrize("seed", range(25))
 def test_connectivity_gate_matches_bruteforce(seed):
     rng = np.random.default_rng(100 + seed)
     G = random_digraph(rng, int(rng.integers(2, 8)))
     kappa = vertex_connectivity_bruteforce(G)
     for m in range(-1, G.n + 2):
-        assert gm._connectivity_at_least(G, m) == (kappa >= m)
+        assert (gm.vertex_connectivity(G) >= m) == (kappa >= m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(2, 8), density=st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+       ring=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_connectivity_property_matches_bruteforce(n, density, ring, seed):
+    rng = np.random.default_rng(seed)
+    edges = {(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+             if a != b and rng.random() < density}
+    if ring:
+        edges |= {(i, i % n + 1) for i in range(1, n + 1)}
+    G = gm.DiGraph(n, frozenset(edges))
+    assert gm.vertex_connectivity(G) == vertex_connectivity_bruteforce(G)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_connectivity_matches_even_scan(seed):
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(2, 31))
+    G = dense_digraph(rng, n) if seed % 2 else random_digraph(rng, n)
+    assert gm.vertex_connectivity(G) == vertex_connectivity_even(G)
+
+
+def pair_families(G, v):
+    """Esfahanian-Hakimi pairs of v: from v, into v, and through v."""
+    others = [w for w in G.vertices() if w != v]
+    outs = [w for w in others if G.has_edge(v, w)]
+    ins = [w for w in others if G.has_edge(w, v)]
+    return ([(v, w) for w in others if w not in outs],
+            [(w, v) for w in others if w not in ins],
+            [(x, y) for x in ins for y in outs
+             if x != y and not G.has_edge(x, y)])
+
+
+def fewest_pairs(G):
+    """The pairs of the vertex with the fewest, ties to the lowest label."""
+    return min((sum(pair_families(G, v), []) for v in G.vertices()), key=len)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_connectivity_pairs_are_those_of_the_vertex_with_fewest(seed):
+    rng = np.random.default_rng(1000 + seed)
+    n = int(rng.integers(2, 15))
+    G = dense_digraph(rng, n) if seed % 2 else random_digraph(rng, n)
+    pairs = [tuple(p) for p in gm._connectivity_pairs(G).tolist()]
+    assert sorted(pairs) == sorted(fewest_pairs(G))
+
+
+# Each digraph has one family of the chosen vertex 1 that alone reaches the
+# connectivity.  A directed 3-cycle 2 -> 3 -> 4 -> 2 with vertex 1 joined
+# both ways to each of its vertices: every minimum cut holds 1 and only the
+# pairs through 1 see it.  The complete digraph on 5 vertices less the arc
+# 3 -> 1 (or 1 -> 3): every vertex has that arc as its one pair, and for
+# vertex 1 it is a pair into (from) it.
+@pytest.mark.parametrize("edges, family", [
+    ({(2, 3), (3, 4), (4, 2)} | {(1, w) for w in (2, 3, 4)}
+     | {(w, 1) for w in (2, 3, 4)}, 2),
+    ({(a, b) for a in range(1, 6) for b in range(1, 6)
+      if a != b and (a, b) != (3, 1)}, 1),
+    ({(a, b) for a in range(1, 6) for b in range(1, 6)
+      if a != b and (a, b) != (1, 3)}, 0)], ids=["through", "into", "from"])
+def test_connectivity_needs_each_pair_family(edges, family):
+    G = gm.DiGraph(max(max(e) for e in edges), frozenset(edges))
+    kappa = vertex_connectivity_bruteforce(G)
+    assert gm.vertex_connectivity(G) == kappa == G.n - 2
+    families = pair_families(G, 1)
+    assert sorted(fewest_pairs(G)) == sorted(sum(families, []))
+    for f, pairs in enumerate(families):
+        least = min((gm.local_vertex_connectivity(G, s, t)[0]
+                     for s, t in pairs), default=G.n)
+        assert (least == kappa) == (f == family)
+    if family == 2:
+        assert all(1 in S for S in combinations(G.vertices(), kappa)
+                   if not gm.is_strongly_connected(G, set(S)))
 
 
 def test_find_vertex_cut_cycle():
@@ -260,14 +336,21 @@ def count_flows(monkeypatch):
     return calls
 
 
+# One max-flow per union chunk of the chosen vertex's pairs, with the
+# default union size and with room for only three copies per flow.
 @pytest.mark.parametrize("seed", range(6))
 def test_connectivity_flow_count_is_linear(seed, monkeypatch):
     rng = np.random.default_rng(500 + seed)
     G = dense_digraph(rng, 20)
+    k = vertex_connectivity_even(G)
+    pairs = len(fewest_pairs(G))
+    copy_arcs = G.n + len(G.edges) + 2
     calls = count_flows(monkeypatch)
-    k = gm.vertex_connectivity(G)
-    # one max-flow per scanned vertex v_1 .. v_{k+1}
-    assert 0 < len(calls) <= k + 1
+    for union_arcs in (gm._UNION_ARCS, 3 * copy_arcs):
+        monkeypatch.setattr(gm, "_UNION_ARCS", union_arcs)
+        calls.clear()
+        assert gm.vertex_connectivity(G) == k
+        assert len(calls) == -(-pairs // (union_arcs // copy_arcs))
 
 
 def non_adjacent_pairs(G):
