@@ -311,16 +311,19 @@ def _simulate_from_scenario(scn: dict, base: Path, seed: int) -> tuple:
 
 
 def cmd_simulate(scn: dict, base: Path, seed: int, out: Path) -> int:
-    net, traj = _simulate_from_scenario(scn, base, seed)
-    header = ["t"] + [f"x{i}" for i in range(1, net.n + 1)]
-    _write_trace(out / "trace.csv", header,
-                 [range(traj.horizon + 1), *traj.states.T])
+    # a state that overflowed is refused by the JSON writer, which runs
+    # first so that such a run writes no file; numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        net, traj = _simulate_from_scenario(scn, base, seed)
     _write_json(out / "verdict.json", mode="simulate", seed=seed,
                 horizon=traj.horizon,
                 attacked_agents=list(traj.input_agents),
                 final_state=traj.states[-1].tolist(),
                 unforced_consensus_value=consensus.consensus_value(
                     net, traj.states[0]))
+    header = ["t"] + [f"x{i}" for i in range(1, net.n + 1)]
+    _write_trace(out / "trace.csv", header,
+                 [range(traj.horizon + 1), *traj.states.T])
     print(f"simulated {traj.horizon} steps, final spread "
           f"{float(np.ptp(traj.states[-1])):.3g}")
     return EXIT_OK
@@ -351,8 +354,7 @@ def cmd_identify(scn: dict, base: Path, seed: int, out: Path) -> int:
     net, traj = _simulate_from_scenario(scn, base, seed)
     ys = net.outputs(traj.states, j)
     verdict = detect.complete_identification(net, j, k, ys)
-    # k malicious agents need connectivity 2k + 1, k faulty agents k + 1
-    guarantee = "malicious" if verdict.connectivity >= 2 * k + 1 else "faulty"
+    guarantee = graph.resilience_at(verdict.connectivity).guarantee(k)
     times, labels, norms = [], [], []
     for D, d_norms in sorted(verdict.residual_norms.items()):
         times += range(len(d_norms))

@@ -9,10 +9,14 @@ against a decoupled set exactly when it meets S_M only in zero
 here, in :func:`fdi_solvable` and in synthesis, is made by one rule: the
 smallest singular value of ``(I - Q Q^T) U``, for orthonormal bases
 ``Q`` of S_M and ``U`` of the input image, exceeds the ``membership``
-tolerance of the shared policy.  Each invariant fixpoint step is one
-kernel or one image, and each V* iterate is built inside the last
-(Wonham, *Linear Multivariable Control*; Basile and Marro, *Controlled
-and Conditioned Invariants*, 1992).  A residual generator is a filter
+tolerance of the shared policy.  Each S* step is one kernel and one
+image.  Each V* step cuts the last iterate, inside it, by only the
+directions the complement of ``V_k + Im B`` gained in the step before,
+from ``Im C^T ^ Ker B^T`` on: one SVD of those few rows against ``V_k``
+and two images of a few columns, where recomputing the whole complement
+would take two SVDs with n rows (Wonham, *Linear Multivariable
+Control*; Basile and Marro, *Controlled and Conditioned Invariants*,
+1992).  A residual generator is a filter
 driven by the measurements only,
 
     w(t+1) = F w(t) + E y(t),      r(t) = M w(t) + H y(t),
@@ -26,8 +30,8 @@ decoupled-input maps (Chow and Willsky, IEEE TAC 1984).
 
 An observer's residual bank, one generator per candidate decoupled set,
 is synthesized as one computation: the V* and S* fixpoints of all
-candidates advance together, one stacked kernel or image a step, and so
-do S_M, the coordinates outside it and the parity-window search, on
+candidates advance together, every SVD of a step stacked over them, and
+so do S_M, the coordinates outside it and the parity-window search, on
 powers ``C A^s`` taken once for the bank.  A stack is capped by
 ``numerics._STACK_ENTRIES`` entries in its largest SVD factor, and the
 bank advances at most as many candidates at once as keep their V*
@@ -52,11 +56,23 @@ from .numerics import Subspace, as_matrix, image, subspace_sum
 def max_controlled_invariant(A, B, C) -> Subspace:
     """Largest subspace V in Ker C with ``A V <= V + Im B``.
 
-    Fixpoint of ``V_0 = Ker C``, ``V_{k+1} = V_k Ker(P_k A V_k)`` with
-    ``P_k`` projecting onto the complement of ``V_k + Im B``: the set
-    ``Ker C ^ A^{-1}(V_k + Im B)``, built inside ``V_k`` so that the
-    iterates are nested in floating point too.  The first step that keeps
-    the dimension is then the fixpoint, reached in at most n steps.
+    Fixpoint of ``V_0 = Ker C``, ``V_{k+1} = Ker C ^ A^{-1}(V_k + Im B)``,
+    which is ``V_k ^ Ker(N_k^T A)`` for a basis ``N_k`` of the complement
+    ``(V_k + Im B)^perp``.  The iterates shrink, so that complement only
+    grows, and ``V_k`` already meets the constraints of ``N_{k-1}``: each
+    step cuts by the directions ``D_k`` the complement gained in the last
+    step alone, ``V_{k+1} = V_k Ker(D_k^T A V_k)``, built inside ``V_k``
+    so that the iterates are nested in floating point too.  ``D_k`` is the
+    span of the directions ``R`` the last step removed from ``V_{k-1}``,
+    projected off ``V_k + Im B`` (off ``V_k`` they already are); the start
+    is ``D_0 = Im C^T ^ Ker B^T``, one basis of ``Im C^T`` and one kernel
+    of a ``m x p`` matrix.  ``D_k`` has at most p columns, and so has
+    ``R``: a step takes one SVD of the at most p rows of ``D_k^T A V_k``
+    and two images of columns of length n, at most m for the inputs'
+    part outside ``V_k`` and at most p for the projected ``R``, where
+    recomputing the whole complement would take two SVDs with n rows
+    and about n columns.  The first step that cuts nothing or gains no
+    direction is the fixpoint, reached in at most n steps.
     """
     A = as_matrix(A)
     n = A.shape[0]
@@ -69,24 +85,45 @@ def _controlled_invariants(A, Bs, C) -> list:
     """Bases of V* of ``(A, B, C)`` for every ``B`` in ``Bs``.
 
     The iteration of :func:`max_controlled_invariant` for all of them at
-    once: every step takes one stacked image and one stacked kernel over
-    the iterates not yet fixed.
+    once: ``Ker C`` and ``Im C^T`` come from one SVD of ``C``, and each
+    step takes one stacked split of the constraints ``D^T A V`` and two
+    stacked images over the iterates not yet fixed.  Each is cut against
+    the size of the map it restricts, not its own largest singular value,
+    so scaling A or B changes no decision above the ``zero_abs`` floor:
+    ``B^T Im C^T`` and ``B``'s part outside ``V`` against ``||B||``, the
+    projected ``R`` against 1 (its columns are orthonormal) and
+    ``D^T A V`` against ``||D^T A||``, all Frobenius norms.  Where ``V``
+    meets the new constraints up to the rounding it has gathered over the
+    steps, the largest singular value of ``D^T A V`` is that rounding,
+    which can pass the ``zero_abs`` floor.
     """
-    V0 = numerics._kernels([C])[0]
+    Q_C, V0 = numerics._splits([C])[0]
     Vs = [V0] * len(Bs)
-    live = list(range(len(Bs))) if V0.shape[1] else []
+    if not V0.shape[1]:
+        return Vs
+    sizes = [np.linalg.norm(B) for B in Bs]
+    starts = numerics._splits([B.T @ Q_C for B in Bs], sizes)
+    Ds = [Q_C @ N for _, N in starts]
+    live = [i for i, D in enumerate(Ds) if D.shape[1]]
     while live:
-        Qs = numerics._images([np.hstack([Vs[i], Bs[i]]) for i in live])
-        AVs = [A @ Vs[i] for i in live]
-        inners = numerics._kernels([AV - Q @ (Q.T @ AV)
-                                    for AV, Q in zip(AVs, Qs)])
-        moving = []
-        for i, inner in zip(live, inners):
-            if inner.shape[1] < Vs[i].shape[1]:
-                Vs[i] = Vs[i] @ inner
-                if Vs[i].shape[1]:
-                    moving.append(i)
-        live = moving
+        DAs = [Ds[i].T @ A for i in live]
+        cuts = numerics._splits([DA @ Vs[i] for i, DA in zip(live, DAs)],
+                                [np.linalg.norm(DA) for DA in DAs])
+        Rs = {}
+        for i, (removed, kept) in zip(live, cuts):
+            if removed.shape[1]:
+                Rs[i] = Vs[i] @ removed
+                Vs[i] = Vs[i] @ kept
+        live = [i for i in Rs if Vs[i].shape[1]]
+        # the removed directions off V + Im B: the new constraints
+        inputs = numerics._images([Bs[i] - Vs[i] @ (Vs[i].T @ Bs[i])
+                                   for i in live], [sizes[i] for i in live])
+        news = numerics._images([Rs[i] - Q @ (Q.T @ Rs[i])
+                                 for i, Q in zip(live, inputs)],
+                                [1.0] * len(live))
+        for i, D in zip(live, news):
+            Ds[i] = D
+        live = [i for i in live if Ds[i].shape[1]]
     return Vs
 
 

@@ -146,17 +146,19 @@ def local_vertex_connectivity(G: DiGraph, s: int, t: int):
     return int(result.flow_value), cut
 
 
-def _local_connectivities(G: DiGraph, pairs) -> np.ndarray:
-    """Local connectivity of each non-adjacent ``(s, t)`` in ``pairs``.
+def _local_connectivities(G: DiGraph, pairs, cap: int) -> np.ndarray:
+    """Local connectivity of each non-adjacent ``(s, t)`` in ``pairs``, or
+    ``cap`` where it is larger.
 
     Every pair gets its own copy of the node-split network, the copies
     laid side by side with index offsets.  A super source feeds each
     copy's s_out and each copy's t_in drains to a super sink through arcs
-    of capacity n, above any local connectivity.  A maximum flow on a
-    disjoint union is a maximum flow on every component, so the flow on
-    copy p's source arc is the connectivity of pair p, and one
-    ``maximum_flow`` call answers a whole chunk of at most ``_UNION_ARCS``
-    arcs.
+    of capacity ``cap``, which stops each copy's flow once it reaches the
+    value the caller needs (n is above any local connectivity).  A
+    maximum flow on a disjoint union is a maximum flow on every
+    component, so the flow on copy p's source arc is the connectivity of
+    pair p, capped, and one ``maximum_flow`` call answers a whole chunk of
+    at most ``_UNION_ARCS`` arcs.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     net = _split_network(G).tocoo()
@@ -173,7 +175,7 @@ def _local_connectivities(G: DiGraph, pairs) -> np.ndarray:
         heads = np.concatenate([(offset[:, None] + net.col).ravel(),
                                 s_out, np.full(len(s), sink)])
         caps = np.concatenate([np.tile(net.data, len(s)),
-                               np.full(2 * len(s), G.n, dtype=net.data.dtype)])
+                               np.full(2 * len(s), cap, dtype=net.data.dtype)])
         union = csr_matrix((caps, (tails, heads)), shape=(sink + 1, sink + 1))
         flow = maximum_flow(union, source, sink).flow
         values[lo:lo + len(s)] = flow[source].toarray().ravel()[s_out]
@@ -197,20 +199,24 @@ def vertex_connectivity(G: DiGraph) -> int:
     source side to an out-neighbour on its sink side.  v is the vertex
     with the fewest such pairs, ties to the lowest label, and the pairs
     share one max-flow on disjoint copies of the split network (more
-    only when they are split to bound its size).  A complete digraph,
+    only when they are split to bound its size), each copy's flow capped
+    at the least in- or out-degree, which bounds the connectivity: the
+    neighbours on that side of such a vertex form a cut.  A complete digraph,
     which has no pairs, has connectivity ``n - 1`` by convention and a
     graph that is not strongly connected has connectivity 0.
     """
     if G.n <= 1 or not is_strongly_connected(G):
         return 0
-    pairs = _connectivity_pairs(G)
+    pairs, least_degree = _connectivity_pairs(G)
     if not len(pairs):
         return G.n - 1
-    return min(G.n - 1, int(_local_connectivities(G, pairs).min()))
+    return min(G.n - 1,
+               int(_local_connectivities(G, pairs, least_degree).min()))
 
 
-def _connectivity_pairs(G: DiGraph) -> np.ndarray:
-    """The Esfahanian-Hakimi pairs of the vertex with the fewest, 1-based."""
+def _connectivity_pairs(G: DiGraph) -> tuple:
+    """The Esfahanian-Hakimi pairs of the vertex with the fewest, 1-based,
+    and the least in- or out-degree of G, self-loops not counted."""
     n = G.n
     tails, heads = np.array(list(G.edges), dtype=np.int64).reshape(-1, 2).T
     arc = np.zeros((n, n), dtype=bool)
@@ -227,7 +233,8 @@ def _connectivity_pairs(G: DiGraph) -> np.ndarray:
     w_out, w_in = np.flatnonzero(free[v]), np.flatnonzero(free[:, v])
     sources = np.concatenate([np.full(len(w_out), v), w_in, ins[x]])
     sinks = np.concatenate([w_out, np.full(len(w_in), v), outs[y]])
-    return np.stack([sources, sinks], axis=1) + 1
+    least_degree = int(min(arc.sum(axis=0).min(), arc.sum(axis=1).min()))
+    return np.stack([sources, sinks], axis=1) + 1, least_degree
 
 
 @dataclass(frozen=True)
@@ -260,10 +267,11 @@ def find_vertex_cut(G: DiGraph, k: int) -> VertexCut | None:
         source_side = [v for v in G.vertices() if v not in sink_side]
         return _pad_cut(G, set(), sorted(sink_side), source_side, k)
     # one max-flow per source vertex keeps the early return cheap when a
-    # cut exists; the cut itself is computed only for pairs that can give one
+    # cut exists, each copy capped at k + 1, all that tells whether its
+    # pair has a cut of k; the cut itself is computed only for those pairs
     for s in G.vertices():
         targets = [t for t in G.vertices() if t != s and not G.has_edge(s, t)]
-        values = _local_connectivities(G, [(s, t) for t in targets])
+        values = _local_connectivities(G, [(s, t) for t in targets], k + 1)
         for t, value in zip(targets, values):
             if value <= k:
                 _, cut = local_vertex_connectivity(G, s, t)
@@ -366,17 +374,30 @@ class ResilienceReport:
     max_generic_faulty: int
     max_generic_malicious: int
 
+    def guarantee(self, k: int) -> str:
+        """What identifying k agents promises: ``"malicious"`` when k is
+        within the malicious bound, else ``"faulty"``, as identification
+        needs at least the faulty agents' connectivity ``k + 1``."""
+        return "malicious" if k <= self.max_generic_malicious else "faulty"
+
 
 def resilience_bounds(G: DiGraph) -> ResilienceReport:
-    """Graph-theoretic resilience bounds.
+    """Graph-theoretic resilience bounds of G: :func:`resilience_at` its
+    vertex connectivity."""
+    return resilience_at(vertex_connectivity(G))
 
-    A k-connected network generically supports identification of up to
-    ``k - 1`` faulty agents and up to ``floor((k - 1) / 2)`` malicious
+
+def resilience_at(connectivity: int) -> ResilienceReport:
+    """The resilience bounds of a network of the given vertex connectivity.
+
+    The one rule of both guarantees: identifying k faulty agents needs
+    connectivity ``k + 1`` and k malicious agents ``2k + 1``, so a
+    κ-connected network generically supports identification of up to
+    ``κ - 1`` faulty agents and up to ``floor((κ - 1) / 2)`` malicious
     agents by every well-behaving observer.
     """
-    k = vertex_connectivity(G)
     return ResilienceReport(
-        connectivity=k,
-        max_generic_faulty=max(k - 1, 0),
-        max_generic_malicious=max((k - 1) // 2, 0),
+        connectivity=connectivity,
+        max_generic_faulty=max(connectivity - 1, 0),
+        max_generic_malicious=max((connectivity - 1) // 2, 0),
     )

@@ -26,7 +26,10 @@ SVD, which LAPACK returns orthonormal to working precision.
 ``image`` and ``kernel`` are the one-operand case of private stacked
 forms that take many operands at once: operands of one shape share one
 ``np.linalg.svd`` call, in chunks capped by ``_STACK_ENTRIES``, and every
-member is cut by the same :func:`_numeric_rank`.
+member is cut by the same :func:`_numeric_rank`, against its own largest
+singular value or a scale the caller knows, such as the size of the map
+an operand restricts.  A stacked split returns the row space with the
+null space, for fixpoints that need both.
 """
 
 from __future__ import annotations
@@ -182,17 +185,18 @@ def zero_subspace(n: int) -> Subspace:
     return _trusted(n, np.zeros((n, 0)))
 
 
-def _numeric_rank(s: np.ndarray) -> int:
-    """Singular values above ``rank_rel`` times the largest, and above
-    ``zero_abs``."""
+def _numeric_rank(s: np.ndarray, scale: float | None = None) -> int:
+    """Singular values above ``rank_rel`` times ``scale``, the largest
+    singular value unless given, and above ``zero_abs``."""
     if s.size == 0:
         return 0
-    thresh = max(s[0] * _POLICY.rank_rel, _POLICY.zero_abs)
+    thresh = max((s[0] if scale is None else scale) * _POLICY.rank_rel,
+                 _POLICY.zero_abs)
     return int(np.count_nonzero(s > thresh))
 
 
 # Most entries the largest SVD factor of one stack holds.  ``_images`` and
-# ``_kernels`` split a larger group of equal-shaped operands into chunks,
+# ``_splits`` split a larger group of equal-shaped operands into chunks,
 # and ``netguard.fdi`` sizes what it advances at once by the same measure,
 # which bounds the memory of the stacked calls.
 _STACK_ENTRIES = 1 << 16
@@ -226,37 +230,50 @@ def _stacked_svds(Ms, full_matrices: bool) -> list:
     return out
 
 
-def _images(Ms) -> list:
+def _images(Ms, scales=None) -> list:
     """Orthonormal bases of the column spaces of the 2-d arrays ``Ms``.
 
     An operand with no nonzero entry has the zero subspace; the others are
-    cut at :func:`_numeric_rank` of their singular values, their SVDs
-    stacked by :func:`_stacked_svds`.
+    cut at :func:`_numeric_rank` of their singular values against
+    ``scales[i]`` (by default their own largest), their SVDs stacked by
+    :func:`_stacked_svds`.
     """
     bases = [np.zeros((M.shape[0], 0)) for M in Ms]
     live = [i for i, M in enumerate(Ms) if M.any()]
     for i, (U, s, _) in zip(live, _stacked_svds([Ms[i] for i in live], False)):
-        bases[i] = U[:, :_numeric_rank(s)].copy()
+        scale = None if scales is None else scales[i]
+        bases[i] = U[:, :_numeric_rank(s, scale)].copy()
     return bases
 
 
-def _kernels(Ms) -> list:
-    """Orthonormal bases of the null spaces of the 2-d arrays ``Ms``.
+def _splits(Ms, scales=None) -> list:
+    """Orthonormal bases ``(R, N)`` of the row space and the null space of
+    each 2-d array in ``Ms``, one the complement of the other.
 
-    An operand with no nonzero entry (no rows included) has the full
-    space; the others are cut at :func:`_numeric_rank` of their singular
-    values, their SVDs stacked by :func:`_stacked_svds`.
+    An operand with no nonzero entry (no rows included) has no row space
+    and the full null space; the others split their right singular
+    vectors at :func:`_numeric_rank` of their singular values against
+    ``scales[i]`` (by default their own largest), their SVDs stacked by
+    :func:`_stacked_svds`.
     """
-    bases = [None] * len(Ms)
+    out = [None] * len(Ms)
     live = []
     for i, M in enumerate(Ms):
         if M.any():
             live.append(i)
         else:
-            bases[i] = np.eye(M.shape[1])
+            out[i] = (np.zeros((M.shape[1], 0)), np.eye(M.shape[1]))
     for i, (_, s, Vh) in zip(live, _stacked_svds([Ms[i] for i in live], True)):
-        bases[i] = Vh[_numeric_rank(s):].conj().T.copy()
-    return bases
+        r = _numeric_rank(s, None if scales is None else scales[i])
+        out[i] = (Vh[:r].conj().T.copy(), Vh[r:].conj().T.copy())
+    return out
+
+
+def _kernels(Ms) -> list:
+    """Orthonormal bases of the null spaces of the 2-d arrays ``Ms``: the
+    null-space half of :func:`_splits`, each cut against its own largest
+    singular value."""
+    return [N for _, N in _splits(Ms)]
 
 
 def image(M) -> Subspace:

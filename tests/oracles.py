@@ -22,8 +22,11 @@ convolves with the filter's Markov blocks.  :func:`synthesis_loop` is
 one candidate's synthesis as separate calls: the V* and S* loops of one
 decoupled set, one 2-d SVD per image or kernel, and the parity search
 growing its own powers, where ``netguard.fdi`` advances a whole bank in
-stacked SVDs on shared powers.  :func:`local_bank_loop` synthesizes a
-local bank one target at a time on hand-built input matrices, where
+stacked SVDs on shared powers; :func:`controlled_invariant_recompute` is
+the V* loop that takes the whole complement of ``V_k + Im B`` at every
+step, where ``fdi`` cuts by the directions it gained in the last one.
+:func:`local_bank_loop` synthesizes a local bank one target at a time on
+hand-built input matrices, where
 ``netguard.detect`` makes one bank call for the whole block, and
 :func:`bound_lp_columns` assembles the joint bound LP column by column,
 where ``detect`` stacks the generators' blocks with
@@ -245,26 +248,62 @@ def parity_weights_scan(A, Bd, watched, C):
     return None
 
 
-def _image_basis(M):
-    """Orthonormal basis of the column space of ``M`` from one 2-d SVD."""
+def _image_basis(M, scale=None):
+    """Orthonormal basis of the column space of ``M`` from one 2-d SVD, cut
+    against ``scale`` (by default the largest singular value)."""
     if M.shape[1] == 0 or not np.any(M):
         return np.zeros((M.shape[0], 0))
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    return U[:, :_numeric_rank(s)].copy()
+    return U[:, :_numeric_rank(s, scale)].copy()
+
+
+def _split_basis(M, scale=None):
+    """Orthonormal bases of the row space and the null space of ``M`` from
+    one 2-d SVD, cut against ``scale`` (by default the largest singular
+    value)."""
+    if not np.any(M):
+        return np.zeros((M.shape[1], 0)), np.eye(M.shape[1])
+    _, s, Vh = np.linalg.svd(M, full_matrices=True)
+    r = _numeric_rank(s, scale)
+    return Vh[:r].conj().T.copy(), Vh[r:].conj().T.copy()
 
 
 def _kernel_basis(M):
     """Orthonormal basis of the null space of ``M`` from one 2-d SVD."""
-    if M.shape[0] == 0 or not np.any(M):
-        return np.eye(M.shape[1])
-    _, s, Vh = np.linalg.svd(M, full_matrices=True)
-    return Vh[_numeric_rank(s):].conj().T.copy()
+    return _split_basis(M)[1]
 
 
 def controlled_invariant_loop(A, B, C):
+    """V* of one ``(A, B, C)`` by the step of ``netguard.fdi``, with one 2-d
+    SVD per split or image: ``V_0 = Ker C`` and ``D_0 = Im C^T ^ Ker
+    B^T``; each step cuts ``V`` by ``Ker(D^T A V)``, against the size of
+    ``D^T A``, and takes the next ``D`` from the removed directions
+    projected off ``V + Im B``, ``B``'s part cut against the size of
+    ``B``."""
+    Q_C, V = _split_basis(C)
+    if not V.shape[1]:
+        return V
+    size = np.linalg.norm(B)
+    D = Q_C @ _split_basis(B.T @ Q_C, size)[1]
+    while V.shape[1] and D.shape[1]:
+        DA = D.T @ A
+        removed, kept = _split_basis(DA @ V, np.linalg.norm(DA))
+        if not removed.shape[1]:
+            break
+        R = V @ removed
+        V = V @ kept
+        if not V.shape[1]:
+            break
+        Q = _image_basis(B - V @ (V.T @ B), size)
+        D = _image_basis(R - Q @ (Q.T @ R), 1.0)
+    return V
+
+
+def controlled_invariant_recompute(A, B, C):
     """V* of one ``(A, B, C)``: ``V_0 = Ker C``, ``V_{k+1} = V_k Ker(P_k A
-    V_k)`` with ``P_k`` projecting off ``V_k + Im B``, until the dimension
-    stays."""
+    V_k)`` with ``P_k`` projecting off ``V_k + Im B``, every step a new
+    image of ``[V_k, B]`` and a kernel of all of ``P_k A V_k``, until the
+    dimension stays."""
     V = _kernel_basis(C)
     while V.shape[1]:
         Q = _image_basis(np.hstack([V, B]))
@@ -702,5 +741,5 @@ def vertex_connectivity_even(G: DiGraph) -> int:
         pairs = [(i, w) for w in range(i + 1, n + 1) if not G.has_edge(i, w)]
         pairs += [(w, i) for w in range(i + 1, n + 1) if not G.has_edge(w, i)]
         if pairs:
-            best = min(best, int(_local_connectivities(G, pairs).min()))
+            best = min(best, int(_local_connectivities(G, pairs, n).min()))
     return best

@@ -68,6 +68,21 @@ def test_overflowed_state_exits_invalid(tmp_path, capsys):
     assert not (out / "verdict.json").exists()
 
 
+# The refused run leaves no file behind and prints the error line alone,
+# with no numpy warning of the overflow ahead of it.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowed_simulation_writes_nothing(tmp_path, capsys):
+    code, out = run(tmp_path, "simulate", {
+        "matrix": {"rows": BENCH8_A.tolist()}, "horizon": 5,
+        "attacks": [{"agent": 3, "kind": "constant", "value": 1.7e308}]})
+    assert code == cli.EXIT_INVALID
+    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write verdict.json: Out of range "
+                          "float values are not JSON compliant")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_row_sum_error_exits_invalid(tmp_path):
     A = BENCH8_A.copy()
     A[0, 0] += 0.1

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from netguard import cli, consensus, fdi, numerics
+from netguard import cli, consensus, fdi, numerics, sysan
 
 from fixtures import (BENCH8_A, BENCH8_SM_37, LOCAL_GEN2, LOCAL_GEN3, RING9_A,
                       SYMMETRIC4_A, UNSTABLE_ZEROS_A, WEAK7_BLOCKS,
                       observer_matrix)
-from oracles import (exact_conditioned_invariant, exact_controlled_invariant,
+from oracles import (controlled_invariant_recompute,
+                     exact_conditioned_invariant, exact_controlled_invariant,
                      parity_weights_scan, run_residual_steps, same_span,
                      synthesis_loop)
 
@@ -78,6 +79,56 @@ def test_controlled_invariant_is_output_nulling_and_invariant(seed):
         stacked = np.hstack([V, B])
         fit = stacked @ np.linalg.lstsq(stacked, AV, rcond=None)[0] - AV
         assert np.linalg.norm(fit) <= 1e-9 * max(np.linalg.norm(AV), 1.0)
+
+
+# V* cut only by the constraint directions each step gains is output
+# nulling and controlled invariant, and holds the V* of the loop that takes
+# the whole complement of V_k + Im B at every step: that loop rechecks the
+# constraints V_k already meets and can cut more (0 against 3 dimensions for
+# default_rng(5), n = 34, extra_edges=3, K {17, 21}, observer 24).
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(6, 40))
+def test_controlled_invariant_contains_the_recomputed_fixpoint(data, n):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=data.draw(st.integers(0, 2 * n), label="extra"))
+    j = data.draw(st.integers(1, n), label="observer")
+    others = [a for a in range(1, n + 1) if a != j]
+    K = data.draw(st.lists(st.sampled_from(others), min_size=1, max_size=3,
+                           unique=True), label="K")
+    B, C = consensus.input_matrix(n, K), net.output_matrix(j)
+    V = fdi.max_controlled_invariant(net.A, B, C)
+    assert np.linalg.norm(C @ V.basis) <= 1e-9
+    AV = net.A @ V.basis
+    stacked = np.hstack([V.basis, B])
+    fit = stacked @ np.linalg.lstsq(stacked, AV, rcond=None)[0] - AV
+    assert np.linalg.norm(fit) <= 1e-9 * np.linalg.norm(AV)
+    reference = controlled_invariant_recompute(net.A, B, C)
+    assert all(V.contains(x) for x in reference.T)
+    event(f"V* larger than the recomputed one: {V.dim > reference.shape[1]}")
+
+
+# The pencil decides these triples.  At seed 71 (n = 58) its smallest
+# singular value is 1e-17 of the largest at every point, so the triple is
+# not left invertible and V* needs 2 dimensions: a last constraint cut
+# against its own size, 2.1e-12 of rounding, rather than that of D^T A
+# leaves 1.  At seed 44 (n = 42) each of 14 eigenvalues of the zero
+# dynamics drops the pencil's rank, where the recompute loop ends at 0.
+@pytest.mark.parametrize("seed, K, j, dim", [(71, [42, 44, 45], 14, 2),
+                                             (44, [25, 37], 4, 14)])
+def test_controlled_invariant_matches_the_pencil(seed, K, j, dim):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 61))
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=int(rng.integers(0, 2 * n)))
+    T = sysan.Triple.from_network(net, K, j)
+    assert fdi.max_controlled_invariant(T.A, T.B, T.C).dim == dim
+    analysis = sysan.invariant_zeros(T)
+    sigma = np.linalg.svd(sysan.pencil(T, 0.3 + 0.2j), compute_uv=False)
+    assert analysis.left_invertible == (sigma[-1] > 1e-12 * sigma[0])
+    if analysis.left_invertible:
+        assert len(analysis.zeros) == dim
 
 
 @pytest.mark.parametrize("A, j", [(BENCH8_A, 1), (RING9_A, 1), (SYMMETRIC4_A, 1)])

@@ -129,7 +129,7 @@ def test_connectivity_pairs_are_those_of_the_vertex_with_fewest(seed):
     rng = np.random.default_rng(1000 + seed)
     n = int(rng.integers(2, 15))
     G = dense_digraph(rng, n) if seed % 2 else random_digraph(rng, n)
-    pairs = [tuple(p) for p in gm._connectivity_pairs(G).tolist()]
+    pairs = [tuple(p) for p in gm._connectivity_pairs(G)[0].tolist()]
     assert sorted(pairs) == sorted(fewest_pairs(G))
 
 
@@ -256,6 +256,18 @@ def test_generic_zero_dynamics_conditions():
     assert not gm.generically_no_zero_dynamics(ring_pat, ring_input)
 
 
+# identify's guarantee and analyze's malicious bound are one rule of the
+# connectivity: k malicious agents need 2k + 1.
+@pytest.mark.parametrize("connectivity", range(10))
+@pytest.mark.parametrize("k", range(5))
+def test_guarantee_follows_the_malicious_bound(connectivity, k):
+    bounds = gm.resilience_at(connectivity)
+    bound = bounds.max_generic_malicious
+    assert (bounds.guarantee(k) == "malicious") == (k <= bound)
+    if connectivity >= 1:
+        assert (k <= bound) == (connectivity >= 2 * k + 1)
+
+
 def test_resilience_bounds():
     rb = gm.resilience_bounds(gm.from_matrix(BENCH8_A))
     assert (rb.connectivity, rb.max_generic_faulty, rb.max_generic_malicious) \
@@ -364,19 +376,33 @@ def test_local_connectivities_match_single_pair_flows(seed):
     G = random_digraph(rng, int(rng.integers(2, 12)))
     pairs = non_adjacent_pairs(G)
     expected = [gm.local_vertex_connectivity(G, s, t)[0] for s, t in pairs]
-    assert gm._local_connectivities(G, pairs).tolist() == expected
+    assert gm._local_connectivities(G, pairs, G.n).tolist() == expected
     if not pairs:
         return
     # a single pair, a pair repeated, and pairs sharing their source or sink
     picks = [int(rng.integers(len(pairs))) for _ in range(3)]
     p = picks[0]
-    assert gm._local_connectivities(G, [pairs[p]]).tolist() == [expected[p]]
-    assert gm._local_connectivities(G, [pairs[p]] * 3).tolist() == [expected[p]] * 3
+    assert gm._local_connectivities(G, [pairs[p]], G.n).tolist() == [expected[p]]
+    assert gm._local_connectivities(G, [pairs[p]] * 3, G.n).tolist() == [expected[p]] * 3
     for shared in (0, 1):
         chosen = [q for q in range(len(pairs))
                   if pairs[q][shared] == pairs[p][shared]] + picks
-        assert gm._local_connectivities(G, [pairs[q] for q in chosen]).tolist() \
+        assert gm._local_connectivities(G, [pairs[q] for q in chosen], G.n).tolist() \
             == [expected[q] for q in chosen]
+
+
+# A capped copy stops at the cap; the least degree caps no connectivity.
+@pytest.mark.parametrize("seed", range(5))
+def test_capped_local_connectivities(seed):
+    rng = np.random.default_rng(900 + seed)
+    G = dense_digraph(rng, int(rng.integers(4, 13)))
+    pairs = non_adjacent_pairs(G)
+    exact = gm._local_connectivities(G, pairs, G.n)
+    least_degree = gm._connectivity_pairs(G)[1]
+    for cap in (1, 2, least_degree):
+        assert gm._local_connectivities(G, pairs, cap).tolist() \
+            == np.minimum(exact, cap).tolist()
+    assert vertex_connectivity_even(G) <= least_degree
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -384,12 +410,12 @@ def test_local_connectivities_chunked(seed, monkeypatch):
     rng = np.random.default_rng(700 + seed)
     G = dense_digraph(rng, 12)
     pairs = non_adjacent_pairs(G)
-    whole = gm._local_connectivities(G, pairs)
+    whole = gm._local_connectivities(G, pairs, G.n)
     k = gm.vertex_connectivity(G)
     # room for three copies of the split network per max-flow
     monkeypatch.setattr(gm, "_UNION_ARCS", 3 * (G.n + len(G.edges) + 2))
     calls = count_flows(monkeypatch)
-    assert gm._local_connectivities(G, pairs).tolist() == whole.tolist()
+    assert gm._local_connectivities(G, pairs, G.n).tolist() == whole.tolist()
     assert len(calls) == -(-len(pairs) // 3)
     assert gm.vertex_connectivity(G) == k
 

@@ -5,16 +5,21 @@ Each example draws a random consensus network and a factor 10^s, s in
 the same verdicts on the unscaled data: the ``detect`` command's flag,
 the set complete identification returns, whether the cut attack is
 built, and whether a witness of a 2-cut (and a broken copy of it) is
-accepted.
+accepted.  V* and its zero dynamics are checked on the ``UNSTABLE_ZEROS``
+triple with A scaled by 10^s.
 """
 
 import dataclasses
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from netguard import cli, consensus, detect, graph, sysan
+
+from fixtures import (UNSTABLE_ZEROS_A, UNSTABLE_ZEROS_INPUTS,
+                      UNSTABLE_ZEROS_OBSERVER, observer_matrix)
 
 
 def _detect_flag(out, net, j, x0, attacks) -> bool:
@@ -87,3 +92,23 @@ def test_verdicts_do_not_change_with_scale(tmp_path_factory, data, n, s):
         for c in (1.0, factor):
             assert sysan._witness_outputs_match(net, _scaled(cand, c),
                                                 jw) == expected
+
+
+# V* keeps dimension 3 and the zero dynamics {0, -2s, -2s} at every scale
+# s of A.  invariant_zeros finds {0, -2s} from s = 1e-6 to 1e7: below, its
+# absolute 1e-6 merge joins -2s to 0, and above, the state part of the
+# pencil's null vector at -2s falls under 1e-8 of it and the zero is dropped.
+@pytest.mark.parametrize("e", range(-9, 10))
+def test_controlled_invariant_does_not_change_with_scale(e):
+    s = 10.0 ** e
+    T = sysan.Triple.from_matrices(
+        s * UNSTABLE_ZEROS_A, consensus.input_matrix(8, UNSTABLE_ZEROS_INPUTS),
+        observer_matrix(UNSTABLE_ZEROS_A, UNSTABLE_ZEROS_OBSERVER))
+    V, d = sysan._zero_dynamics(T)
+    assert (V.dim, d) == (3, 0)
+    X = sysan._friend_realization(T.A, T.B, V.basis)[0]
+    np.testing.assert_allclose(np.sort(np.linalg.eigvals(X).real) / s,
+                               [-2.0, -2.0, 0.0], atol=1e-6)
+    if -6 <= e <= 7:
+        zeros = sorted(w.z.real / s for w in sysan.invariant_zeros(T).zeros)
+        np.testing.assert_allclose(zeros, [-2.0, 0.0], atol=1e-9)
