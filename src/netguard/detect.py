@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 
 from . import fdi, graph as graphmod
@@ -450,6 +450,16 @@ def _decision_maps(P: np.ndarray, gen: fdi.ResidualGenerator) -> np.ndarray:
     return g
 
 
+class _Rows(NamedTuple):
+    """LP rows ``lb <= A v <= ub`` in the ``(A, lb, ub)`` form that
+    ``scipy.optimize.milp`` takes for a ``LinearConstraint``, so that
+    building them does not import the optimizer."""
+
+    A: scipy.sparse.csc_matrix
+    lb: float
+    ub: float
+
+
 @dataclass(frozen=True)
 class _BoundMaps:
     """Both certified bounds of one coupling, ready for any input box.
@@ -459,13 +469,14 @@ class _BoundMaps:
     indices do not depend on the box and are assembled here once, so an
     evaluation only fills in the variable bounds: ``is_state`` marks the
     initial-state variables, the level variables sit at ``levels`` and
-    the rest are input samples.  The well-behaving bound needs only each
-    silent map's ``|Psi_x|`` row sums (``base``) and the column sums of
-    its sample rows' positive and negative parts (``pos``, ``neg``),
-    concatenated over the generators.
+    the rest are input samples; ``constraints`` is ``None`` without active
+    maps.  The well-behaving bound needs only each silent map's
+    ``|Psi_x|`` row sums (``base``) and the column sums of its sample
+    rows' positive and negative parts (``pos``, ``neg``), concatenated
+    over the generators.
     """
 
-    constraints: scipy.optimize.LinearConstraint | None
+    constraints: _Rows | None
     cost: np.ndarray
     is_state: np.ndarray
     levels: np.ndarray
@@ -495,7 +506,7 @@ class _BoundMaps:
         if blocks:
             matrix = scipy.sparse.block_diag(blocks, format="csc")
             matrix.eliminate_zeros()
-            constraints = scipy.optimize.LinearConstraint(matrix, -np.inf, 0.0)
+            constraints = _Rows(matrix, -np.inf, 0.0)
         levels = np.array(levels, dtype=np.int64)
         cost = np.zeros(len(is_state))
         cost[levels] = 1.0
@@ -555,6 +566,7 @@ def _joint_box_min(maps: _BoundMaps, box, x_max: float) -> float:
     upper = np.where(maps.is_state, x_max, hi)
     lower[maps.levels] = 0.0
     upper[maps.levels] = np.inf
+    import scipy.optimize
     res = scipy.optimize.milp(maps.cost, bounds=(lower, upper),
                               constraints=maps.constraints)
     if not res.success:
@@ -699,6 +711,7 @@ def _crossing(decomp, bank, u_min, u_max, x_max, outside, eps_hi, tol, known):
         return 0.0, 0.0
     if gap(eps_hi) > 0:
         return np.inf, np.inf
+    import scipy.optimize
     eps_star = scipy.optimize.brentq(gap, 0.0, eps_hi, xtol=0.5 * tol)
     return eps_star, bounds(eps_star)[0]
 

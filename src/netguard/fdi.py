@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -376,10 +377,22 @@ def _block_toeplitz(markov: np.ndarray) -> np.ndarray:
     the diagonal and zero on and above it.
     """
     L, p, m = markov.shape
-    s, tau = np.tril_indices(L + 1, -1)
+    s, tau, lag = _toeplitz_pattern(L)
     T = np.zeros((L + 1, p, L + 1, m))
-    T[s, :, tau, :] = markov[s - tau - 1]
+    T[s, :, tau, :] = markov[lag]
     return T.reshape((L + 1) * p, (L + 1) * m)
+
+
+@lru_cache(maxsize=32)
+def _toeplitz_pattern(L: int):
+    """Read-only ``(s, tau, s - tau - 1)`` over the blocks below the
+    diagonal of an ``L + 1`` block square, kept for the last few ``L``:
+    a bank asks for the same few windows in every member."""
+    s, tau = np.tril_indices(L + 1, -1)
+    pattern = (s, tau, s - tau - 1)
+    for index in pattern:
+        index.setflags(write=False)
+    return pattern
 
 
 def _window_maps(A, B, C, L: int):

@@ -1,8 +1,12 @@
 """Every third-party package that ``netguard`` imports is declared as a
-dependency in ``pyproject.toml``, so an install pulls it in."""
+dependency in ``pyproject.toml``, so an install pulls it in, and the
+commands that calibrate nothing start without the optimizer."""
 
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -28,3 +32,45 @@ def test_imports_are_declared_dependencies():
                         and top.lower() not in declared):
                     undeclared.setdefault(top, path.name)
     assert undeclared == {}
+
+
+# Runs in a fresh interpreter: the CLI calls given as (command, scenario,
+# out) triples, then their exit codes and whether scipy.optimize was loaded.
+STARTUP = """
+import json, sys
+import netguard.cli as cli
+calls = zip(*[iter(sys.argv[1:])] * 3)
+codes = [cli.main([c, "--scenario", s, "--out", o]) for c, s, o in calls]
+print(json.dumps([codes, "scipy.optimize" in sys.modules]))
+"""
+
+
+def test_commands_without_calibration_never_load_the_optimizer(tmp_path):
+    # bidirectional ring of 5 with self-loops: 2-connected, so one agent
+    # is identifiable as faulty
+    A = [[1 / 3 if (r - c) % 5 in (0, 1, 4) else 0.0 for c in range(5)]
+         for r in range(5)]
+    attack = [{"agent": 3, "kind": "constant", "value": 1.0}]
+    scenarios = {
+        "validate": {"matrix": {"rows": A}},
+        "simulate": {"matrix": {"rows": A}, "horizon": 10, "attacks": attack},
+        "detect": {"matrix": {"rows": A}, "observer": 1, "horizon": 40,
+                   "attacks": attack},
+        "identify": {"matrix": {"rows": A}, "observer": 1, "k": 1,
+                     "horizon": 15, "attacks": attack},
+        "analyze": {"matrix": {"rows": A}, "observer": 1, "sets": [[3]]},
+        "synthesize": {"matrix": {"rows": A}, "observer": 1, "targets": [3],
+                       "decouple": [4]},
+    }
+    argv = []
+    for command, scenario in scenarios.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(scenario))
+        argv += [command, str(path), str(tmp_path / f"{command}-out")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", STARTUP, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, optimizer = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(scenarios)
+    assert not optimizer

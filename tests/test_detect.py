@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from netguard import consensus, detect, fdi, graph
+from netguard import consensus, detect, fdi, graph, sysan
 
 from fixtures import BENCH8_A, RING9_A
 from oracles import consistent_sets, filter_run_reference
@@ -224,6 +224,33 @@ def test_identifies_faulty_agents_below_2k_plus_1(data, k, n):
     assert verdict.connectivity == kappa
     assert verdict.status == "identified"
     assert verdict.identified == faulty
+
+
+# Two malicious agents K1 of a 3-vertex cut collude against the third, K2:
+# with the witness's inputs and initial state they look like K2 alone to an
+# observer on the sink side, so a verdict may name the innocent K2.  The
+# network is 3-connected, short of the 2k + 1 = 5 that identifying two
+# malicious agents needs, so the verdict only ever promises faulty agents.
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(11, 14))
+def test_colluders_never_get_a_malicious_guarantee(seed, n):
+    k = 2
+    rng = np.random.default_rng(seed)
+    net = consensus.random_consensus_matrix(n, rng, extra_edges=n * n // 3,
+                                            min_connectivity=3)
+    assume(graph.vertex_connectivity(net.graph) == 3)
+    cut = graph.find_vertex_cut(net.graph, 3)
+    K1, K2 = cut.cut[:2], cut.cut[2:]
+    j = cut.sink_side[0]
+    w = sysan.unidentifiability_witness(net, K1, K2, j)
+    assume(w is not None)
+    attacks = [consensus.Attack.sequence(a, w.inputs_1[:, c])
+               for c, a in enumerate(w.K1)]
+    traj = consensus.simulate(net, w.x0, attacks, w.horizon)
+    verdict = detect.complete_identification(net, j, k,
+                                             net.outputs(traj.states, j))
+    assert verdict.connectivity == 3
+    assert graph.resilience_at(verdict.connectivity).guarantee(k) == "faulty"
 
 
 @pytest.mark.parametrize("A, k, attacked", [

@@ -300,6 +300,25 @@ def test_parity_search_matches_the_scan_over_every_window(data, n, kind):
         assert np.array_equal(got[1], want[1])
 
 
+# Block (s, tau) of the window map is markov[s - tau - 1] below the diagonal
+# and zero on and above it; the index pattern behind it is shared between
+# calls, so it must not be writable.
+@pytest.mark.parametrize("L", range(1, 7))
+def test_block_toeplitz_matches_its_definition(L):
+    rng = np.random.default_rng(L)
+    p, m = (int(d) for d in rng.integers(1, 4, size=2))
+    markov = rng.standard_normal((L, p, m))
+    T = fdi._block_toeplitz(markov)
+    assert T.shape == ((L + 1) * p, (L + 1) * m)
+    for s in range(L + 1):
+        for tau in range(L + 1):
+            block = T[s * p:(s + 1) * p, tau * m:(tau + 1) * m]
+            want = markov[s - tau - 1] if s > tau else np.zeros((p, m))
+            assert np.array_equal(block, want)
+    assert not any(index.flags.writeable
+                   for index in fdi._toeplitz_pattern(L))
+
+
 def bank_inputs(net, j, k, targeted, rng):
     """A complete-identification bank of observer ``j`` (no targets), or one
     target per decoupled set drawn from the agents outside it."""
