@@ -266,6 +266,8 @@ def cmd_validate(scn: dict, base: Path, seed: int, out: Path) -> int:
 def cmd_analyze(scn: dict, base: Path, seed: int, out: Path) -> int:
     A = _matrix_from_scenario(scn, base)
     n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError(f"matrix must be square, got {n} x {A.shape[1]}")
     observer = _read(scn, "observer", _INTEGER, None)
     observers = _read(scn, "observers", _AGENTS, []) or (
         [observer] if observer is not None else list(range(1, n + 1)))
@@ -278,12 +280,13 @@ def cmd_analyze(scn: dict, base: Path, seed: int, out: Path) -> int:
         # pencil analysis and connectivity are still meaningful
         net, consensus_valid, invalid_reason = None, False, str(exc)
     bounds = graph.resilience_bounds(net.graph if net else graph.from_matrix(A))
+    # all the sets of one observer share one stacked V*
+    Bs = [consensus.input_matrix(n, K) for K in sets]
+    by_observer = [sysan._pencil_analyses(A, Bs, C) for _, C in outputs]
     pairs = []
-    for K in sets:
-        B = consensus.input_matrix(n, K)
-        for j, C in outputs:
-            analysis = sysan.invariant_zeros(
-                sysan.Triple.from_matrices(A, B, C, observer=j))
+    for s, K in enumerate(sets):
+        for (j, _), analyses in zip(outputs, by_observer):
+            analysis = analyses[s]
             zeros = None if analysis.zeros is None else [
                 {"re": w.z.real, "im": w.z.imag, "modulus": abs(w.z)}
                 for w in analysis.zeros]

@@ -86,7 +86,9 @@ def _controlled_invariants(A, Bs, C) -> list:
     """Bases of V* of ``(A, B, C)`` for every ``B`` in ``Bs``.
 
     The iteration of :func:`max_controlled_invariant` for all of them at
-    once: ``Ker C`` and ``Im C^T`` come from one SVD of ``C``, and each
+    once, run by the synthesis bank and by ``sysan``'s bank of pencil
+    analyses, which both pass at most ``numerics._stack_size(n, n)``
+    members: ``Ker C`` and ``Im C^T`` come from one SVD of ``C``, and each
     step takes one stacked split of the constraints ``D^T A V`` and two
     stacked images over the iterates not yet fixed.  Each is cut against
     the size of the map it restricts, not its own largest singular value,

@@ -202,10 +202,14 @@ def vertex_connectivity(G: DiGraph) -> int:
     only when they are split to bound its size), each copy's flow capped
     at the least in- or out-degree, which bounds the connectivity: the
     neighbours on that side of such a vertex form a cut.  A complete digraph,
-    which has no pairs, has connectivity ``n - 1`` by convention and a
-    graph that is not strongly connected has connectivity 0.
+    which has no pairs, has connectivity ``n - 1`` by convention.  A graph
+    that is not strongly connected has connectivity 0 from the pairs
+    alone: if v cannot reach some w, (v, w) is a pair of local
+    connectivity 0, and so is (w, v) if some w cannot reach v; v has no
+    pair of the first two families only when it has arcs to and from
+    every vertex, and then the graph is strongly connected.
     """
-    if G.n <= 1 or not is_strongly_connected(G):
+    if G.n <= 1:
         return 0
     pairs, least_degree = _connectivity_pairs(G)
     if not len(pairs):

@@ -212,8 +212,9 @@ def _stacked_svds(Ms, full_matrices: bool) -> list:
     """``np.linalg.svd`` of each matrix in ``Ms``, as ``(U, s, Vh)``.
 
     Operands of one shape and dtype share a call, in chunks of at most
-    :func:`_stack_size` members.  LAPACK factors each member of a stack on
-    its own, so every result is bitwise the one a separate call returns.
+    :func:`_stack_size` members; a chunk of one is passed as a view, with
+    no copy.  LAPACK factors each member of a stack on its own, so every
+    result is bitwise the one a separate call returns.
     """
     groups = {}
     for i, M in enumerate(Ms):
@@ -223,8 +224,9 @@ def _stacked_svds(Ms, full_matrices: bool) -> list:
         chunk = _stack_size(*shape)
         for lo in range(0, len(members), chunk):
             part = members[lo:lo + chunk]
-            U, s, Vh = np.linalg.svd(np.stack([Ms[i] for i in part]),
-                                     full_matrices=full_matrices)
+            stack = (Ms[part[0]][None] if len(part) == 1
+                     else np.stack([Ms[i] for i in part]))
+            U, s, Vh = np.linalg.svd(stack, full_matrices=full_matrices)
             for g, i in enumerate(part):
                 out[i] = (U[g], s[g], Vh[g])
     return out

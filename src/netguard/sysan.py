@@ -6,9 +6,13 @@ controlled invariant: the triple is left-invertible iff no input drives
 the state inside V*, and its zeros are then the eigenvalues of the friend
 map on V*, each verified by a rank drop of the pencil with its directions.
 The output-zeroing inputs from ``x0`` exist exactly when V* contains it,
-and come from the same friend map.  Also eigenvector (PBH) tests,
-zero-dynamics stability classification from the network structure, and
-explicit construction of undetectable and unidentifiable misbehaviors.
+and come from the same friend map.  The analyses of many input sets on
+one ``(A, C)``, all the sets of one observer, run as one bank: their V*
+fixpoints advance together in ``fdi``'s stacked SVDs, and each member is
+bit for bit the analysis of its triple alone, which is the bank of one.
+Also eigenvector (PBH) tests, zero-dynamics stability classification
+from the network structure, and explicit construction of undetectable
+and unidentifiable misbehaviors.
 Every "signal is zero" verdict is the relative ``numerics._negligible``.
 """
 
@@ -97,11 +101,15 @@ class Triple:
 
 def pencil(T: Triple, z: complex) -> np.ndarray:
     """System pencil ``[[zI - A, B], [C, 0]]`` evaluated at ``z``."""
-    n, m, p = T.n, T.m, T.p
+    return _pencil(T.A, T.B, T.C, z)
+
+
+def _pencil(A, B, C, z: complex) -> np.ndarray:
+    n, m, p = A.shape[0], B.shape[1], C.shape[0]
     P = np.zeros((n + p, n + m), dtype=complex)
-    P[:n, :n] = z * np.eye(n) - T.A
-    P[:n, n:] = T.B
-    P[n:, :n] = T.C
+    P[:n, :n] = z * np.eye(n) - A
+    P[:n, n:] = B
+    P[n:, :n] = C
     return P
 
 
@@ -143,17 +151,35 @@ def _friend_realization(A, B, V):
                                                   _FIT_REL)
 
 
-def _zero_dynamics(T: Triple):
-    """V* of the triple and ``d = dim B^{-1} V*``.
+def _zero_dynamics_bank(A, Bs, C) -> list:
+    """V* of ``(A, B, C)`` and ``d = dim B^{-1} V*`` for every ``B`` in
+    ``Bs``, as ``(basis, d)``.
 
     ``d = dim V* + m - rank [V*, B]`` counts the inputs that drive the
     state inside V*, so it is ``dim(V* ^ Im B)`` plus the dimension of
     Ker B.  It is the dimension of the pencil's rational null space, and
     it vanishes exactly when the triple is left-invertible (Basile and
-    Marro, *Controlled and Conditioned Invariants*, 1992).
+    Marro, *Controlled and Conditioned Invariants*, 1992).  The V*
+    fixpoints of all the ``B`` advance together in ``fdi``'s stacked
+    SVDs, in slices of as many as one stack of ``n x n`` operands takes
+    (``numerics._stack_size``), each member bit for bit the V* it has
+    alone.
     """
-    V = fdi.max_controlled_invariant(T.A, T.B, T.C)
-    return V, V.dim + T.m - numerics.rank(np.hstack([V.basis, T.B]))
+    size = numerics._stack_size(A.shape[0], A.shape[0])
+    out = []
+    for lo in range(0, len(Bs), size):
+        part = Bs[lo:lo + size]
+        for B, V in zip(part, fdi._controlled_invariants(A, part, C)):
+            out.append((V, V.shape[1] + B.shape[1]
+                        - numerics.rank(np.hstack([V, B]))))
+    return out
+
+
+def _zero_dynamics(T: Triple):
+    """V* of the triple, as a ``Subspace``, and ``d = dim B^{-1} V*``:
+    :func:`_zero_dynamics_bank` of one member."""
+    V, d = _zero_dynamics_bank(T.A, [T.B], T.C)[0]
+    return numerics.Subspace(T.n, V), d
 
 
 def pencil_normal_rank(T: Triple) -> int:
@@ -174,39 +200,66 @@ def invariant_zeros(T: Triple) -> PencilAnalysis:
     left-invertible.  Every candidate is verified by an actual rank drop
     of the pencil, and the directions are recovered from its null space.
     A non-left-invertible triple is reported with ``zeros=None``
-    (infinitely many zeros).
+    (infinitely many zeros).  This is :func:`_pencil_analyses` of one
+    member.
     """
-    V, d = _zero_dynamics(T)
-    nr = T.n + T.m - d
-    if d:
-        return PencilAnalysis(normal_rank=nr, left_invertible=False, zeros=None)
-    X = _friend_realization(T.A, T.B, V.basis)[0]
+    return _pencil_analyses(T.A, [T.B], T.C)[0]
+
+
+def _pencil_analyses(A, Bs, C) -> list:
+    """:func:`invariant_zeros` of ``(A, B, C)`` for every ``B`` in ``Bs``,
+    in order, with the V* fixpoints of all of them stacked
+    (:func:`_zero_dynamics_bank`).
+
+    ``A`` is square and every ``B`` column and ``C`` row a canonical basis
+    vector, as in a :class:`Triple`.  The zeros are sought only where V*
+    is nonzero and the triple left-invertible; with V* = 0 there are none.
+    """
+    n = A.shape[0]
+    out = []
+    for B, (V, d) in zip(Bs, _zero_dynamics_bank(A, Bs, C)):
+        nr = n + B.shape[1] - d
+        if d:
+            out.append(PencilAnalysis(normal_rank=nr, left_invertible=False,
+                                      zeros=None))
+        else:
+            out.append(PencilAnalysis(
+                normal_rank=nr, left_invertible=True,
+                zeros=_zeros_on(A, B, C, V, nr) if V.shape[1] else ()))
+    return out
+
+
+def _zeros_on(A, B, C, V, nr: int) -> tuple:
+    """The verified zeros of a left-invertible ``(A, B, C)`` of normal rank
+    ``nr`` from the eigenvalues of its friend map on the V* basis ``V``,
+    sorted by real then imaginary part."""
+    X = _friend_realization(A, B, V)[0]
     found: list[InvariantZero] = []
     for z in np.linalg.eigvals(X):
         if abs(z.imag) < 1e-9:
             z = complex(z.real, 0.0)
         if any(abs(z - other.z) < 1e-6 * max(1.0, abs(z)) for other in found):
             continue
-        P = pencil(T, z)
+        P = _pencil(A, B, C, z)
         # a singular-values-only SVD rules a candidate out at a third of
         # the cost of the kernel's full one
         if numerics.rank(P) >= nr:
             continue
-        zero = _verify_zero_direction(T, z, P, numerics.kernel(P).basis)
+        zero = _verify_zero_direction(A.shape[0], z, P,
+                                      numerics.kernel(P).basis)
         if zero is not None:
             found.append(zero)
     found.sort(key=lambda w: (round(w.z.real, 9), round(w.z.imag, 9)))
-    return PencilAnalysis(normal_rank=nr, left_invertible=True,
-                          zeros=tuple(found))
+    return tuple(found)
 
 
-def _verify_zero_direction(T: Triple, z: complex, P: np.ndarray,
+def _verify_zero_direction(n: int, z: complex, P: np.ndarray,
                            null_basis: np.ndarray) -> InvariantZero | None:
-    """Pick a null vector of the pencil ``P`` at ``z`` with nonzero state
-    part, scale that part to unit norm and re-check the equations against
-    ``||P||``: a near null vector whose state part is small leaves a large
-    residual once scaled, and is no zero direction."""
-    n = T.n
+    """Pick a null vector of the pencil ``P`` at ``z`` of a triple with
+    ``n`` states whose state part is nonzero, scale that part to unit norm
+    and re-check the equations against ``||P||``: a near null vector whose
+    state part is small leaves a large residual once scaled, and is no
+    zero direction."""
     norm_P = np.linalg.norm(P)
     for col in null_basis.T:
         if numerics._negligible(col[:n], col, 1e-8):

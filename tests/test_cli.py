@@ -6,7 +6,7 @@ import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netguard import cli, consensus, numerics, sysan
+from netguard import cli, consensus, fdi, numerics, sysan
 
 from fixtures import BENCH8_A, WEAK7_PARTITION, weak7_matrix
 
@@ -110,6 +110,76 @@ def test_analyze_uses_the_observer_rows(tmp_path):
         sysan.Triple.from_matrices(BENCH8_A, consensus.input_matrix(8, [3]), C))
     assert [p["observer"] for p in report["pairs"]] == [8]
     assert report["pairs"][0]["normal_rank"] == expected.normal_rank
+
+
+def count_fixpoints(monkeypatch):
+    """The number of V* fixpoints taken, each over a bank of inputs."""
+    fixpoint, calls = fdi._controlled_invariants, []
+
+    def counting(A, Bs, C):
+        calls.append(len(Bs))
+        return fixpoint(A, Bs, C)
+
+    monkeypatch.setattr(fdi, "_controlled_invariants", counting)
+    return calls
+
+
+# BENCH8's sets for observer 1 include one with a zero and one that is not
+# left-invertible.
+ANALYZE_SETS = [[3], [4, 2], [5, 6, 7], [2, 3, 4, 5], [1, 8]]
+
+
+def per_pair_report(sets, observers):
+    """``analyze``'s pairs from one triple at a time, sets outermost."""
+    pairs = []
+    for K in sets:
+        for j in observers:
+            analysis = sysan.invariant_zeros(sysan.Triple.from_matrices(
+                BENCH8_A, consensus.input_matrix(8, sorted(K)),
+                consensus._output_matrix(BENCH8_A, j), observer=j))
+            zeros = None if analysis.zeros is None else [
+                {"re": w.z.real, "im": w.z.imag, "modulus": abs(w.z)}
+                for w in analysis.zeros]
+            pairs.append({"set": sorted(K), "observer": j, "zeros": zeros,
+                          "left_invertible": analysis.left_invertible,
+                          "normal_rank": analysis.normal_rank})
+    return pairs
+
+
+# One stacked V* per observer for all of its sets, the default of every
+# agent observing included, and the pairs are those of one triple at a time.
+@pytest.mark.parametrize("observers", [[1], [1, 5], None])
+def test_analyze_takes_one_fixpoint_per_observer(tmp_path, monkeypatch,
+                                                 observers):
+    scenario = {"matrix": {"rows": BENCH8_A.tolist()}, "sets": ANALYZE_SETS}
+    if observers is not None:
+        scenario["observers"] = observers
+    expected = per_pair_report(ANALYZE_SETS, observers or range(1, 9))
+    calls = count_fixpoints(monkeypatch)
+    code, out = run(tmp_path, "analyze", scenario)
+    assert code == cli.EXIT_OK
+    assert calls == [len(ANALYZE_SETS)] * len(observers or range(1, 9))
+    pairs = strict_json(out / "report.json")["pairs"]
+    assert pairs == expected
+    assert any(p["zeros"] for p in pairs)
+    assert not all(p["left_invertible"] for p in pairs)
+
+
+def test_analyze_without_sets_takes_no_fixpoint(tmp_path, monkeypatch):
+    calls = count_fixpoints(monkeypatch)
+    code, out = run(tmp_path, "analyze", {"matrix": {"rows": BENCH8_A.tolist()}})
+    assert code == cli.EXIT_OK
+    assert calls == [] and strict_json(out / "report.json")["pairs"] == []
+
+
+@pytest.mark.parametrize("rows", [[[0.5, 0.5, 0.0], [0.25, 0.5, 0.25]],
+                                  [[0.5, 0.5], [0.25, 0.75], [0.0, 1.0]]])
+def test_analyze_rejects_a_matrix_that_is_not_square(tmp_path, capsys, rows):
+    code, out = run(tmp_path, "analyze", {"matrix": {"rows": rows},
+                                          "sets": [[1]]})
+    assert code == cli.EXIT_INVALID
+    assert "error: matrix must be square" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_indistinguishable_sets_exit_ambiguous(tmp_path):

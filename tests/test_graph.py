@@ -70,6 +70,38 @@ def test_connectivity_disconnected_is_zero():
     assert gm.vertex_connectivity(G) == 0
 
 
+def complete_on(vertices):
+    return {(a, b) for a in vertices for b in vertices if a != b}
+
+
+# Digraphs that are not strongly connected get 0 from the pairs of the
+# chosen vertex 1, with no separate strong-connectivity test: 1 cannot
+# reach 4 (the triangle 4, 5, 6 feeds the triangle 1, 2, 3), 4 cannot reach
+# 1 (the arcs reversed), or vertex 4 is isolated and every copy's flow is
+# capped at the least degree, 0.
+@pytest.mark.parametrize("edges, n, pair, least", [
+    (complete_on((1, 2, 3)) | complete_on((4, 5, 6))
+     | {(a, b) for a in (4, 5, 6) for b in (1, 2, 3)}, 6, (1, 4), 2),
+    (complete_on((1, 2, 3)) | complete_on((4, 5, 6))
+     | {(a, b) for a in (1, 2, 3) for b in (4, 5, 6)}, 6, (4, 1), 2),
+    (complete_on((1, 2, 3)), 4, (1, 4), 0)],
+    ids=["from-v", "into-v", "isolated"])
+def test_connectivity_zero_without_strong_connectivity(edges, n, pair, least,
+                                                        monkeypatch):
+    G = gm.DiGraph(n, frozenset(edges))
+    assert not gm.is_strongly_connected(G)
+    pairs, least_degree = gm._connectivity_pairs(G)
+    assert pair in [tuple(p) for p in pairs.tolist()]
+    assert least_degree == least
+    assert gm.local_vertex_connectivity(G, *pair)[0] == 0
+
+    def unused(*args):
+        raise AssertionError("vertex_connectivity tests strong connectivity")
+
+    monkeypatch.setattr(gm, "is_strongly_connected", unused)
+    assert gm.vertex_connectivity(G) == vertex_connectivity_bruteforce(G) == 0
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_connectivity_matches_bruteforce(seed):
     rng = np.random.default_rng(seed)

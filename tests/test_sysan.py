@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from netguard import consensus, graph, sysan
+from netguard import consensus, fdi, graph, numerics, sysan
 from netguard.consensus import Attack, input_matrix, simulate, validate
 from netguard.sysan import (Triple, construct_undetectable_attack,
                             first_markov_index, invariant_zeros,
@@ -119,8 +119,8 @@ def test_near_null_vector_with_small_state_part_is_no_zero(unstable_triple):
     off[0] = np.linalg.norm(P) / np.linalg.norm(P[:, 0])
     near = exact + 1e-8 * off
     assert np.linalg.norm(P @ near) <= 1e-7 * np.linalg.norm(P)
-    assert sysan._verify_zero_direction(T, zero.z, P, exact[:, None])
-    assert sysan._verify_zero_direction(T, zero.z, P, near[:, None]) is None
+    assert sysan._verify_zero_direction(T.n, zero.z, P, exact[:, None])
+    assert sysan._verify_zero_direction(T.n, zero.z, P, near[:, None]) is None
 
 
 def test_complete_graph_single_intruder_no_zeros():
@@ -175,6 +175,77 @@ def test_pencil_properties_on_random_networks(data, n):
         assert w.residual <= 1e-8
     if set(T.agents) <= set(T.measured):
         assert analysis.left_invertible
+
+
+def assert_same_analysis(got, want):
+    """Two pencil analyses agree bit for bit."""
+    assert got.normal_rank == want.normal_rank
+    assert got.left_invertible == want.left_invertible
+    assert (got.zeros is None) == (want.zeros is None)
+    assert len(got.zeros or ()) == len(want.zeros or ())
+    for a, b in zip(got.zeros or (), want.zeros or ()):
+        assert a.z == b.z and a.residual == b.residual
+        assert np.array_equal(a.x0, b.x0) and np.array_equal(a.g, b.g)
+
+
+def assert_bank_matches_pairs(net, j, sets):
+    analyses = sysan._pencil_analyses(
+        net.A, [input_matrix(net.n, K) for K in sets], net.output_matrix(j))
+    assert len(analyses) == len(sets)
+    for K, got in zip(sets, analyses):
+        assert_same_analysis(got, invariant_zeros(Triple.from_network(net, K, j)))
+    return analyses
+
+
+# The sets of one observer share one stacked V*, and each member is bit for
+# bit the analysis of its own triple.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(5, 30))
+def test_pencil_bank_matches_each_triple(data, n):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=data.draw(st.integers(0, 2 * n), label="extra"))
+    j = data.draw(st.integers(1, n), label="observer")
+    sets = data.draw(st.lists(st.lists(st.integers(1, n), min_size=1,
+                                       max_size=3, unique=True).map(sorted),
+                              min_size=2, max_size=6), label="sets")
+    assert_bank_matches_pairs(net, j, sets)
+
+
+# Three triples whose V* is nonzero near the rank tolerance: V* of
+# dimension 3 with three zeros, and of dimensions 18 and 4 where the
+# triple is not left-invertible.
+@pytest.mark.parametrize("n, seed, extra, K, j, left_invertible", [
+    (34, 5, 3, [17, 21], 24, True),
+    (34, 20, 21, [11, 13, 28], 7, False),
+    (39, 172, 0, [19, 22, 24], 31, False)])
+def test_pencil_bank_matches_each_triple_near_the_tolerance(
+        n, seed, extra, K, j, left_invertible):
+    net = consensus.random_consensus_matrix(n, np.random.default_rng(seed),
+                                            extra_edges=extra)
+    sets = [K, K[:1], K[1:], [j]]
+    assert sysan._zero_dynamics(Triple.from_network(net, K, j))[0].dim
+    first = assert_bank_matches_pairs(net, j, sets)[0]
+    assert first.left_invertible == left_invertible
+    assert len(first.zeros or ()) == (3 if left_invertible else 0)
+
+
+# A bank larger than one stack runs in slices of numerics._stack_size(n, n)
+# members, each slice one V* fixpoint.
+def test_pencil_bank_runs_in_stack_slices(bench8, monkeypatch):
+    monkeypatch.setattr(numerics, "_STACK_ENTRIES", 2 * 8 * 8)
+    fixpoint, calls = fdi._controlled_invariants, []
+
+    def counting(A, Bs, C):
+        calls.append(len(Bs))
+        return fixpoint(A, Bs, C)
+
+    monkeypatch.setattr(fdi, "_controlled_invariants", counting)
+    sets = [[2], [3, 7], [4, 5], [6], [2, 8]]
+    assert_bank_matches_pairs(bench8, 1, sets)
+    # the three slices, then one triple at a time
+    assert calls == [2, 2, 1] + [1] * len(sets)
 
 
 @pytest.mark.parametrize("seed", range(8))
