@@ -404,7 +404,10 @@ class ThresholdCalibration:
     ratio ``u_min / (epsilon * u_max)`` and ``alpha_min`` the smallest
     ratio at which the bounds still separate.  The verdict never reads
     ``alpha_min``, so it is bisected on the calibration's coefficient
-    maps when first read, not when the threshold is placed.
+    maps when first read, not when the threshold is placed.  Each bound
+    evaluation, the placing one and every bisection step, solves at most
+    one LP, and none when the vertex certificate settles the misbehaving
+    bound (:func:`_joint_box_min`).
     """
 
     block: int
@@ -460,29 +463,53 @@ class _Rows(NamedTuple):
     ub: float
 
 
+class _RowSums(NamedTuple):
+    """Per residual row, the coefficient sums that fix its range over a
+    box: ``base`` sums ``|Psi_x|``, ``pos`` and ``neg`` the positive and
+    negative parts of the sample coefficients."""
+
+    base: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+
+
+def _row_ranges(sums: _RowSums, box, x_max: float):
+    """``(up, down)`` with ``[-down, up]`` each row's range over the boxes.
+
+    The initial state ranges over ``[-x_max, x_max]`` and every sample
+    over ``box = (lo, hi)`` with ``lo <= hi``.  A linear form peaks over a
+    box at the vertex matching its signs, so row ``i`` peaks at ``x_max
+    base_i + hi pos_i + lo neg_i`` and its negation at ``x_max base_i -
+    hi neg_i - lo pos_i``.
+    """
+    lo, hi = box
+    base = x_max * sums.base
+    return (base + hi * sums.pos + lo * sums.neg,
+            base - hi * sums.neg - lo * sums.pos)
+
+
 @dataclass(frozen=True)
 class _BoundMaps:
     """Both certified bounds of one coupling, ready for any input box.
 
-    The misbehaving bound is one LP over all generators (see
-    :func:`_joint_box_min`); its constraint matrix, cost vector and level
-    indices do not depend on the box and are assembled here once, so an
-    evaluation only fills in the variable bounds: ``is_state`` marks the
-    initial-state variables, the level variables sit at ``levels`` and
-    the rest are input samples; ``constraints`` is ``None`` without active
-    maps.  The well-behaving bound needs only each silent map's
-    ``|Psi_x|`` row sums (``base``) and the column sums of its sample
-    rows' positive and negative parts (``pos``, ``neg``), concatenated
-    over the generators.
+    The misbehaving bound reads each active generator's coefficient block
+    ``K_e = [Psi_x, samples^T]``: ``K`` stacks the blocks' rows, block
+    ``e`` from row ``starts[e]`` on (``owner`` names each row's block),
+    its first ``n_state`` columns the initial state and the rest input
+    samples (zero-padded to the widest block); ``active`` holds the row
+    sums of ``K`` that :func:`_box_min_brackets` reads.  The LP that
+    settles an uncertified bound is assembled from ``K`` only then, and
+    only for the generators the brackets cannot prune
+    (:func:`_lp_box_min`).  The well-behaving bound needs only the silent
+    maps' row sums (``silent``), concatenated over the generators.
     """
 
-    constraints: _Rows | None
-    cost: np.ndarray
-    is_state: np.ndarray
-    levels: np.ndarray
-    base: np.ndarray
-    pos: np.ndarray
-    neg: np.ndarray
+    K: np.ndarray
+    n_state: int
+    starts: np.ndarray
+    owner: np.ndarray
+    active: _RowSums
+    silent: _RowSums
 
     @classmethod
     def from_blocks(cls, active, silent) -> "_BoundMaps":
@@ -490,88 +517,176 @@ class _BoundMaps:
 
         ``Psi_x`` is a ``(q, n)`` state map and ``samples`` stacks ``m``
         input-sample rows of ``q`` entries; ``active`` holds the maps with
-        the target acting, ``silent`` those with it silent.
+        the target acting, ``silent`` those with it silent.  Every
+        ``Psi_x`` has the same ``n`` and at least one row, as every
+        synthesized generator has.
         """
-        # generator e's block [[K_e, -1], [-K_e, -1]] on its variables
-        # [v_e, t_e] holds -t_e <= K_e v_e <= t_e
-        blocks, is_state, levels = [], [], []
+        n = active[0][0].shape[1] if active else 0
+        width = max((n + samples.shape[0] for _, samples in active), default=n)
+        blocks = []
         for Psi_x, samples in active:
-            K = np.hstack([Psi_x, samples.T])
-            level = np.full((K.shape[0], 1), -1.0)
-            blocks.append(np.block([[K, level], [-K, level]]))
-            n, m = Psi_x.shape[1], samples.shape[0]
-            is_state += [True] * n + [False] * (m + 1)
-            levels.append(len(is_state) - 1)
-        constraints = None
-        if blocks:
-            matrix = scipy.sparse.block_diag(blocks, format="csc")
-            matrix.eliminate_zeros()
-            constraints = _Rows(matrix, -np.inf, 0.0)
-        levels = np.array(levels, dtype=np.int64)
-        cost = np.zeros(len(is_state))
-        cost[levels] = 1.0
+            K = np.zeros((Psi_x.shape[0], width))
+            K[:, :n] = Psi_x
+            K[:, n:n + samples.shape[0]] = samples.T
+            blocks.append(K)
+        K = np.concatenate(blocks) if blocks else np.zeros((0, width))
+        sizes = np.array([len(b) for b in blocks], dtype=np.int64)
 
         def joined(parts):
             return np.concatenate(parts) if parts else np.zeros(0)
 
-        return cls(constraints=constraints, cost=cost,
-                   is_state=np.array(is_state, dtype=bool), levels=levels,
-                   base=joined([np.sum(np.abs(Psi_x), axis=1)
-                                for Psi_x, _ in silent]),
-                   pos=joined([np.sum(np.maximum(samples, 0.0), axis=0)
+        return cls(K=K, n_state=n, starts=np.cumsum(sizes) - sizes,
+                   owner=np.repeat(np.arange(len(sizes)), sizes),
+                   active=_RowSums(np.sum(np.abs(K[:, :n]), axis=1),
+                                   np.sum(np.maximum(K[:, n:], 0.0), axis=1),
+                                   np.sum(np.minimum(K[:, n:], 0.0), axis=1)),
+                   silent=_RowSums(
+                       joined([np.sum(np.abs(Psi_x), axis=1)
+                               for Psi_x, _ in silent]),
+                       joined([np.sum(np.maximum(samples, 0.0), axis=0)
                                for _, samples in silent]),
-                   neg=joined([np.sum(np.minimum(samples, 0.0), axis=0)
-                               for _, samples in silent]))
+                       joined([np.sum(np.minimum(samples, 0.0), axis=0)
+                               for _, samples in silent])))
+
+    def column_box(self, box, x_max: float):
+        """``(lower, upper)`` bounds of the variables of ``K``'s columns."""
+        lo, hi = box
+        state = np.arange(self.K.shape[1]) < self.n_state
+        return np.where(state, -x_max, lo), np.where(state, x_max, hi)
+
+    def lp_rows(self, keep) -> _Rows:
+        """The joint LP's rows for the generators ``keep`` (sorted).
+
+        Generator ``e``'s block ``[[K_e, -1], [-K_e, -1]]`` on its
+        variables ``[v_e, t_e]`` holds ``-t_e <= K_e v_e <= t_e``; the
+        blocks are laid block-diagonally, with only nonzero entries stored.
+        """
+        width = self.K.shape[1] + 1
+        chosen = np.isin(self.owner, keep)
+        rows = self.K[chosen]
+        block = np.searchsorted(keep, self.owner[chosen])
+        sizes = np.bincount(block, minlength=len(keep))
+        # kept row i is LP row i + (kept rows before its block) in the
+        # block's K_e half, and its block's size further in the -K_e half
+        upper = np.arange(len(rows)) + (np.cumsum(sizes) - sizes)[block]
+        lower = upper + sizes[block]
+        r, c = np.nonzero(rows)
+        column = block[r] * width + c
+        level = block * width + width - 1
+        matrix = scipy.sparse.csc_matrix(
+            (np.concatenate([rows[r, c], -rows[r, c],
+                             np.full(2 * len(rows), -1.0)]),
+             (np.concatenate([upper[r], lower[r], upper, lower]),
+              np.concatenate([column, column, level, level]))),
+            shape=(2 * len(rows), width * len(keep)))
+        return _Rows(matrix, -np.inf, 0.0)
 
 
 def _box_max(maps: _BoundMaps, box, x_max: float) -> float:
     """Exact max of the residual sup-norm over the variable boxes.
 
-    Covers every silent map at once, each of its sample rows ranging over
-    ``box = (lo, hi)`` with ``lo <= hi`` and the initial state over
-    ``[-x_max, x_max]``.  A linear form peaks over a box at the vertex
-    matching its signs, so residual row ``i`` peaks at ``x_max base_i +
-    hi pos_i + lo neg_i`` and its negation at ``x_max base_i - hi neg_i -
-    lo pos_i``; zero without silent maps.
+    Covers every silent map at once, each row peaking at the larger end
+    of its range (:func:`_row_ranges`); zero without silent maps.
     """
-    lo, hi = box
-    base = x_max * maps.base
-    up = base + hi * maps.pos + lo * maps.neg
-    down = base - hi * maps.neg - lo * maps.pos
+    up, down = _row_ranges(maps.silent, box, x_max)
     return float(max(np.max(up, initial=0.0), np.max(down, initial=0.0)))
 
 
-def _joint_box_min(maps: _BoundMaps, box, x_max: float) -> float:
-    """Least, over the generators, of the min residual sup-norm (one LP).
+def _box_min_brackets(maps: _BoundMaps, box, x_max: float):
+    """``(floor, cap)`` with ``floor_e <= t_e <= cap_e`` for every active
+    generator, ``t_e`` its min residual sup-norm over the boxes.
+
+    Over the boxes row ``r`` ranges over ``[-down_r, up_r]``
+    (:func:`_row_ranges`), so its least modulus is zero when that range
+    holds zero and its nearer end otherwise; ``floor_e``, the largest of
+    these over the generator's rows, is at most ``t_e`` (max-min).  The
+    point ``v`` of the boxes that attains the least modulus of the
+    dominant row (the first attaining ``floor_e``) is feasible, so
+    ``cap_e = max_r |K_r v|`` is at least ``t_e``.  ``v`` is the box
+    vertex matching the row's signs, except where the row's coefficient
+    is zero: there the variable takes its value of least modulus, which
+    adds the least to the other rows.  The dominant row enters ``cap_e``
+    as ``floor_e`` itself, so the two agree bit for bit when no other row
+    exceeds it.
+    """
+    up, down = _row_ranges(maps.active, box, x_max)
+    least = np.maximum(np.maximum(-up, -down), 0.0)
+    floor = np.maximum.reduceat(least, maps.starts)
+    rows = np.arange(len(least))
+    dominant = np.minimum.reduceat(
+        np.where(least == floor[maps.owner], rows, len(rows)), maps.starts)
+    # a row negative over the box is least at its upper end
+    sign = np.where(up[dominant] < 0.0, -1.0, 1.0)[:, None]
+    toward = sign * maps.K[dominant]
+    lower, upper = maps.column_box(box, x_max)
+    point = np.where(toward > 0.0, lower, np.where(
+        toward < 0.0, upper, np.clip(0.0, lower, upper)))
+    reach = np.abs(np.einsum("rc,rc->r", maps.K, point[maps.owner]))
+    reach[dominant] = np.where(floor > 0.0, floor, reach[dominant])
+    return floor, np.maximum.reduceat(reach, maps.starts)
+
+
+def _lp_box_min(maps: _BoundMaps, keep, box, x_max: float) -> float:
+    """Least, over the generators ``keep``, of the min residual sup-norm,
+    as one LP.
 
     Each generator's minimum is the LP min t s.t. -t <= K v <= t, with
     ``K = [Psi_x, samples^T]`` and v ranging over the state box
     ``[-x_max, x_max]`` and the input box.  The generators share no
-    variable, so ``maps`` holds their LPs stacked block-diagonally into
-    one LP minimizing the sum of the levels t_e; a separable LP is
-    optimal exactly when each block is, so every t_e of the solution is
-    its generator's own minimum.  Solved by HiGHS through
-    ``scipy.optimize.milp`` with no integer variable; ``inf`` without
-    generators.
+    variable, so their LPs are stacked block-diagonally
+    (:meth:`_BoundMaps.lp_rows`) into one LP minimizing the sum of the
+    levels t_e; a separable LP is optimal exactly when each block is, so
+    every t_e of the solution is its generator's own minimum.  Solved by
+    HiGHS through ``scipy.optimize.milp`` with no integer variable.
 
     Raises
     ------
     CalibrationError
         When the solver reports no optimum.
     """
-    if maps.constraints is None:
-        return np.inf
-    lo, hi = box
-    lower = np.where(maps.is_state, -x_max, lo)
-    upper = np.where(maps.is_state, x_max, hi)
-    lower[maps.levels] = 0.0
-    upper[maps.levels] = np.inf
+    lower, upper = maps.column_box(box, x_max)
+    count = len(keep)
+    cost = np.tile(np.append(np.zeros(len(lower)), 1.0), count)
+    lower = np.tile(np.append(lower, 0.0), count)
+    upper = np.tile(np.append(upper, np.inf), count)
     import scipy.optimize
-    res = scipy.optimize.milp(maps.cost, bounds=(lower, upper),
-                              constraints=maps.constraints)
+    res = scipy.optimize.milp(cost, bounds=(lower, upper),
+                              constraints=maps.lp_rows(keep))
     if not res.success:
         raise CalibrationError(f"bound LP failed: {res.message}")
-    return float(np.min(res.x[maps.levels]))
+    width = maps.K.shape[1]
+    return float(np.min(res.x[width::width + 1]))
+
+
+def _joint_box_min(maps: _BoundMaps, box, x_max: float) -> float:
+    """Least, over the active generators, of the min residual sup-norm.
+
+    The brackets of :func:`_box_min_brackets` give ``min floor <= t* <=
+    min cap``; when the two ends are equal that is the answer and no LP
+    is solved.  Otherwise every generator whose floor exceeds ``min cap``
+    has ``t_e > t*`` and is dropped, and the LP of
+    :func:`_lp_box_min` settles the rest.  The pruning margin covers
+    the rounding of the row sums, at most ``(width + 2)`` ulps of the
+    largest row's coefficient mass for each end.  ``inf`` without
+    active generators.
+
+    Raises
+    ------
+    CalibrationError
+        When the LP is solved and the solver reports no optimum.
+    """
+    if not len(maps.starts):
+        return np.inf
+    floor, cap = _box_min_brackets(maps, box, x_max)
+    least, best = floor.min(), cap.min()
+    if best == least:
+        return float(least)
+    lo, hi = box
+    mass = (x_max * maps.active.base
+            + max(abs(lo), abs(hi)) * (maps.active.pos - maps.active.neg))
+    margin = 2 * (maps.K.shape[1] + 2) * np.finfo(float).eps * mass.max()
+    return _lp_box_min(maps, np.flatnonzero(floor <= best + margin),
+                       box, x_max)
 
 
 def _coefficient_maps(decomp: BlockDecomposition, bank: LocalBank,
@@ -585,9 +700,9 @@ def _coefficient_maps(decomp: BlockDecomposition, bank: LocalBank,
     target is active (the target plus ``outside``) and when it is silent
     (the decoupled candidates plus ``outside``, if any), agent by agent
     and sample by sample.  The maps do not depend on the input band, so
-    the returned :class:`_BoundMaps`, with the bound LP assembled, serves
-    every bound evaluation at this coupling.  An agent of ``outside``
-    not in 1..n raises ``ValueError``.
+    the returned :class:`_BoundMaps` serves every bound evaluation at
+    this coupling.  An agent of ``outside`` not in 1..n raises
+    ``ValueError``.
     """
     n = decomp.A.shape[0]
     for a in outside:
@@ -644,11 +759,13 @@ def certified_bounds(decomp: BlockDecomposition, bank: LocalBank,
     state and the input samples, with maps read from the network powers
     ``C_O A(epsilon)^p`` shared by the bank.  Its largest sup-norm over
     the boxes has a closed form (each row peaks at a box vertex), one
-    vector expression for all generators.  Its smallest is an LP; the
-    per-generator LPs share no variable, so all of them are solved as one
-    block-diagonal LP whose objective sums their levels, which is optimal
-    exactly when every block is, so each level is that generator's own
-    minimum.
+    vector expression for all generators.  Its smallest is an LP, which
+    is bracketed in closed form, again one vector expression for all
+    generators: below by the largest row's least modulus over the boxes,
+    above by the sup-norm at the vertex attaining it.  When the least
+    floor equals the least cap, that is the bound and no LP is solved;
+    otherwise one block-diagonal LP over the generators whose floor does
+    not exceed the least cap settles it (:func:`_joint_box_min`).
 
     Raises
     ------
@@ -656,7 +773,7 @@ def certified_bounds(decomp: BlockDecomposition, bank: LocalBank,
         When the band is not finite with ``0 <= u_min <= u_max``, or
         ``x_max`` is negative or not finite.
     CalibrationError
-        When the bound LP fails.
+        When the bound LP is solved and fails.
     """
     _check_band(u_min, u_max, x_max)
     eps = decomp.epsilon if epsilon is None else float(epsilon)

@@ -29,8 +29,8 @@ step, where ``fdi`` cuts by the directions it gained in the last one.
 hand-built input matrices, where
 ``netguard.detect`` makes one bank call for the whole block, and
 :func:`bound_lp_columns` assembles the joint bound LP column by column,
-where ``detect`` stacks the generators' blocks with
-``scipy.sparse.block_diag``.  :func:`threshold_crossing_bisection`
+where ``detect`` places the kept generators' nonzero entries in one
+vector pass (``_BoundMaps.lp_rows``).  :func:`threshold_crossing_bisection`
 bisects the bound gap on ``[0, eps_hi]``, where ``detect`` runs Brent's
 method on memoised evaluations, and
 :func:`smallest_separating_ratio_eager` bisects the input floor as soon

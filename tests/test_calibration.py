@@ -173,11 +173,14 @@ def test_local_bank_rejects_negative_k():
         detect.build_local_bank(weak7(0.01), 1, 1, -1)
 
 
+# Where the vertex certificate fails, the LP is assembled for the
+# generators the brackets cannot prune, and only for those: both of WEAK7
+# block 1 at 0.1 (every floor 0), 8 of the 12 of the k = 2 bank.
 @pytest.mark.parametrize("decomp, h, j, k, outside", [
-    (weak7(0.01), 1, 1, 1, (4, 7)), (k2_decomposition(), 1, 4, 2, (6,))])
+    (weak7(0.1), 1, 1, 1, (4, 7)), (k2_decomposition(), 1, 4, 2, (6,))])
 def test_bound_lp_matches_column_by_column_assembly(decomp, h, j, k, outside,
                                                      monkeypatch):
-    seen = []
+    seen, kept, solved = [], [], []
     original = detect._BoundMaps.from_blocks
 
     def recorded(cls, active, silent):
@@ -186,10 +189,24 @@ def test_bound_lp_matches_column_by_column_assembly(decomp, h, j, k, outside,
 
     monkeypatch.setattr(detect._BoundMaps, "from_blocks",
                         classmethod(recorded))
+    lp, milp = detect._lp_box_min, scipy.optimize.milp
+
+    def pruned(maps, keep, box, x_max):
+        kept.append(keep)
+        return lp(maps, keep, box, x_max)
+
+    def solve(cost, **kwargs):
+        solved.append(kwargs["constraints"].A)
+        return milp(cost, **kwargs)
+
+    monkeypatch.setattr(detect, "_lp_box_min", pruned)
+    monkeypatch.setattr(scipy.optimize, "milp", solve)
     bank = detect.build_local_bank(decomp, h, j, k)
-    maps = detect._coefficient_maps(decomp, bank, decomp.epsilon, outside)
-    got = maps.constraints.A
-    want = bound_lp_columns(seen[0])
+    detect.certified_bounds(decomp, bank, 0.1, 1.0, outside=outside)
+    assert len(kept) == len(solved) == 1
+    assert 0 < len(kept[0]) <= len(seen[0])
+    got = solved[0]
+    want = bound_lp_columns([seen[0][e] for e in kept[0]])
     assert got.shape == want.shape
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, part), getattr(want, part))
@@ -227,6 +244,63 @@ def test_joint_box_min_is_least_per_generator_minimum():
     assert detect._box_max(empty, box, 1.0) == 0.0
 
 
+# The least bound, certified or settled by the pruned LP, is the least
+# per-generator LP minimum, and each generator's brackets hold its own
+# minimum, on random blocks and boxes: exact zero coefficients (all of
+# Psi_x at scale 0), uneven sample counts and boxes that straddle 0.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 4),
+       n=st.integers(1, 4), scale=st.sampled_from([0.0, 0.05, 1.0]),
+       lo=st.floats(-0.5, 1.0), width=st.floats(0.0, 1.0),
+       x_max=st.floats(0.0, 1.0))
+def test_least_bound_is_the_least_per_generator_lp(seed, count, n, scale, lo,
+                                                   width, x_max):
+    rng = np.random.default_rng(seed)
+    box = (lo, lo + width)
+    blocks, mins = [], []
+    for _ in range(count):
+        q, m = rng.integers(1, 4), rng.integers(0, 4)
+        Psi_x = scale * rng.normal(size=(q, n)) * (rng.random((q, n)) < 0.7)
+        samples = rng.normal(size=(m, q)) * (rng.random((m, q)) < 0.8)
+        blocks.append((Psi_x, samples))
+        coeffs = {a: samples[a:a + 1] for a in range(m)}
+        mins.append(box_min_lp(Psi_x, coeffs, {a: box for a in range(m)},
+                               x_max))
+    maps = detect._BoundMaps.from_blocks(blocks, [])
+    floor, cap = detect._box_min_brackets(maps, box, x_max)
+    mins = np.array(mins)
+    assert np.all(floor <= mins * (1 + 1e-9) + 1e-12)
+    assert np.all(mins <= cap * (1 + 1e-9) + 1e-12)
+    assert detect._joint_box_min(maps, box, x_max) == pytest.approx(
+        mins.min(), rel=1e-9, abs=1e-12)
+
+
+# One fixture per path of the least bound, each matching the per-generator
+# LPs: certified with no LP; one LP over the 2 of 6 generators whose floor
+# does not exceed the least cap; one LP over both generators when every
+# floor is 0.
+@pytest.mark.parametrize("eps, h, j, solved", [
+    (0.01, 1, 1, []), (0.05, 2, 4, [2]), (0.1, 1, 1, [2])],
+    ids=["certified", "pruned", "zero-floors"])
+def test_least_bound_takes_each_path(eps, h, j, solved, monkeypatch):
+    decomp = weak7(eps)
+    bank = detect.build_local_bank(decomp, h, j, 1)
+    maps = detect._coefficient_maps(decomp, bank, eps, ())
+    floor, cap = detect._box_min_brackets(maps, (0.1, 1.0), 1.0)
+    assert (floor.min() == cap.min()) == (not solved)
+    assert floor.any() == (eps != 0.1)
+    sizes = []
+    milp = scipy.optimize.milp
+
+    def solve(cost, **kwargs):
+        sizes.append(int(cost.sum()))
+        return milp(cost, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", solve)
+    assert_bounds_match(decomp, bank, 0.1, ())
+    assert sizes == solved
+
+
 def count_calls(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
@@ -239,28 +313,37 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+# A bound evaluation solves no LP when the vertex certificate settles it
+# (every generator of block 2 has floor == cap at 0.01) and one LP when it
+# does not (at 0.1 a block-1 generator's floor is 0).
 def test_one_lp_per_bound_evaluation(monkeypatch):
+    lps = count_calls(monkeypatch, scipy.optimize, "milp")
     decomp = weak7(0.01)
     bank = detect.build_local_bank(decomp, 2, 4, 1)
     assert len(bank.entries) == 6
-    lps = count_calls(monkeypatch, scipy.optimize, "milp")
     detect.certified_bounds(decomp, bank, 0.1, 1.0, outside=(2,))
+    assert len(lps) == 0
+    decomp = weak7(0.1)
+    detect.certified_bounds(decomp, detect.build_local_bank(decomp, 1, 1, 1),
+                            0.1, 1.0)
     assert len(lps) == 1
 
 
-# Placing the threshold takes one map build and one LP; alpha_min, which
-# the verdict never reads, bisects the input floor on the same maps only
-# when it is read.
+# Placing the threshold takes one map build and, certified, no LP;
+# alpha_min, which the verdict never reads, bisects the input floor on the
+# same maps only when it is read, with at most one LP per evaluation.
 def test_calibration_builds_the_maps_once(monkeypatch):
     decomp = weak7(0.01)
     bank = detect.build_local_bank(decomp, 1, 1, 1)
     maps = count_calls(monkeypatch, detect, "_coefficient_maps")
+    evaluations = count_calls(monkeypatch, detect, "_bounds_from_maps")
     lps = count_calls(monkeypatch, scipy.optimize, "milp")
     cal = detect.calibrate_threshold(decomp, bank, u_max=1.0, u_min=0.1)
-    assert (len(maps), len(lps)) == (1, 1)
+    assert (len(maps), len(evaluations), len(lps)) == (1, 1, 0)
     cal.alpha_min
     assert len(maps) == 1
-    assert len(lps) > 10
+    assert len(evaluations) > 10
+    assert len(lps) <= len(evaluations)
 
 
 @pytest.mark.parametrize("decomp, h, j, k", [
@@ -296,9 +379,11 @@ class FailedLP:
     message = "infeasible"
 
 
+# At its own coupling 0.1, block 1 of WEAK7 has a generator whose floor is
+# 0, so the certificate fails and the (failing) LP is reached.
 def test_failed_bound_lp_raises(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: FailedLP())
-    decomp = weak7(0.01)
+    decomp = weak7(0.1)
     bank = detect.build_local_bank(decomp, 1, 1, 1)
     with pytest.raises(RuntimeError, match="bound LP failed"):
         detect.certified_bounds(decomp, bank, 0.1, 1.0)
@@ -308,7 +393,7 @@ def test_failed_bound_lp_exits_calibration(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: FailedLP())
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({
-        "matrix": {"rows": weak7_matrix(0.01).tolist()},
+        "matrix": {"rows": weak7_matrix(0.1).tolist()},
         "partition": [list(b) for b in WEAK7_PARTITION], "observer": 1,
         "block": 1, "k": 1, "horizon": 30,
         "attacks": [{"agent": 2, "kind": "constant", "value": 0.5}]}))

@@ -1,6 +1,6 @@
 """Every third-party package that ``netguard`` imports is declared as a
 dependency in ``pyproject.toml``, so an install pulls it in, and the
-commands that calibrate nothing start without the optimizer."""
+commands that solve no bound LP start without the optimizer."""
 
 import ast
 import json
@@ -10,6 +10,8 @@ import subprocess
 import sys
 import tomllib
 from pathlib import Path
+
+from fixtures import WEAK7_PARTITION, weak7_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +47,22 @@ print(json.dumps([codes, "scipy.optimize" in sys.modules]))
 """
 
 
+def run_fresh(tmp_path, calls):
+    """Run each ``(command, scenario)`` pair through ``cli.main`` in one
+    fresh interpreter; return the exit codes and whether the optimizer was
+    loaded."""
+    argv = []
+    for i, (command, scenario) in enumerate(calls):
+        path = tmp_path / f"{i}-{command}.json"
+        path.write_text(json.dumps(scenario))
+        argv += [command, str(path), str(tmp_path / f"{i}-{command}-out")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", STARTUP, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_commands_without_calibration_never_load_the_optimizer(tmp_path):
     # bidirectional ring of 5 with self-loops: 2-connected, so one agent
     # is identifiable as faulty
@@ -62,15 +80,18 @@ def test_commands_without_calibration_never_load_the_optimizer(tmp_path):
         "synthesize": {"matrix": {"rows": A}, "observer": 1, "targets": [3],
                        "decouple": [4]},
     }
-    argv = []
-    for command, scenario in scenarios.items():
-        path = tmp_path / f"{command}.json"
-        path.write_text(json.dumps(scenario))
-        argv += [command, str(path), str(tmp_path / f"{command}-out")]
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", STARTUP, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    codes, optimizer = json.loads(proc.stdout.splitlines()[-1])
+    codes, optimizer = run_fresh(tmp_path, scenarios.items())
     assert codes == [0] * len(scenarios)
+    assert not optimizer
+
+
+# Below the crossing, WEAK7 block 1 calibrates on the vertex certificate
+# alone, so neither a bound LP nor the crossing search loads the optimizer.
+def test_certified_calibration_never_loads_the_optimizer(tmp_path):
+    scenario = {"matrix": {"rows": weak7_matrix(0.01).tolist()},
+                "partition": [list(b) for b in WEAK7_PARTITION],
+                "observer": 1, "block": 1, "k": 1, "horizon": 30,
+                "attacks": [{"agent": 2, "kind": "constant", "value": 0.5}]}
+    codes, optimizer = run_fresh(tmp_path, [("local-identify", scenario)])
+    assert codes == [0]
     assert not optimizer
