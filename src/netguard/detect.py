@@ -136,8 +136,10 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
     (colluding agents riding an invisible motion) yield an ambiguous
     verdict.  The verdict's ``horizon`` is the longest parity window.
 
-    Requires ``k >= 0`` and network connectivity at least ``k + 1``;
-    identification of malicious sets is only guaranteed from ``2k + 1``.
+    Requires ``k >= 0``, network connectivity at least ``k + 1`` and more
+    samples than the longest parity window, so that every generator reads
+    a sample past its horizon; identification of malicious sets is only
+    guaranteed from connectivity ``2k + 1``.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -163,8 +165,13 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
         if gen is None:
             fired[D] = None
             continue
+        if gen.horizon >= ys.shape[0]:
+            longest = max([gen.horizon] + [r.generator.horizon
+                                           for r in reports if r.solvable])
+            raise ValueError(f"{ys.shape[0]} samples do not exceed the longest "
+                             f"parity window {longest}")
         res = fdi.run_residual(gen, ys)
-        tail = res[min(gen.horizon, res.shape[0] - 1):]
+        tail = res[gen.horizon:]
         fired[D] = not _negligible(tail, ys, residual_floor)
         norms[D] = np.max(np.abs(res), axis=1)
         horizons.append(gen.horizon)
@@ -325,6 +332,16 @@ class LocalBank:
     eval_time: int
 
 
+def _filter_key(gen: fdi.ResidualGenerator) -> tuple:
+    """Identity of a generator's filter arrays ``(F, E, M, H)``.
+
+    The entries of a local bank whose generators share these arrays (one
+    synthesized generator relabelled per target) have one residual, so the
+    consumers of a bank compute what a filter gives once per key.
+    """
+    return tuple(id(mat) for mat in (gen.F, gen.E, gen.M, gen.H))
+
+
 def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
                      k_j: int) -> LocalBank:
     """Design the block-local residual generators for observer ``j``.
@@ -332,18 +349,24 @@ def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
     One generator per within-block candidate agent and decoupled
     candidate subset, synthesized against the h-th diagonal block only,
     all of them one bank (``fdi._synthesize_bank``) on block-local labels.
-    Requires ``k_j >= 0`` and the block digraph to be at least ``k_j + 1``
-    connected.
+    The bank computes each decoupled set once for all its targets, and
+    the entries of one set whose parity search stops at one window share
+    that generator's filter arrays, relabelled per target.  Requires
+    ``k_j >= 0``, a block-mate of the observer and the block digraph to be
+    at least ``k_j + 1`` connected.
     """
     if k_j < 0:
         raise ValueError(f"k_j must be nonnegative, got {k_j}")
     agents = decomp.block_agents(h)
     if j not in agents:
         raise ValueError(f"observer {j} not in block {h}")
-    A_h = decomp.block_matrix(h)
     n_h = len(agents)
+    if n_h == 1:
+        raise ValueError(f"observer {j} is alone in block {h}: the block "
+                         f"has no agent to identify")
+    A_h = decomp.block_matrix(h)
     conn = graphmod.vertex_connectivity(graphmod.from_matrix(A_h))
-    if n_h > 1 and conn < k_j + 1:
+    if conn < k_j + 1:
         raise ValueError(f"block connectivity {conn} below required {k_j + 1}")
     local = {a: idx for idx, a in enumerate(agents, start=1)}
     C_loc = _output_matrix(A_h, local[j])
@@ -383,7 +406,8 @@ class CalibrationError(RuntimeError):
     """No threshold can be certified at the given coupling.
 
     Either the certified residual bounds fail to separate, and the error
-    reports the crossing coupling and value, or a bound LP fails.
+    reports the crossing coupling and value, or a bound LP fails, or the
+    bank has no solvable generator.
     """
 
     def __init__(self, message, epsilon_star=None, crossing_value=None):
@@ -662,13 +686,14 @@ def _joint_box_min(maps: _BoundMaps, box, x_max: float) -> float:
     """Least, over the active generators, of the min residual sup-norm.
 
     The brackets of :func:`_box_min_brackets` give ``min floor <= t* <=
-    min cap``; when the two ends are equal that is the answer and no LP
-    is solved.  Otherwise every generator whose floor exceeds ``min cap``
-    has ``t_e > t*`` and is dropped, and the LP of
-    :func:`_lp_box_min` settles the rest.  The pruning margin covers
-    the rounding of the row sums, at most ``(width + 2)`` ulps of the
-    largest row's coefficient mass for each end.  ``inf`` without
-    active generators.
+    min cap``.  Both ends carry the rounding of the row sums, at most
+    ``(width + 2)`` ulps of the largest row's coefficient mass each, and
+    twice that is the margin within which they cannot be told apart: when
+    ``min cap`` exceeds ``min floor`` by no more, ``min floor``, the
+    conservative end, is the answer and no LP is solved.  Otherwise every
+    generator whose floor exceeds ``min cap`` by more than the margin has
+    ``t_e > t*`` and is dropped, and the LP of :func:`_lp_box_min` settles
+    the rest.  ``inf`` without active generators.
 
     Raises
     ------
@@ -679,12 +704,12 @@ def _joint_box_min(maps: _BoundMaps, box, x_max: float) -> float:
         return np.inf
     floor, cap = _box_min_brackets(maps, box, x_max)
     least, best = floor.min(), cap.min()
-    if best == least:
-        return float(least)
     lo, hi = box
     mass = (x_max * maps.active.base
             + max(abs(lo), abs(hi)) * (maps.active.pos - maps.active.neg))
     margin = 2 * (maps.K.shape[1] + 2) * np.finfo(float).eps * mass.max()
+    if best - least <= margin:
+        return float(least)
     return _lp_box_min(maps, np.flatnonzero(floor <= best + margin),
                        box, x_max)
 
@@ -694,13 +719,14 @@ def _coefficient_maps(decomp: BlockDecomposition, bank: LocalBank,
     """Decision-time coefficient maps of every bank generator at a coupling.
 
     The network powers ``C_O A(epsilon)^p``, ``p = 0..t*``, are computed
-    once and every generator reads its maps from them through its Markov
-    blocks (:func:`_decision_maps`).  Per generator this gives the state
-    map and the stacked input-sample maps of the agents acting when the
-    target is active (the target plus ``outside``) and when it is silent
-    (the decoupled candidates plus ``outside``, if any), agent by agent
-    and sample by sample.  The maps do not depend on the input band, so
-    the returned :class:`_BoundMaps` serves every bound evaluation at
+    once and every distinct filter (:func:`_filter_key`) reads its maps
+    from them through its Markov blocks (:func:`_decision_maps`), once for
+    the entries that share it.  Per entry, in the bank's order, this gives
+    the state map and the stacked input-sample maps of the agents acting
+    when the target is active (the target plus ``outside``) and when it is
+    silent (the decoupled candidates plus ``outside``, if any), agent by
+    agent and sample by sample.  The maps do not depend on the input band,
+    so the returned :class:`_BoundMaps` serves every bound evaluation at
     this coupling.  An agent of ``outside`` not in 1..n raises
     ``ValueError``.
     """
@@ -711,19 +737,23 @@ def _coefficient_maps(decomp: BlockDecomposition, bank: LocalBank,
     P = _network_powers(decomp.matrix_at(epsilon), bank.observed,
                         bank.eval_time)
     active_blocks, silent_blocks = [], []
+    maps = {}
     for entry in bank.entries:
         if entry.generator is None:
             continue
-        g = _decision_maps(P, entry.generator)
-        q = g.shape[1]
-        # the sample of agent a at step tau reaches the residual through
-        # column a of g_(t*-1-tau): by_agent[a - 1, tau]
-        by_agent = g[:-1][::-1].transpose(2, 0, 1)
+        key = _filter_key(entry.generator)
+        if key not in maps:
+            g = _decision_maps(P, entry.generator)
+            # the sample of agent a at step tau reaches the residual through
+            # column a of g_(t*-1-tau): by_agent[a - 1, tau]
+            maps[key] = g[-1], g[:-1][::-1].transpose(2, 0, 1)
+        state, by_agent = maps[key]
+        q = state.shape[0]
         active = [a - 1 for a in sorted({entry.target, *outside})]
-        active_blocks.append((g[-1], by_agent[active].reshape(-1, q)))
+        active_blocks.append((state, by_agent[active].reshape(-1, q)))
         silent = [a - 1 for a in sorted({*entry.decouple, *outside})]
         if silent:
-            silent_blocks.append((g[-1], by_agent[silent].reshape(-1, q)))
+            silent_blocks.append((state, by_agent[silent].reshape(-1, q)))
     return _BoundMaps.from_blocks(active_blocks, silent_blocks)
 
 
@@ -862,10 +892,14 @@ def calibrate_threshold(decomp: BlockDecomposition, bank: LocalBank,
     ValueError
         As :func:`certified_bounds`.
     CalibrationError
-        When the bounds do not separate at the decomposition's coupling
-        strength; the error reports the crossing coupling and value.
+        When the bank has no solvable generator, with no crossing, or when
+        the bounds do not separate at the decomposition's coupling
+        strength; the error then reports the crossing coupling and value.
     """
     _check_band(u_min, u_max, x_max)
+    if not any(entry.solvable for entry in bank.entries):
+        raise CalibrationError(f"block {bank.block} has no solvable generator: "
+                               f"no residual to calibrate a threshold for")
     eps = decomp.epsilon
     maps = _coefficient_maps(decomp, bank, eps, outside)
     bound_mis, bound_well = _bounds_from_maps(maps, u_min, u_max, x_max)
@@ -908,9 +942,10 @@ def local_identification(decomp: BlockDecomposition, bank: LocalBank,
     """Flag within-block agents whose residual exceeds the threshold.
 
     Evaluates every generator of the bank at the calibrated decision
-    time on the observer's within-block measurements; an agent is
-    recognized as misbehaving when all of its generators read above
-    ``T_h``.  Correctness is guaranteed only for inputs inside the
+    time on the observer's within-block measurements, each distinct
+    filter (:func:`_filter_key`) once for the entries sharing it; an
+    agent is recognized as misbehaving when all of its generators read
+    above ``T_h``.  Correctness is guaranteed only for inputs inside the
     calibrated magnitude band; outside it, misclassification is a
     documented failure mode.
     """
@@ -920,12 +955,15 @@ def local_identification(decomp: BlockDecomposition, bank: LocalBank,
         raise ValueError("trajectory shorter than the decision time")
     flagged = []
     by_target = {}
+    levels = {}
     for entry in bank.entries:
         if entry.generator is None:
             continue
-        res = fdi.run_residual(entry.generator, block_ys)
-        level = float(np.max(np.abs(res[t_star])))
-        by_target.setdefault(entry.target, []).append(level)
+        key = _filter_key(entry.generator)
+        if key not in levels:
+            res = fdi.run_residual(entry.generator, block_ys)
+            levels[key] = float(np.max(np.abs(res[t_star])))
+        by_target.setdefault(entry.target, []).append(levels[key])
     for target, levels in sorted(by_target.items()):
         if min(levels) > cal.T_h:
             flagged.append(target)

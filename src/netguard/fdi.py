@@ -28,17 +28,21 @@ last L outputs: the residual is a parity relation ``W [y(t-L); ...;
 y(t)]`` whose weights annihilate the window's observability and
 decoupled-input maps (Chow and Willsky, IEEE TAC 1984).
 
-An observer's residual bank, one generator per candidate decoupled set,
-is synthesized as one computation: the V* and S* fixpoints of all
-candidates advance together, every SVD of a step stacked over them, and
-so do S_M, the coordinates outside it and the parity-window search, on
-powers ``C A^s`` taken once for the bank.  A stack is capped by
+An observer's residual bank, one generator per (target, decoupled set)
+member, is synthesized as one computation.  V*, S*, S_M, the
+coordinates outside it and the parity null space at each window depend
+on the decoupled set alone, so each distinct set is computed once for
+all the members that carry it, and the members of a set that stop at
+one window share its generator.  The V* and S* fixpoints of the sets
+advance together, every SVD of a step stacked over them, and so do S_M,
+the coordinates outside it and the parity-window search, on powers
+``C A^s`` taken once for the bank.  A stack is capped by
 ``numerics._STACK_ENTRIES`` entries in its largest SVD factor, and the
-bank advances at most as many candidates at once as keep their V*
-iterates within that cap.  LAPACK factors each member of a stack on its
-own, so every generator is bit for bit the one its candidate alone
-gives; :func:`synthesize_residual_generator` and the two fixpoint
-functions are the same code with one member.
+bank advances at most as many sets at once as keep their V* iterates
+within that cap.  LAPACK factors each member of a stack on its own, so
+every generator is bit for bit the one its member alone gives;
+:func:`synthesize_residual_generator` and the two fixpoint functions are
+the same code with one member.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg
@@ -420,50 +425,69 @@ def _output_powers(A, C, L: int | None = None) -> np.ndarray:
 
 
 def _parity_weights(powers: np.ndarray, Bds, watched) -> list:
-    """Shortest parity relation ignoring ``Bds[i]`` that sees every column
-    of ``watched[i]``, for each ``i``: ``(L, W)``, or ``None``.
+    """Shortest parity relations ignoring ``Bds[s]`` that see every column
+    of each matrix in ``watched[s]``: for each ``s`` the list of ``(L, W)``,
+    or ``None``, one per matrix of ``watched[s]``.
 
     ``powers`` stacks ``C A^s`` for ``s = 0..n``.  For ``L = 1..n`` the rows
     of ``W`` span the left null space of ``[O_L, T_L Bd]``, so ``W`` applied
     to the last ``L + 1`` outputs cancels the state and the decoupled
-    inputs; the first ``L`` at which ``W T_L b`` is nonzero, relative to
-    ``T_L b``, for each watched column ``b`` is returned with ``W``.  The
-    Markov parameters ``C A^s [Bd, watched]`` grow by one power per window.
-    No null space is taken while some watched ``C A^s b``, ``s < L``, is
-    still exactly zero: that ``T_L b`` is zero, so the window fails the
-    test.  The null spaces of the members at one window are taken in
-    stacked kernels of at most ``numerics._stack_size`` members, and all
-    watched columns of a member are tested with one product.
+    inputs; a watched matrix stops at the first ``L`` at which ``W T_L b``
+    is nonzero, relative to ``T_L b``, for each of its columns ``b``, with
+    that ``W``.  The null space depends on the decoupled set alone, so it is
+    taken once per set and window, and every matrix of the set still
+    pending there is tested against that one ``W``.  The Markov parameters
+    ``C A^s [Bd, watched...]`` of a set grow by one power, one product, per
+    window.  No null space is taken while every pending matrix of the set
+    has some watched ``C A^s b``, ``s < L``, still exactly zero: that
+    ``T_L b`` is zero, so the window fails the test.  The null spaces of
+    the sets at one window are taken in stacked kernels of at most
+    ``numerics._stack_size`` members, and all columns of a watched matrix
+    are tested with one product.
     """
     n = powers.shape[0] - 1
     atol = numerics.get_policy().membership
-    Bs = [np.hstack([Bd, Bw]) for Bd, Bw in zip(Bds, watched)]
+    Bs = [np.hstack([Bd, *ws]) for Bd, ws in zip(Bds, watched)]
     mds = [Bd.shape[1] for Bd in Bds]
+    # the columns of Bs[s] that each watched matrix of the set occupies
+    cols = []
+    for md, ws in zip(mds, watched):
+        ends = list(accumulate((Bw.shape[1] for Bw in ws), initial=md))
+        cols.append([slice(a, b) for a, b in zip(ends, ends[1:])])
     markov = [[] for _ in Bs]
-    unseen = [np.ones(Bw.shape[1], dtype=bool) for Bw in watched]
-    found = [None] * len(Bs)
-    pending = list(range(len(Bs)))
+    unseen = [np.ones(B.shape[1], dtype=bool) for B in Bs]
+    found = [[None] * len(ws) for ws in watched]
+    pending = {s: list(range(len(ws))) for s, ws in enumerate(watched) if ws}
     for L in range(1, n + 1):
-        for i in pending:
-            markov[i].append(powers[L - 1] @ Bs[i])
-            unseen[i] &= ~markov[i][-1][:, mds[i]:].any(axis=0)
-        at = [i for i in pending if not unseen[i].any()]
-        if not at:
+        ready = {}
+        for s, members in pending.items():
+            markov[s].append(powers[L - 1] @ Bs[s])
+            unseen[s] &= ~markov[s][-1].any(axis=0)
+            at = [m for m in members if not unseen[s][cols[s][m]].any()]
+            if at:
+                ready[s] = at
+        if not ready:
             continue
         O = powers[:L + 1].reshape(-1, n)
-        chunk = numerics._stack_size(n + (L + 1) * max(mds[i] for i in at),
+        sets = list(ready)
+        chunk = numerics._stack_size(n + (L + 1) * max(mds[s] for s in sets),
                                      O.shape[0])
-        for lo in range(0, len(at), chunk):
-            part = at[lo:lo + chunk]
-            maps = [np.array(markov[i]) for i in part]
+        for lo in range(0, len(sets), chunk):
+            part = sets[lo:lo + chunk]
+            maps = [np.array(markov[s]) for s in part]
             nulls = numerics._kernels(
-                [np.hstack([O, _block_toeplitz(G[:, :, :mds[i]])]).T
-                 for i, G in zip(part, maps)])
-            for i, G, N in zip(part, maps, nulls):
+                [np.hstack([O, _block_toeplitz(G[:, :, :mds[s]])]).T
+                 for s, G in zip(part, maps)])
+            for s, G, N in zip(part, maps, nulls):
                 W = N.T
-                if W.shape[0] and _sees_every_column(W, G[:, :, mds[i]:], atol):
-                    found[i] = (L, W)
-                    pending.remove(i)
+                if not W.shape[0]:
+                    continue
+                for m in ready[s]:
+                    if _sees_every_column(W, G[:, :, cols[s][m]], atol):
+                        found[s][m] = (L, W)
+                        pending[s].remove(m)
+                if not pending[s]:
+                    del pending[s]
     return found
 
 
@@ -518,57 +542,91 @@ def _synthesize_bank(A, C, targets, decouples):
     """:func:`synthesize_residual_generator` for every pair ``(targets[i],
     decouples[i])`` on one ``(A, C)``; the reports, in order, as a generator.
 
-    The powers ``C A^s`` are taken once for the bank.  The pairs advance
-    together in slices of as many as one stacked SVD of ``n x n``
-    operands takes (``numerics._stack_size``), so that their V* iterates
-    hold about ``numerics._STACK_ENTRIES`` entries: V*, S*, S_M, the
-    coordinates outside S_M, the target tests and the parity search of a
-    slice each run on stacked SVDs, every member computed bit for bit as
-    a bank of one computes it.
+    The unit of shared work is the decoupled set: V*, S*, S_M, the
+    coordinates outside S_M and the parity null space at each window
+    depend on it alone, so the members are grouped by the exact content
+    of their decoupled matrices and each distinct set is computed once,
+    for all its members.  Per member there remain only the target test
+    against S_M and the test of its watched columns against the set's
+    null space at each window (:func:`_parity_weights`); the members of a
+    set that stop at one window share one generator.  The powers ``C A^s``
+    are taken once for the bank.  The distinct sets advance together, in
+    the order they first appear, in slices of as many as one stacked SVD
+    of ``n x n`` operands takes (``numerics._stack_size``), so that their
+    V* iterates hold about ``numerics._STACK_ENTRIES`` entries; a slice is
+    computed when its first member is due, and a set's results are held
+    until its last member is yielded.  Each computation of a slice runs on
+    stacked SVDs, and every member comes out bit for bit as a bank of one
+    computes it.
     """
     n = A.shape[0]
     powers = _output_powers(A, C)
+    groups = {}
+    for i, Bd in enumerate(decouples):
+        groups.setdefault((Bd.shape, Bd.tobytes()), []).append(i)
+    sets = list(groups.values())
     size = numerics._stack_size(n, n)
-    for lo in range(0, len(decouples), size):
-        yield from _synthesize_slice(A, C, powers, targets[lo:lo + size],
-                                     decouples[lo:lo + size])
+    ready = {}
+    lo = 0
+    for i in range(len(decouples)):
+        if i not in ready:
+            ready.update(_synthesize_slice(A, C, powers, targets, decouples,
+                                           sets[lo:lo + size]))
+            lo += size
+        yield ready.pop(i)
 
 
-def _synthesize_slice(A, C, powers, targets, decouples):
-    """The reports of one slice of :func:`_synthesize_bank`, in order."""
+def _synthesize_slice(A, C, powers, targets, decouples, sets):
+    """``(i, report)`` for every member ``i`` of the decoupled sets ``sets``
+    of :func:`_synthesize_bank`, each set a list of member indices."""
     n, p = A.shape[0], C.shape[0]
     eye = np.eye(n)
-    Vs = _controlled_invariants(A, decouples, C)
-    Ss = _conditioned_invariants(A, decouples, C)
+    Bds = [decouples[members[0]] for members in sets]
+    Vs = _controlled_invariants(A, Bds, C)
+    Ss = _conditioned_invariants(A, Bds, C)
     Ms = numerics._images([np.hstack([V, S]) for V, S in zip(Vs, Ss)])
-    isolable = _meet_each(Ms, [eye[:, :, None]] * len(Ms))
-    aimed = [i for i, Bt in enumerate(targets) if Bt.shape[1]]
-    images = numerics._images([targets[i] for i in aimed])
-    target_free = dict(zip(aimed, _meet_each([Ms[i] for i in aimed],
-                                             [U[None] for U in images])))
-    outside, search, watched = [], [], []
-    for i, Bt in enumerate(targets):
-        outside.append(tuple(np.flatnonzero(isolable[i]).tolist()))
-        if i in target_free:
-            solvable, Bw = bool(target_free[i][0]), Bt
-        else:
-            solvable, Bw = bool(outside[i]), eye[:, list(outside[i])]
-        if solvable:
-            search.append(i)
-            watched.append(Bw)
-    found = dict(zip(search, _parity_weights(
-        powers, [decouples[i] for i in search], watched)))
-    for i in range(len(decouples)):
-        gen = None
-        if found.get(i) is not None:
-            L, W = found[i]
-            W = _echelon(W, p)
-            F = np.eye(L * p, k=p)
-            E = np.vstack([np.zeros(((L - 1) * p, p)), np.eye(p)])
-            gen = ResidualGenerator(F=F, E=E, M=W[:, :-p], H=W[:, -p:],
-                                    horizon=L)
-        yield SynthesisReport(V_star=Subspace(n, Vs[i]),
-                              S_star=numerics._trusted(n, Ss[i]),
-                              S_M=numerics._trusted(n, Ms[i]),
-                              outside=outside[i], solvable=gen is not None,
-                              generator=gen)
+    outside = [tuple(np.flatnonzero(f).tolist())
+               for f in _meet_each(Ms, [eye[:, :, None]] * len(Ms))]
+    aimed = [(s, i) for s, members in enumerate(sets) for i in members
+             if targets[i].shape[1]]
+    images = numerics._images([targets[i] for _, i in aimed])
+    target_free = dict(zip((i for _, i in aimed),
+                           _meet_each([Ms[s] for s, _ in aimed],
+                                      [U[None] for U in images])))
+    searched = [[] for _ in sets]
+    watched = [[] for _ in sets]
+    for s, members in enumerate(sets):
+        for i in members:
+            if i in target_free:
+                solvable, Bw = bool(target_free[i][0]), targets[i]
+            else:
+                solvable, Bw = bool(outside[s]), eye[:, list(outside[s])]
+            if solvable:
+                searched[s].append(i)
+                watched[s].append(Bw)
+    found = _parity_weights(powers, Bds, watched)
+    for s, members in enumerate(sets):
+        V_star = Subspace(n, Vs[s])
+        S_star = numerics._trusted(n, Ss[s])
+        S_M = numerics._trusted(n, Ms[s])
+        hits = dict(zip(searched[s], found[s]))
+        # one generator per window: the members stopping there share its W
+        gens = {}
+        for i in members:
+            gen = None
+            if hits.get(i) is not None:
+                L, W = hits[i]
+                if L not in gens:
+                    gens[L] = _shift_register(_echelon(W, p), L, p)
+                gen = gens[L]
+            yield i, SynthesisReport(V_star=V_star, S_star=S_star, S_M=S_M,
+                                     outside=outside[s],
+                                     solvable=gen is not None, generator=gen)
+
+
+def _shift_register(W: np.ndarray, L: int, p: int) -> ResidualGenerator:
+    """The generator of the parity weights ``W`` on a window of ``L + 1``
+    outputs of ``p`` entries: a shift register of the last ``L``."""
+    F = np.eye(L * p, k=p)
+    E = np.vstack([np.zeros(((L - 1) * p, p)), np.eye(p)])
+    return ResidualGenerator(F=F, E=E, M=W[:, :-p], H=W[:, -p:], horizon=L)

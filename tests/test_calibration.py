@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -173,11 +174,74 @@ def test_local_bank_rejects_negative_k():
         detect.build_local_bank(weak7(0.01), 1, 1, -1)
 
 
+def test_local_bank_rejects_an_observer_alone_in_its_block():
+    decomp = detect.block_decompose(weak7_matrix(0.01),
+                                    [[1], [2, 3], [4, 5, 6, 7]])
+    with pytest.raises(ValueError, match="observer 1 is alone in block 1"):
+        detect.build_local_bank(decomp, 1, 1, 1)
+
+
+# A 6-agent block at k = 1 has 20 (target, set) pairs over 5 decoupled sets:
+# the bank takes the fixpoints of the 5 sets, at most one parity null space
+# per set at each window, and local identification runs each distinct
+# generator once.
+def test_local_bank_works_once_per_decoupled_set(monkeypatch):
+    A, partition = block_network((6, 4), 0.001, np.random.default_rng(1),
+                                 (2, 2))
+    decomp = detect.block_decompose(A, partition)
+    fixpoints, kernels = [], []
+    invariants, parity = fdi._controlled_invariants, fdi._parity_weights
+    null_spaces = fdi.numerics._kernels
+
+    def counted_invariants(A, Bs, C):
+        fixpoints.append(len(Bs))
+        return invariants(A, Bs, C)
+
+    def counted_kernels(Ms):
+        kernels.append(len(Ms))
+        return null_spaces(Ms)
+
+    def counted_parity(powers, Bds, watched):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(fdi.numerics, "_kernels", counted_kernels)
+            return parity(powers, Bds, watched)
+
+    monkeypatch.setattr(fdi, "_controlled_invariants", counted_invariants)
+    monkeypatch.setattr(fdi, "_parity_weights", counted_parity)
+    bank = detect.build_local_bank(decomp, 1, 1, 1)
+    assert len(bank.entries) == 20
+    assert len({e.decouple for e in bank.entries}) == 5
+    assert fixpoints == [5]
+    # one stacked kernel call per window, each over at most the 5 sets
+    assert 0 < len(kernels) <= len(bank.agents) and max(kernels) <= 5
+    distinct = {(e.decouple, e.generator.horizon)
+                for e in bank.entries if e.solvable}
+    assert len(distinct) < sum(e.solvable for e in bank.entries)
+    cal = detect.calibrate_threshold(decomp, bank, u_max=1.0, u_min=0.1)
+    runs = count_calls(monkeypatch, fdi, "run_residual")
+    ys = np.ones((cal.eval_time + 1, len(bank.observed)))
+    detect.local_identification(decomp, bank, cal, ys)
+    assert len(runs) == len(distinct)
+
+
+# A bank with no solvable generator has no residual to place a threshold
+# for: a calibration failure with no crossing, not an infinite threshold.
+def test_calibration_without_a_solvable_generator_fails():
+    bank = gen_bank()
+    bank = replace(bank, entries=tuple(
+        replace(e, generator=None, solvable=False) for e in bank.entries))
+    with pytest.raises(detect.CalibrationError,
+                       match="block 1 has no solvable generator") as failure:
+        detect.calibrate_threshold(weak7(0.01), bank, u_max=1.0, u_min=0.1)
+    assert (failure.value.epsilon_star, failure.value.crossing_value) == (
+        None, None)
+
+
 # Where the vertex certificate fails, the LP is assembled for the
 # generators the brackets cannot prune, and only for those: both of WEAK7
-# block 1 at 0.1 (every floor 0), 8 of the 12 of the k = 2 bank.
+# block 1 at 0.05 (every floor 0), 8 of the 12 of the k = 2 bank.
 @pytest.mark.parametrize("decomp, h, j, k, outside", [
-    (weak7(0.1), 1, 1, 1, (4, 7)), (k2_decomposition(), 1, 4, 2, (6,))])
+    (weak7(0.05), 1, 1, 1, (4, 7)), (k2_decomposition(), 1, 4, 2, (6,))])
 def test_bound_lp_matches_column_by_column_assembly(decomp, h, j, k, outside,
                                                      monkeypatch):
     seen, kept, solved = [], [], []
@@ -278,17 +342,20 @@ def test_least_bound_is_the_least_per_generator_lp(seed, count, n, scale, lo,
 # One fixture per path of the least bound, each matching the per-generator
 # LPs: certified with no LP; one LP over the 2 of 6 generators whose floor
 # does not exceed the least cap; one LP over both generators when every
-# floor is 0.
-@pytest.mark.parametrize("eps, h, j, solved", [
-    (0.01, 1, 1, []), (0.05, 2, 4, [2]), (0.1, 1, 1, [2])],
+# floor is 0 and the least cap is not (WEAK7 block 1 at 0.05: at 0.1 the
+# least cap is a rounding of 0 and certifies the bound).
+@pytest.mark.parametrize("eps, h, j, solved, zero_floors", [
+    (0.01, 1, 1, [], False), (0.05, 2, 4, [2], False),
+    (0.05, 1, 1, [2], True)],
     ids=["certified", "pruned", "zero-floors"])
-def test_least_bound_takes_each_path(eps, h, j, solved, monkeypatch):
+def test_least_bound_takes_each_path(eps, h, j, solved, zero_floors,
+                                     monkeypatch):
     decomp = weak7(eps)
     bank = detect.build_local_bank(decomp, h, j, 1)
     maps = detect._coefficient_maps(decomp, bank, eps, ())
     floor, cap = detect._box_min_brackets(maps, (0.1, 1.0), 1.0)
     assert (floor.min() == cap.min()) == (not solved)
-    assert floor.any() == (eps != 0.1)
+    assert floor.any() == (not zero_floors)
     sizes = []
     milp = scipy.optimize.milp
 
@@ -299,6 +366,21 @@ def test_least_bound_takes_each_path(eps, h, j, solved, monkeypatch):
     monkeypatch.setattr(scipy.optimize, "milp", solve)
     assert_bounds_match(decomp, bank, 0.1, ())
     assert sizes == solved
+
+
+# Brackets apart by no more than their rounding certify the floor, the
+# conservative end: at 0.1 every WEAK7 block-1 floor is 0 and the least cap
+# a rounding of 0, so no LP is solved and the bound is the LP optimum 0.
+def test_near_tie_certifies_the_floor(monkeypatch):
+    decomp = weak7(0.1)
+    bank = detect.build_local_bank(decomp, 1, 1, 1)
+    maps = detect._coefficient_maps(decomp, bank, 0.1, ())
+    floor, cap = detect._box_min_brackets(maps, (0.1, 1.0), 1.0)
+    assert floor.min() == 0.0 < cap.min() < 1e-14
+    lps = count_calls(monkeypatch, scipy.optimize, "milp")
+    assert detect._joint_box_min(maps, (0.1, 1.0), 1.0) == 0.0
+    assert lps == []
+    assert reference(decomp, bank, 0.1, ())[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -315,7 +397,7 @@ def count_calls(monkeypatch, owner, name):
 
 # A bound evaluation solves no LP when the vertex certificate settles it
 # (every generator of block 2 has floor == cap at 0.01) and one LP when it
-# does not (at 0.1 a block-1 generator's floor is 0).
+# does not (at 0.05 both block-1 floors are 0, the least cap 0.05).
 def test_one_lp_per_bound_evaluation(monkeypatch):
     lps = count_calls(monkeypatch, scipy.optimize, "milp")
     decomp = weak7(0.01)
@@ -323,7 +405,7 @@ def test_one_lp_per_bound_evaluation(monkeypatch):
     assert len(bank.entries) == 6
     detect.certified_bounds(decomp, bank, 0.1, 1.0, outside=(2,))
     assert len(lps) == 0
-    decomp = weak7(0.1)
+    decomp = weak7(0.05)
     detect.certified_bounds(decomp, detect.build_local_bank(decomp, 1, 1, 1),
                             0.1, 1.0)
     assert len(lps) == 1
@@ -379,11 +461,11 @@ class FailedLP:
     message = "infeasible"
 
 
-# At its own coupling 0.1, block 1 of WEAK7 has a generator whose floor is
-# 0, so the certificate fails and the (failing) LP is reached.
+# At its own coupling 0.05, block 1 of WEAK7 has floors 0 and a least cap
+# of 0.05, so the certificate fails and the (failing) LP is reached.
 def test_failed_bound_lp_raises(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: FailedLP())
-    decomp = weak7(0.1)
+    decomp = weak7(0.05)
     bank = detect.build_local_bank(decomp, 1, 1, 1)
     with pytest.raises(RuntimeError, match="bound LP failed"):
         detect.certified_bounds(decomp, bank, 0.1, 1.0)
@@ -393,7 +475,7 @@ def test_failed_bound_lp_exits_calibration(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: FailedLP())
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({
-        "matrix": {"rows": weak7_matrix(0.1).tolist()},
+        "matrix": {"rows": weak7_matrix(0.05).tolist()},
         "partition": [list(b) for b in WEAK7_PARTITION], "observer": 1,
         "block": 1, "k": 1, "horizon": 30,
         "attacks": [{"agent": 2, "kind": "constant", "value": 0.5}]}))

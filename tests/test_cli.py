@@ -1,12 +1,13 @@
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netguard import cli, consensus, fdi, numerics, sysan
+from netguard import cli, consensus, detect, fdi, numerics, sysan
 
 from fixtures import BENCH8_A, WEAK7_PARTITION, weak7_matrix
 
@@ -206,6 +207,55 @@ def test_local_identify_above_crossing_exits_calibration(tmp_path):
     verdict = read_verdict(out)
     assert verdict["status"] == "calibration_failure"
     assert verdict["epsilon_star"] < verdict["epsilon"]
+
+
+# The observer alone in its block left a bank with no generator and an
+# infinite threshold that verdict.json could not hold.
+def test_local_identify_with_the_observer_alone_exits_invalid(tmp_path,
+                                                             capsys):
+    code, out = run(tmp_path, "local-identify", {
+        "matrix": {"rows": weak7_matrix(0.1).tolist()},
+        "partition": [[1], [2, 3], [4, 5, 6, 7]], "observer": 1,
+        "block": 1, "k": 1, "horizon": 30})
+    assert code == cli.EXIT_INVALID
+    assert "observer 1 is alone in block 1" in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()
+
+
+def test_local_identify_without_a_solvable_generator_exits_calibration(
+        tmp_path, monkeypatch, capsys):
+    build = detect.build_local_bank
+
+    def unsolvable(*args):
+        bank = build(*args)
+        return replace(bank, entries=tuple(
+            replace(e, generator=None, solvable=False) for e in bank.entries))
+
+    monkeypatch.setattr(detect, "build_local_bank", unsolvable)
+    code, out = run(tmp_path, "local-identify", {
+        "matrix": {"rows": weak7_matrix(0.01).tolist()},
+        "partition": [list(b) for b in WEAK7_PARTITION], "observer": 1,
+        "block": 1, "k": 1, "horizon": 30})
+    assert code == cli.EXIT_CALIBRATION
+    assert "block 1 has no solvable generator" in capsys.readouterr().out
+    verdict = read_verdict(out)
+    assert verdict["status"] == "calibration_failure"
+    assert verdict["epsilon_star"] is None
+    assert verdict["crossing_value"] is None
+
+
+# Data no longer than the longest parity window (6 for this network) is
+# invalid input; the message gives both lengths.
+def test_identify_on_data_within_the_window_exits_invalid(tmp_path, capsys):
+    net = consensus.random_consensus_matrix(8, np.random.default_rng(0),
+                                            extra_edges=8)
+    code, out = run(tmp_path, "identify", {
+        "matrix": {"rows": net.A.tolist()}, "observer": 1, "k": 1,
+        "horizon": 4, "x0": {"random": {}}})
+    assert code == cli.EXIT_INVALID
+    assert ("5 samples do not exceed the longest parity window 6"
+            in capsys.readouterr().err)
+    assert not (out / "verdict.json").exists()
 
 
 def test_identify_survives_failed_synthesis(tmp_path):

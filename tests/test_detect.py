@@ -147,6 +147,26 @@ def test_identification_is_scale_invariant(scale, attacked):
     assert verdict.identified == attacked
 
 
+# A generator decides on the samples past its horizon: with no more samples
+# than the longest window (6 here), its "tail" was the zero-padded transient,
+# which fires on x0 alone, and clean data came out ambiguous.
+@pytest.mark.parametrize("T", range(1, 8))
+def test_identification_needs_samples_past_the_longest_window(T):
+    net = consensus.random_consensus_matrix(8, np.random.default_rng(0),
+                                            extra_edges=8)
+    x0 = np.random.default_rng(1).uniform(-1, 1, net.n)
+    ys = net.outputs(consensus.simulate(net, x0, T=T).states, 1)
+    assert len(ys) == T + 1
+    if T + 1 <= 6:
+        with pytest.raises(ValueError, match=f"^{T + 1} samples do not exceed "
+                                             f"the longest parity window 6$"):
+            detect.complete_identification(net, 1, 1, ys)
+    else:
+        verdict = detect.complete_identification(net, 1, 1, ys)
+        assert (verdict.status, verdict.identified, verdict.horizon) == (
+            "identified", (), 6)
+
+
 # Detection from a (k+1)-connected network: up to k constant attackers keep
 # the detection filter's residual away from zero past its transient.
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -291,7 +291,7 @@ def test_parity_search_matches_the_scan_over_every_window(data, n, kind):
             net.A, np.zeros((n, 0)), Bd, C).outside
         watched = np.eye(n)[:, list(outside)]
     got = fdi._parity_weights(fdi._output_powers(net.A, C), [Bd],
-                              [watched])[0]
+                              [[watched]])[0][0]
     want = parity_weights_scan(net.A, Bd, watched, C)
     if want is None:
         assert got is None
@@ -393,6 +393,94 @@ def test_bank_split_by_the_stack_cap_matches_one_stack(entries, targeted,
     monkeypatch.setattr(numerics, "_STACK_ENTRIES", entries)
     split = bank_arrays(fdi._synthesize_bank(net.A, C, targets, Bds))
     assert_banks_equal(split, whole)
+
+
+def shared_set_inputs(net, j, sets, targets_per_set, rng):
+    """Members that share decoupled sets: for each set in ``sets``, copies
+    of its matrix paired with ``targets_per_set`` targets, each one agent
+    outside the set or none, in a random order."""
+    n = net.n
+    members = []
+    for D in sets:
+        free = [a for a in range(1, n + 1) if a not in D]
+        for _ in range(targets_per_set):
+            pick = int(rng.integers(-1, len(free)))
+            members.append((consensus.input_matrix(n, [free[pick]] if pick >= 0
+                                                   else []),
+                            consensus.input_matrix(n, D)))
+    order = rng.permutation(len(members))
+    return ([members[i][0] for i in order], [members[i][1] for i in order],
+            [sets[i // targets_per_set] for i in order])
+
+
+def assert_each_is_its_separate_synthesis(net, C, targets, Bds, reports):
+    want = []
+    for Bt, Bd in zip(targets, Bds):
+        V, S, S_M, outside, found = synthesis_loop(net.A, Bt, Bd, C)
+        W = None if found is None else fdi._echelon(found[1], C.shape[0])
+        want.append((V, S, S_M, outside, found is not None,
+                     None if found is None else found[0], W))
+    assert_banks_equal(bank_arrays(reports), want)
+
+
+# The bank computes each decoupled set once for all its targets; every
+# member must still come out bit for bit as its own synthesis, and the
+# members of a set that stop at one window share one generator.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(4, 12), k=st.integers(0, 2),
+       targets_per_set=st.integers(2, 4))
+def test_bank_shares_each_decoupled_set(data, n, k, targets_per_set):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    net = consensus.random_consensus_matrix(
+        n, rng, extra_edges=int(rng.integers(0, 2 * n)))
+    j = data.draw(st.integers(1, n), label="observer")
+    C = net.output_matrix(j)
+    every = list(combinations([a for a in range(1, n + 1) if a != j], k))
+    sets = [every[i] for i in rng.choice(len(every), min(3, len(every)),
+                                         replace=False)]
+    targets, Bds, labels = shared_set_inputs(net, j, sets, targets_per_set,
+                                             rng)
+    reports = list(fdi._synthesize_bank(net.A, C, targets, Bds))
+    assert_each_is_its_separate_synthesis(net, C, targets, Bds, reports)
+    shared = {}
+    for D, r in zip(labels, reports):
+        assert shared.setdefault(D, r.S_M) is r.S_M
+        if r.generator is not None:
+            gen = shared.setdefault((D, r.generator.horizon), r.generator)
+            assert gen is r.generator
+
+
+# With one set per slice, the members of a set straddle the slices of the
+# sets after it: a set is computed when its first member is due, once, and
+# its later members come out of the held results, each bit for bit its own
+# synthesis.
+def test_shared_set_straddles_the_slices(monkeypatch):
+    rng = np.random.default_rng(3)
+    net = consensus.random_consensus_matrix(10, rng, extra_edges=10)
+    C = net.output_matrix(1)
+    sets = [(2,), (5,), (7,), (9,)]
+    targets, Bds, labels = shared_set_inputs(net, 1, sets, 3, rng)
+    # the first set's members are not all before the second set's first
+    first = [i for i, D in enumerate(labels) if D == labels[0]]
+    assert any(D != labels[0] for D in labels[:first[-1]])
+    whole = list(fdi._synthesize_bank(net.A, C, targets, Bds))
+    monkeypatch.setattr(numerics, "_STACK_ENTRIES", 1)
+    fixpoints = []
+    original = fdi._controlled_invariants
+
+    def counted(A, Bs, C):
+        fixpoints.append(len(Bs))
+        return original(A, Bs, C)
+
+    monkeypatch.setattr(fdi, "_controlled_invariants", counted)
+    bank = fdi._synthesize_bank(net.A, C, targets, Bds)
+    split = [next(bank)]
+    assert fixpoints == [1]
+    split += list(bank)
+    assert fixpoints == [1] * len(sets)
+    assert_banks_equal(bank_arrays(split), bank_arrays(whole))
+    assert_each_is_its_separate_synthesis(net, C, targets, Bds, split)
 
 
 @pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
