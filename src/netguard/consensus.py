@@ -19,6 +19,11 @@ from . import graph as graphmod
 from .numerics import (_ROW_SUM_TOL, _negligible, _stationary_vector,
                        _support, as_matrix, as_vector)
 
+# an unobservable offset is neutral when the trajectories from x0 and x0 + v
+# agree after this many steps, relative to the scale of x0 and v
+_NEUTRAL_STEPS = 400
+_NEUTRAL_REL = 1e-8
+
 
 class ConsensusError(ValueError):
     """A matrix failed one of the consensus-matrix properties."""
@@ -361,34 +366,34 @@ def exponential_input_bound(net: ConsensusMatrix, K, z: float, u0) -> np.ndarray
 
 
 def unobservable_subspace(net: ConsensusMatrix, j: int):
-    """Kernel of the observability map of ``(A, C_j)``."""
-    from .fdi import _window_maps
-    from .numerics import kernel
+    """States that observer ``j`` never sees: V*(A, 0, C_j), the maximal
+    output-nulling controlled invariant with no inputs, which is the
+    largest A-invariant subspace inside Ker C_j."""
+    from .fdi import max_controlled_invariant
 
-    O, _ = _window_maps(net.A, np.zeros((net.n, 0)), net.output_matrix(j),
-                        net.n - 1)
-    return kernel(O)
+    return max_controlled_invariant(net.A, np.zeros((net.n, 0)),
+                                    net.output_matrix(j))
 
 
-def unobservable_offset_is_neutral(net: ConsensusMatrix, j: int, v,
-                                   T: int = 400, tol: float = 1e-8) -> bool:
+def unobservable_offset_is_neutral(net: ConsensusMatrix, j: int, v) -> bool:
     """Check that an unobservable initial-state offset leaves the limit alone.
 
     Requires ``v`` to lie in the unobservable subspace of ``(A, C_j)``;
     then ``pi @ v`` must vanish against ``v`` and trajectories from ``x0``
-    and ``x0 + v`` reach the same state, up to ``tol`` of their scale.
+    and ``x0 + v`` reach the same state after ``_NEUTRAL_STEPS`` steps, up
+    to ``_NEUTRAL_REL`` of their scale.
     """
     v = as_vector(v)
     unobs = unobservable_subspace(net, j)
     if not unobs.contains(v):
         raise ValueError("offset is observable from the chosen agent")
-    if not _negligible(net.pi @ v, v, tol):
+    if not _negligible(net.pi @ v, v, _NEUTRAL_REL):
         return False
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal(net.n)
-    base = simulate(net, x0, (), T).states[-1]
-    moved = simulate(net, x0 + v, (), T).states[-1]
-    return _negligible(moved - base, np.concatenate([x0, v]), tol)
+    base = simulate(net, x0, (), _NEUTRAL_STEPS).states[-1]
+    moved = simulate(net, x0 + v, (), _NEUTRAL_STEPS).states[-1]
+    return _negligible(moved - base, np.concatenate([x0, v]), _NEUTRAL_REL)
 
 
 def random_consensus_matrix(n: int, rng: np.random.Generator,

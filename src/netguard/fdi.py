@@ -402,19 +402,6 @@ def _toeplitz_pattern(L: int):
     return pattern
 
 
-def _window_maps(A, B, C, L: int):
-    """Maps of an output window of ``L + 1`` steps.
-
-    Returns ``(O, T)`` with ``[y(t-L); ...; y(t)] = O x(t-L) + T [u(t-L);
-    ...; u(t)]``: ``O`` stacks ``C A^s`` for ``s = 0..L`` and ``T`` is block
-    Toeplitz, its block ``(s, tau)`` being ``C A^(s-tau-1) B`` below the
-    diagonal and zero on and above it.
-    """
-    powers = _output_powers(A, C, L)
-    O = powers.reshape((L + 1) * C.shape[0], A.shape[0])
-    return O, _block_toeplitz(powers[:L] @ B)
-
-
 def _output_powers(A, C, L: int | None = None) -> np.ndarray:
     """``C A^s`` for ``s = 0..L`` (``L = n`` by default), each the product
     of the last with ``A``, stacked as an ``(L + 1, p, n)`` array."""

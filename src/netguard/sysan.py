@@ -486,25 +486,26 @@ def unidentifiability_witness(net: ConsensusMatrix, K1, K2, j: int,
                               horizon: int = 50):
     """Witness that ``K1`` and ``K2`` are indistinguishable at ``j``, if any.
 
-    Looks for invisible state motions of the joint system driven by both
-    sets: a nonzero output-nulling subspace yields a feedback-type
-    witness, and a non-left-invertible joint pencil yields an input-only
-    witness from the zero state.  The feedback-type motion starts in the
-    stable part of the friend map whenever that part is nonzero, so the
-    witness stays bounded.  Returns None when the joint system has no
-    such motion (every input of ``K1`` is identifiable against ``K2``).
+    Two witnesses are tried, in order.  First an invisible state motion
+    of the joint system driven by both sets: V*, the maximal
+    output-nulling controlled invariant of ``(A, [B_K1, B_K2], C_j)``,
+    and its friend map give a feedback-type witness.  The motion starts
+    in the stable part of the friend map whenever that part is nonzero,
+    so the witness stays bounded.  Failing that, when the sets share an
+    agent, that agent is fed one deterministic sequence under both
+    attributions from the zero state, which is exact for every horizon.
+    Every witness is checked by simulating both attributions.  Returns
+    None when neither applies.
     """
     K1 = tuple(sorted(set(K1)))
     K2 = tuple(sorted(set(K2)))
     if K1 == K2:
         raise ValueError("candidate sets must differ")
     n = net.n
-    B1 = input_matrix(n, K1)
-    B2 = input_matrix(n, K2)
-    B = np.hstack([B1, B2])
-    C = net.output_matrix(j)
+    B = np.hstack([input_matrix(n, K1), input_matrix(n, K2)])
     m1 = len(K1)
-    V_star, d = _zero_dynamics(Triple.from_matrices(net.A, B, C))
+    V_star = _zero_dynamics(Triple.from_matrices(net.A, B,
+                                                 net.output_matrix(j)))[0]
     if V_star.dim:
         V = V_star.basis
         X, U, fits = _friend_realization(net.A, B, V)
@@ -516,16 +517,18 @@ def unidentifiability_witness(net: ConsensusMatrix, K1, K2, j: int,
                 inputs_2=-full_u[:, m1:], horizon=horizon)
             if _witness_outputs_match(net, witness, j):
                 return witness
-    # No invisible initial state: look for distinct inputs from the origin.
-    if d:
-        w = _toeplitz_kernel_input(net.A, B, C, horizon)
-        if w is not None:
-            witness = UnidentifiabilityWitness(
-                K1=K1, K2=K2, x0=np.zeros(n), inputs_1=w[:, :m1],
-                inputs_2=-w[:, m1:], horizon=horizon)
-            if _witness_outputs_match(net, witness, j):
-                return witness
-    return None
+    # No invisible motion: one input on a shared agent fits both sets.
+    shared = min(set(K1) & set(K2), default=None)
+    if shared is None:
+        return None
+    inputs_1 = np.zeros((horizon, m1))
+    inputs_2 = np.zeros((horizon, len(K2)))
+    inputs_1[:, K1.index(shared)] = inputs_2[:, K2.index(shared)] = (
+        np.random.default_rng(_WITNESS_SEED).standard_normal(horizon))
+    witness = UnidentifiabilityWitness(
+        K1=K1, K2=K2, x0=np.zeros(n), inputs_1=inputs_1, inputs_2=inputs_2,
+        horizon=horizon)
+    return witness if _witness_outputs_match(net, witness, j) else None
 
 
 def _invisible_motion(X, horizon: int) -> np.ndarray:
@@ -550,24 +553,6 @@ def _invisible_motion(X, horizon: int) -> np.ndarray:
         coords[t] = a
         a = step @ a
     return coords @ back.T
-
-
-def _toeplitz_kernel_input(A, B, C, horizon: int):
-    """Nonzero input sequence invisible in the output, from the zero state."""
-    from .fdi import _window_maps
-
-    n, m = B.shape
-    p = C.shape[0]
-    L = min(horizon, 2 * n + 2)
-    # outputs y(1..L) against inputs u(0..L-1)
-    _, T = _window_maps(A, B, C, L)
-    null = numerics.kernel(T[p:, :L * m])
-    if null.dim == 0:
-        return None
-    w = null.basis[:, 0].reshape(L, m)
-    full = np.zeros((horizon, m))
-    full[:L] = w
-    return full
 
 
 def _witness_outputs_match(net: ConsensusMatrix, w: UnidentifiabilityWitness,

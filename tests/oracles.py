@@ -43,6 +43,9 @@ and :func:`vertex_connectivity_even` runs Even's scan of the local
 connectivities to and from v_1 .. v_{k+1}, one max-flow per scanned
 vertex, where ``netguard.graph`` takes one max-flow over the
 Esfahanian-Hakimi pairs of a single vertex.
+:func:`observability_kernel` is the unobservable subspace by the Kalman
+test, the kernel of the stacked ``C A^s`` for ``s < n``, where
+``netguard.consensus`` takes V* with no inputs.
 """
 
 from fractions import Fraction
@@ -225,6 +228,13 @@ def _window_maps_rebuilt(A, B, C, L):
         for tau in range(s):
             T[s * p:(s + 1) * p, tau * m:(tau + 1) * m] = markov[s - tau - 1]
     return np.vstack(rows), T
+
+
+def observability_kernel(A, C):
+    """Kernel of ``O_{n-1}``, the stacked ``C A^s`` for ``s = 0..n-1``, at
+    the shared rank tolerance."""
+    return kernel(_window_maps_rebuilt(A, np.zeros((A.shape[0], 0)), C,
+                                       A.shape[0] - 1)[0])
 
 
 def parity_weights_scan(A, Bd, watched, C):

@@ -11,7 +11,8 @@ from netguard.consensus import (Attack, ConsensusError, attack_effect_constant,
                                 unobservable_offset_is_neutral, validate)
 
 from fixtures import BENCH8_A, SYMMETRIC4_A, directed_cycle
-from oracles import simulate_reference, wielandt_primitive
+from oracles import (observability_kernel, simulate_reference,
+                     wielandt_primitive)
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +243,24 @@ def test_observable_offset_rejected():
     net = validate(SYMMETRIC4_A)
     with pytest.raises(ValueError, match="observable"):
         unobservable_offset_is_neutral(net, 1, np.array([0, 0, 1.0, 0]))
+
+
+# The kernel of O_{n-1} at these sizes holds directions that C A^s only
+# nearly annihilates (|C A^s v| near 1e-9 for s < n; 15, 32 and 67 of
+# them), which no A-invariant subspace inside Ker C contains: V* with no
+# inputs is 0.
+@pytest.mark.parametrize("n, j", [(60, 7), (120, 1), (120, 7)])
+def test_unobservable_subspace_is_not_a_rounded_window_kernel(n, j):
+    net = random_consensus_matrix(n, np.random.default_rng(0), extra_edges=n)
+    assert observability_kernel(net.A, net.output_matrix(j)).dim > 0
+    assert consensus.unobservable_subspace(net, j).dim == 0
+
+
+def test_offset_from_a_rounded_window_kernel_is_observable():
+    net = random_consensus_matrix(60, np.random.default_rng(0), extra_edges=60)
+    v = observability_kernel(net.A, net.output_matrix(7)).basis[:, 0]
+    with pytest.raises(ValueError, match="observable"):
+        unobservable_offset_is_neutral(net, 7, v)
 
 
 def test_observed_set_includes_self(bench8):

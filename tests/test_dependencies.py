@@ -1,6 +1,7 @@
 """Every third-party package that ``netguard`` imports is declared as a
-dependency in ``pyproject.toml``, so an install pulls it in, and the
-commands that solve no bound LP start without the optimizer."""
+dependency in ``pyproject.toml``, and every one its tests import is
+declared there or in the ``test`` extra, so an install pulls it in; and
+the commands that solve no bound LP start without the optimizer."""
 
 import ast
 import json
@@ -14,14 +15,20 @@ from pathlib import Path
 from fixtures import WEAK7_PARTITION, weak7_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
+PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 
 
-def test_imports_are_declared_dependencies():
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
-                for dep in project["dependencies"]}
+def _declared(deps) -> set:
+    return {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
+            for dep in deps}
+
+
+def _undeclared(paths, declared, local) -> dict:
+    """Top-level modules imported by ``paths`` that are neither in the
+    standard library, nor ``local``, nor ``declared``: each with the first
+    file importing it."""
     undeclared = {}
-    for path in sorted((ROOT / "src" / "netguard").glob("*.py")):
+    for path in sorted(paths):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -30,10 +37,22 @@ def test_imports_are_declared_dependencies():
             else:
                 continue
             for top in (m.partition(".")[0] for m in modules):
-                if (top not in sys.stdlib_module_names and top != "netguard"
+                if (top not in sys.stdlib_module_names and top not in local
                         and top.lower() not in declared):
                     undeclared.setdefault(top, path.name)
-    assert undeclared == {}
+    return undeclared
+
+
+def test_imports_are_declared_dependencies():
+    assert _undeclared((ROOT / "src" / "netguard").glob("*.py"),
+                       _declared(PROJECT["dependencies"]), {"netguard"}) == {}
+
+
+def test_test_imports_are_declared_test_dependencies():
+    declared = _declared(PROJECT["dependencies"]
+                         + PROJECT["optional-dependencies"]["test"])
+    assert _undeclared((ROOT / "tests").glob("*.py"), declared,
+                       {"netguard", "fixtures", "oracles"}) == {}
 
 
 # Runs in a fresh interpreter: the CLI calls given as (command, scenario,
