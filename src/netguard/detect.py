@@ -12,7 +12,7 @@ threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
@@ -23,6 +23,10 @@ import scipy.sparse
 from . import fdi, graph as graphmod
 from .consensus import ConsensusMatrix, _output_matrix, input_matrix
 from .numerics import _negligible, as_matrix, as_vector
+
+# a generator fires when its residual past the horizon exceeds this fraction
+# of the largest measured magnitude
+_RESIDUAL_FLOOR = 1e-7
 
 
 @dataclass
@@ -121,8 +125,8 @@ class IdentificationVerdict:
     connectivity: int
 
 
-def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
-                            residual_floor: float = 1e-7) -> IdentificationVerdict:
+def complete_identification(net: ConsensusMatrix, j: int, k: int,
+                            ys) -> IdentificationVerdict:
     """Identify up to ``k`` misbehaving agents from observer ``j``'s data.
 
     One parity-space residual generator is synthesized per candidate
@@ -131,7 +135,7 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
     decoupled inputs.  The candidates form one bank, synthesized in
     stacked SVDs (``fdi._synthesize_bank``).  A candidate misbehaving set is consistent when
     every generator decoupling it stays, past its horizon, below
-    ``residual_floor`` times the largest measured magnitude.  The unique
+    ``_RESIDUAL_FLOOR`` (1e-7) times the largest measured magnitude.  The unique
     minimal consistent set is returned; several minimal survivors
     (colluding agents riding an invisible motion) yield an ambiguous
     verdict.  The verdict's ``horizon`` is the longest parity window.
@@ -172,7 +176,7 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int, ys,
                              f"parity window {longest}")
         res = fdi.run_residual(gen, ys)
         tail = res[gen.horizon:]
-        fired[D] = not _negligible(tail, ys, residual_floor)
+        fired[D] = not _negligible(tail, ys, _RESIDUAL_FLOOR)
         norms[D] = np.max(np.abs(res), axis=1)
         horizons.append(gen.horizon)
     consistent = _consistent_sets(others, fired, k)
@@ -306,7 +310,11 @@ def block_decompose(A, partition) -> BlockDecomposition:
 
 @dataclass(frozen=True)
 class BankEntry:
-    """One residual generator of a local bank: flags its target agent."""
+    """One residual generator of a local bank: flags its target agent.
+
+    The entries whose filters coincide share one generator object, so the
+    consumers of a bank compute what a filter gives once per object.
+    """
 
     target: int
     decouple: tuple
@@ -332,16 +340,6 @@ class LocalBank:
     eval_time: int
 
 
-def _filter_key(gen: fdi.ResidualGenerator) -> tuple:
-    """Identity of a generator's filter arrays ``(F, E, M, H)``.
-
-    The entries of a local bank whose generators share these arrays (one
-    synthesized generator relabelled per target) have one residual, so the
-    consumers of a bank compute what a filter gives once per key.
-    """
-    return tuple(id(mat) for mat in (gen.F, gen.E, gen.M, gen.H))
-
-
 def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
                      k_j: int) -> LocalBank:
     """Design the block-local residual generators for observer ``j``.
@@ -351,9 +349,9 @@ def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
     all of them one bank (``fdi._synthesize_bank``) on block-local labels.
     The bank computes each decoupled set once for all its targets, and
     the entries of one set whose parity search stops at one window share
-    that generator's filter arrays, relabelled per target.  Requires
-    ``k_j >= 0``, a block-mate of the observer and the block digraph to be
-    at least ``k_j + 1`` connected.
+    that generator object; each entry carries its own ``target`` and
+    ``decouple`` labels.  Requires ``k_j >= 0``, a block-mate of the
+    observer and the block digraph to be at least ``k_j + 1`` connected.
     """
     if k_j < 0:
         raise ValueError(f"k_j must be nonnegative, got {k_j}")
@@ -377,13 +375,9 @@ def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
     reports = fdi._synthesize_bank(
         A_h, C_loc, [input_matrix(n_h, [local[c]]) for c, _ in pairs],
         [input_matrix(n_h, [local[a] for a in D]) for _, D in pairs])
-    entries = []
-    for (c, D), report in zip(pairs, reports):
-        gen = report.generator
-        if gen is not None:
-            gen = replace(gen, target=(c,), decoupled=D)
-        entries.append(BankEntry(target=c, decouple=D, generator=gen,
-                                 solvable=gen is not None))
+    entries = [BankEntry(target=c, decouple=D, generator=report.generator,
+                         solvable=report.solvable)
+               for (c, D), report in zip(pairs, reports)]
     observed = tuple(agents[idx] for idx in np.argmax(C_loc, axis=1))
     eval_time = max([1] + [e.generator.horizon for e in entries if e.solvable])
     return LocalBank(block=h, observer=j, k_j=k_j, agents=agents,
@@ -719,9 +713,9 @@ def _coefficient_maps(decomp: BlockDecomposition, bank: LocalBank,
     """Decision-time coefficient maps of every bank generator at a coupling.
 
     The network powers ``C_O A(epsilon)^p``, ``p = 0..t*``, are computed
-    once and every distinct filter (:func:`_filter_key`) reads its maps
-    from them through its Markov blocks (:func:`_decision_maps`), once for
-    the entries that share it.  Per entry, in the bank's order, this gives
+    once and every distinct generator object reads its maps from them
+    through its Markov blocks (:func:`_decision_maps`), once for the
+    entries that share it.  Per entry, in the bank's order, this gives
     the state map and the stacked input-sample maps of the agents acting
     when the target is active (the target plus ``outside``) and when it is
     silent (the decoupled candidates plus ``outside``, if any), agent by
@@ -741,7 +735,7 @@ def _coefficient_maps(decomp: BlockDecomposition, bank: LocalBank,
     for entry in bank.entries:
         if entry.generator is None:
             continue
-        key = _filter_key(entry.generator)
+        key = id(entry.generator)
         if key not in maps:
             g = _decision_maps(P, entry.generator)
             # the sample of agent a at step tau reaches the residual through
@@ -943,9 +937,9 @@ def local_identification(decomp: BlockDecomposition, bank: LocalBank,
 
     Evaluates every generator of the bank at the calibrated decision
     time on the observer's within-block measurements, each distinct
-    filter (:func:`_filter_key`) once for the entries sharing it; an
-    agent is recognized as misbehaving when all of its generators read
-    above ``T_h``.  Correctness is guaranteed only for inputs inside the
+    generator object once for the entries sharing it; an agent is
+    recognized as misbehaving when all of its generators read above
+    ``T_h``.  Correctness is guaranteed only for inputs inside the
     calibrated magnitude band; outside it, misclassification is a
     documented failure mode.
     """
@@ -959,7 +953,7 @@ def local_identification(decomp: BlockDecomposition, bank: LocalBank,
     for entry in bank.entries:
         if entry.generator is None:
             continue
-        key = _filter_key(entry.generator)
+        key = id(entry.generator)
         if key not in levels:
             res = fdi.run_residual(entry.generator, block_ys)
             levels[key] = float(np.max(np.abs(res[t_star])))

@@ -4,7 +4,8 @@ The pencil's normal rank, left-invertibility and invariant zeros are all
 read from one object, the zero dynamics on V*, the maximal output-nulling
 controlled invariant: the triple is left-invertible iff no input drives
 the state inside V*, and its zeros are then the eigenvalues of the friend
-map on V*, each verified by a rank drop of the pencil with its directions.
+map on V*, each read with its directions from an eigenpair of that map
+and verified by the pencil residual of the direction.
 The output-zeroing inputs from ``x0`` exist exactly when V* contains it,
 and come from the same friend map.  The analyses of many input sets on
 one ``(A, C)``, all the sets of one observer, run as one bank: their V*
@@ -197,8 +198,8 @@ def invariant_zeros(T: Triple) -> PencilAnalysis:
 
     The zeros are the eigenvalues of the zero dynamics: the map X of the
     friend fit ``A V* = V* X + B U``, which is unique when the triple is
-    left-invertible.  Every candidate is verified by an actual rank drop
-    of the pencil, and the directions are recovered from its null space.
+    left-invertible.  Each zero and its directions are read from an
+    eigenpair of X and verified by the pencil residual of the direction.
     A non-left-invertible triple is reported with ``zeros=None``
     (infinitely many zeros).  This is :func:`_pencil_analyses` of one
     member.
@@ -218,35 +219,31 @@ def _pencil_analyses(A, Bs, C) -> list:
     n = A.shape[0]
     out = []
     for B, (V, d) in zip(Bs, _zero_dynamics_bank(A, Bs, C)):
-        nr = n + B.shape[1] - d
-        if d:
-            out.append(PencilAnalysis(normal_rank=nr, left_invertible=False,
-                                      zeros=None))
-        else:
-            out.append(PencilAnalysis(
-                normal_rank=nr, left_invertible=True,
-                zeros=_zeros_on(A, B, C, V, nr) if V.shape[1] else ()))
+        zeros = None if d else (_zeros_on(A, B, C, V) if V.shape[1] else ())
+        out.append(PencilAnalysis(normal_rank=n + B.shape[1] - d,
+                                  left_invertible=not d, zeros=zeros))
     return out
 
 
-def _zeros_on(A, B, C, V, nr: int) -> tuple:
-    """The verified zeros of a left-invertible ``(A, B, C)`` of normal rank
-    ``nr`` from the eigenvalues of its friend map on the V* basis ``V``,
-    sorted by real then imaginary part."""
-    X = _friend_realization(A, B, V)[0]
+def _zeros_on(A, B, C, V) -> tuple:
+    """The verified zeros of a left-invertible ``(A, B, C)`` from the
+    eigenpairs of its friend map on the V* basis ``V``, sorted by real then
+    imaginary part.
+
+    For ``X w = z w`` the friend fit ``A V = V X + B U`` gives ``x0 = V w``
+    and ``g = U w`` with ``(z I - A) x0 + B g`` the fit's error times ``w``
+    and ``C x0 = C V w`` nearly zero, so each zero and its directions come
+    from one eigenpair and one pencil product checks them."""
+    X, U, _ = _friend_realization(A, B, V)
     found: list[InvariantZero] = []
-    for z in np.linalg.eigvals(X):
+    values, vectors = np.linalg.eig(X)
+    for z, w in zip(values, vectors.T):
         if abs(z.imag) < 1e-9:
             z = complex(z.real, 0.0)
         if any(abs(z - other.z) < 1e-6 * max(1.0, abs(z)) for other in found):
             continue
-        P = _pencil(A, B, C, z)
-        # a singular-values-only SVD rules a candidate out at a third of
-        # the cost of the kernel's full one
-        if numerics.rank(P) >= nr:
-            continue
-        zero = _verify_zero_direction(A.shape[0], z, P,
-                                      numerics.kernel(P).basis)
+        zero = _verify_zero_direction(A.shape[0], z, _pencil(A, B, C, z),
+                                      np.concatenate([V @ w, U @ w]))
         if zero is not None:
             found.append(zero)
     found.sort(key=lambda w: (round(w.z.real, 9), round(w.z.imag, 9)))
@@ -254,22 +251,20 @@ def _zeros_on(A, B, C, V, nr: int) -> tuple:
 
 
 def _verify_zero_direction(n: int, z: complex, P: np.ndarray,
-                           null_basis: np.ndarray) -> InvariantZero | None:
-    """Pick a null vector of the pencil ``P`` at ``z`` of a triple with
-    ``n`` states whose state part is nonzero, scale that part to unit norm
-    and re-check the equations against ``||P||``: a near null vector whose
-    state part is small leaves a large residual once scaled, and is no
-    zero direction."""
-    norm_P = np.linalg.norm(P)
-    for col in null_basis.T:
-        if numerics._negligible(col[:n], col, 1e-8):
-            continue
-        col = col / np.linalg.norm(col[:n])
-        r = P @ col
-        if numerics._negligible(np.linalg.norm(r), norm_P, _FIT_REL):
-            return InvariantZero(z=z, x0=col[:n], g=col[n:], residual=float(
-                max(np.linalg.norm(r[:n]), np.linalg.norm(r[n:]))))
-    return None
+                           col: np.ndarray) -> InvariantZero | None:
+    """The zero at ``z`` with direction ``col``, a candidate null vector of
+    the pencil ``P`` of a triple with ``n`` states, or None.  The state part
+    must be nonzero; it is scaled to unit norm and the equations re-checked
+    against ``||P||``: a near null vector whose state part is small leaves
+    a large residual once scaled, and is no zero direction."""
+    if numerics._negligible(col[:n], col, 1e-8):
+        return None
+    col = col / np.linalg.norm(col[:n])
+    r = P @ col
+    if not numerics._negligible(np.linalg.norm(r), np.linalg.norm(P), _FIT_REL):
+        return None
+    return InvariantZero(z=z, x0=col[:n], g=col[n:], residual=float(
+        max(np.linalg.norm(r[:n]), np.linalg.norm(r[n:]))))
 
 
 def pbh_detectable(A, C) -> bool:

@@ -7,7 +7,10 @@ generator and enumerate box vertices, where ``netguard.detect`` stacks
 the LPs and uses a closed form, and :func:`residual_coefficients` raises
 each generator's augmented filter-over-network matrix to every power,
 where ``detect`` reads the maps from shared network powers through the
-filter's Markov blocks.  :func:`consistent_sets` tests every candidate
+filter's Markov blocks.  :func:`pencil_svd_zeros` verifies each candidate
+zero by a rank drop of the system pencil and takes its direction from the
+pencil's null space, where ``netguard.sysan`` reads it from an eigenpair
+of the zero dynamics.  :func:`consistent_sets` tests every candidate
 set against every fired generator, where ``detect`` looks candidates up
 among the subsets of the fired decoupled sets.
 :func:`simulate_reference` is the step-by-step simulation loop that
@@ -56,7 +59,7 @@ import scipy.optimize
 import scipy.sparse
 import sympy
 
-from netguard import detect, fdi
+from netguard import detect, fdi, sysan
 from netguard.graph import (DiGraph, _local_connectivities,
                             is_strongly_connected)
 from netguard.consensus import Trajectory, _output_matrix
@@ -468,6 +471,40 @@ def _refine(f, z, step, iters: int = 60):
     return best
 
 
+def pencil_svd_zeros(T):
+    """The finite invariant zeros of a triple by two SVDs of its pencil per
+    candidate, or None when the triple is not left-invertible.
+
+    Each eigenvalue of the friend map on V* is a candidate; it is kept when
+    the pencil's rank drops below its normal rank ``n + m`` there, with
+    the first null vector of the pencil whose state part, scaled to unit
+    norm, satisfies the equations (``sysan._verify_zero_direction``).
+    ``netguard.sysan`` reads the direction from the eigenvector instead.
+    """
+    V, d = sysan._zero_dynamics(T)
+    if d:
+        return None
+    if not V.dim:
+        return ()
+    X = sysan._friend_realization(T.A, T.B, V.basis)[0]
+    found = []
+    for z in np.linalg.eigvals(X):
+        if abs(z.imag) < 1e-9:
+            z = complex(z.real, 0.0)
+        if any(abs(z - other.z) < 1e-6 * max(1.0, abs(z)) for other in found):
+            continue
+        P = sysan.pencil(T, z)
+        if rank(P) >= T.n + T.m:
+            continue
+        for col in kernel(P).basis.T:
+            zero = sysan._verify_zero_direction(T.n, z, P, col)
+            if zero is not None:
+                found.append(zero)
+                break
+    found.sort(key=lambda w: (round(w.z.real, 9), round(w.z.imag, 9)))
+    return tuple(found)
+
+
 def _bound_columns(Psi_x, coeffs, active_boxes, x_max):
     """Coefficient matrix [Psi_x, samples of each sorted agent] and its box."""
     agents = sorted(active_boxes)
@@ -591,7 +628,7 @@ def consistent_sets(others, fired, k: int) -> list:
 def local_bank_loop(decomp, h, j, k_j):
     """``(target, decoupled, generator or None)`` of every generator of the
     local bank of block ``h`` seen from ``j``: one bank per target, its
-    input matrices built column by column, its labels set by hand."""
+    input matrices built column by column."""
     agents = decomp.block_agents(h)
     A_h = decomp.block_matrix(h)
     n_h = len(agents)
@@ -612,12 +649,7 @@ def local_bank_loop(decomp, h, j, k_j):
             B_ds.append(B_d)
         reports = fdi._synthesize_bank(A_h, C_loc, [B_t] * len(B_ds), B_ds)
         for D, report in zip(decoupled, reports):
-            gen = report.generator
-            if gen is not None:
-                gen = fdi.ResidualGenerator(F=gen.F, E=gen.E, M=gen.M, H=gen.H,
-                                            horizon=gen.horizon, target=(c,),
-                                            decoupled=tuple(D))
-            out.append((c, tuple(D), gen))
+            out.append((c, tuple(D), report.generator))
     return out
 
 

