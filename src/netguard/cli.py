@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import reprlib
 import sys
@@ -222,32 +221,61 @@ def _write_json(path: Path, **fields):
 
 
 def _write_trace(path: Path, header: list, columns: list):
-    """Write equal-length columns as CSV in one pass.
+    """Write equal-length columns as CSV.
 
-    The rows go through one ``orjson.dumps`` call, whose JSON array
-    syntax becomes CSV: the outer brackets go, ``],[`` becomes CRLF and
-    string quotes are dropped, so cells must hold no comma, quote,
-    backslash or control character.  A float is the shortest decimal
-    that reads back as the same double; exponents below -4 or above 15
-    are spelled unlike ``repr`` (``0.00001``, ``1e-7``, ``1e16`` for
-    ``1e-05``, ``1e-07``, ``1e+16``).  A non-finite float, which JSON has
-    no number for, is written as ``str`` writes it: ``inf``, ``-inf`` or
-    ``nan``.  ndarray columns go through ``tolist`` first.  Lines end in
-    CRLF, as with the ``csv`` module.
+    Key columns (a ``range``, or a list or ndarray of integers or strings,
+    such as ``t`` and ``candidate_set``) come first; the float columns
+    (float ndarrays, a 2-d one counting as its columns, or lists of
+    floats) follow them.  The float columns go to ``orjson.dumps`` as one
+    float64 block and each key column in a call of its own, whose JSON
+    array syntax becomes CSV cells: brackets and string quotes are
+    dropped, so cells must hold no comma, quote, backslash or control
+    character.  A float is the shortest decimal that reads back as the
+    same double; exponents below -4 or above 15 are spelled unlike
+    ``repr`` (``0.00001``, ``1e-7``, ``1e16`` for ``1e-05``, ``1e-07``,
+    ``1e+16``).  A non-finite float, which JSON has no number for, is
+    written as ``str`` writes it: ``inf``, ``-inf`` or ``nan``.  Lines end
+    in CRLF, as with the ``csv`` module.
     """
-    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                      for c in columns)))
-    body = orjson.dumps(rows)
-    if b"null" in body:
-        # orjson writes a non-finite float as null
-        body = orjson.dumps([
-            [str(v) if isinstance(v, float) and not math.isfinite(v) else v
-             for v in row] for row in rows])
     lines = [",".join(header).encode("utf-8")]
-    if rows:
-        lines.append(body[2:-2].replace(b"],[", b"\r\n").replace(b'"', b""))
+    if columns and len(columns[0]):
+        split = next((i for i, c in enumerate(columns) if _is_float_column(c)),
+                     len(columns))
+        cells = [_key_cells(c) for c in columns[:split]]
+        if split < len(columns):
+            block = np.column_stack(columns[split:]).astype(float, copy=False)
+            # one column is dumped flat: fewer brackets to write and split
+            cells.append(_float_cells(block[:, 0] if block.shape[1] == 1
+                                      else block))
+        lines += map(b",".join, zip(*cells))
     with open(path, "wb") as fh:
         fh.write(b"\r\n".join(lines) + b"\r\n")
+
+
+def _is_float_column(column) -> bool:
+    if isinstance(column, np.ndarray):
+        return column.dtype.kind == "f"
+    return isinstance(column, list) and isinstance(column[0], float)
+
+
+def _key_cells(column) -> list:
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    return orjson.dumps(values)[1:-1].replace(b'"', b"").split(b",")
+
+
+def _float_cells(block: np.ndarray) -> list:
+    """The cells of a 1-d block, or the comma-joined rows of a 2-d one."""
+    finite = np.isfinite(block)
+    if finite.all():
+        body = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    else:
+        # orjson writes a non-finite float as null
+        cells = block.astype(object)
+        cells[~finite] = [str(v) for v in block[~finite].tolist()]
+        body = orjson.dumps(cells.tolist()).replace(b'"', b"")
+    if block.ndim == 1:
+        return body[1:-1].split(b",")
+    return body[2:-2].split(b"],[")
 
 
 # Every handler takes the scenario, the directory its paths are relative to,
@@ -310,14 +338,15 @@ def _simulate_from_scenario(scn: dict, base: Path, seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     attacks = _attacks_from_scenario(scn, horizon, rng)
     x0 = _x0_from_scenario(scn, net.n, rng)
-    return net, consensus.simulate(net, x0, attacks, horizon)
+    # a state that overflowed is refused before any file is written, by
+    # simulate's JSON writer, which runs first, or by the other commands'
+    # check of their measurements; numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return net, consensus.simulate(net, x0, attacks, horizon)
 
 
 def cmd_simulate(scn: dict, base: Path, seed: int, out: Path) -> int:
-    # a state that overflowed is refused by the JSON writer, which runs
-    # first so that such a run writes no file; numpy need not warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        net, traj = _simulate_from_scenario(scn, base, seed)
+    net, traj = _simulate_from_scenario(scn, base, seed)
     _write_json(out / "verdict.json", mode="simulate", seed=seed,
                 horizon=traj.horizon,
                 attacked_agents=list(traj.input_agents),
@@ -326,7 +355,7 @@ def cmd_simulate(scn: dict, base: Path, seed: int, out: Path) -> int:
                     net, traj.states[0]))
     header = ["t"] + [f"x{i}" for i in range(1, net.n + 1)]
     _write_trace(out / "trace.csv", header,
-                 [range(traj.horizon + 1), *traj.states.T])
+                 [range(traj.horizon + 1), traj.states])
     print(f"simulated {traj.horizon} steps, final spread "
           f"{float(np.ptp(traj.states[-1])):.3g}")
     return EXIT_OK
@@ -393,6 +422,8 @@ def cmd_local_identify(scn: dict, base: Path, seed: int, out: Path) -> int:
     net, traj = _simulate_from_scenario(scn, base, seed)
     decomp = detect.block_decompose(net.A, partition)
     bank = detect.build_local_bank(decomp, h, j, k_j)
+    # checked ahead of calibration, which does not read them
+    block_ys = detect.block_outputs(decomp, bank, traj.states)
     header = dict(mode="local-identify", seed=seed, observer=j,
                   epsilon=decomp.epsilon)
     try:
@@ -404,7 +435,6 @@ def cmd_local_identify(scn: dict, base: Path, seed: int, out: Path) -> int:
                     crossing_value=exc.crossing_value)
         print(f"calibration failure: {exc}")
         return EXIT_CALIBRATION
-    block_ys = detect.block_outputs(decomp, bank, traj.states)
     flagged = detect.local_identification(decomp, bank, cal, block_ys)
     _write_trace(out / "trace.csv", ["t", "block_output_norm"],
                  [range(block_ys.shape[0]), np.max(np.abs(block_ys), axis=1)])

@@ -292,7 +292,9 @@ def simulate(net: ConsensusMatrix, x0, attacks=(), T: int = 100) -> Trajectory:
         for k, atk in looped:
             inputs[t, k] += atk.input_at(t, x)
             d[atk.agent - 1] = inputs[t, k]
-        add(dot(x), d, out=nxt)
+        # A x(t) goes straight into the next row, with no temporary
+        dot(x, nxt)
+        add(nxt, d, nxt)
     states.setflags(write=False)
     inputs.setflags(write=False)
     return Trajectory(states=states, input_agents=agents, inputs=inputs)

@@ -95,7 +95,8 @@ class DetectionFilter:
         zs = np.zeros((ys.shape[0] + 1, self.A.shape[0]))
         dot, add = self._closed.dot, np.add
         for z, nxt, d in zip(zs[:-1], zs[1:], drive):
-            add(dot(z), d, out=nxt)
+            dot(z, nxt)
+            add(nxt, d, nxt)
         self.z = zs[-1].copy()
         estimates = zs[:-1] @ self.L.T + ys @ self.H.T
         residuals = estimates[1:] - estimates[:-1] @ self.A.T
@@ -140,17 +141,17 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int,
     (colluding agents riding an invisible motion) yield an ambiguous
     verdict.  The verdict's ``horizon`` is the longest parity window.
 
-    Requires ``k >= 0``, network connectivity at least ``k + 1`` and more
-    samples than the longest parity window, so that every generator reads
-    a sample past its horizon; identification of malicious sets is only
-    guaranteed from connectivity ``2k + 1``.
+    Requires ``k >= 0``, network connectivity at least ``k + 1``, finite
+    measurements and more samples than the longest parity window, so that
+    every generator reads a sample past its horizon; identification of
+    malicious sets is only guaranteed from connectivity ``2k + 1``.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     conn = graphmod.vertex_connectivity(net.graph)
     if conn < k + 1:
         raise ValueError(f"connectivity {conn} below required {k + 1}")
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    ys = as_matrix(ys, "output sequence")
     others = [a for a in range(1, net.n + 1) if a != j]
     C = net.output_matrix(j)
     fired = {}
@@ -387,10 +388,11 @@ def build_local_bank(decomp: BlockDecomposition, h: int, j: int,
 
 def block_outputs(decomp: BlockDecomposition, bank: LocalBank,
                   states) -> np.ndarray:
-    """Slice a state trajectory to the measurements feeding a local bank."""
+    """Slice a state trajectory to the measurements feeding a local bank,
+    refusing non-finite ones."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
     idx = [a - 1 for a in bank.observed]
-    return states[:, idx]
+    return as_matrix(states[:, idx], "output sequence")
 
 
 # -- certified threshold calibration ------------------------------------------
@@ -941,9 +943,9 @@ def local_identification(decomp: BlockDecomposition, bank: LocalBank,
     recognized as misbehaving when all of its generators read above
     ``T_h``.  Correctness is guaranteed only for inputs inside the
     calibrated magnitude band; outside it, misclassification is a
-    documented failure mode.
+    documented failure mode.  Non-finite measurements are refused.
     """
-    block_ys = np.atleast_2d(np.asarray(block_ys, dtype=float))
+    block_ys = as_matrix(block_ys, "output sequence")
     t_star = cal.eval_time
     if block_ys.shape[0] <= t_star:
         raise ValueError("trajectory shorter than the decision time")

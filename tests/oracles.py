@@ -16,8 +16,9 @@ among the subsets of the fired decoupled sets.
 :func:`simulate_reference` is the step-by-step simulation loop that
 ``netguard.consensus.simulate`` replaced with precomputed input columns,
 and :func:`filter_run_reference` steps the detection filter with
-``np.dot(out=)`` and ``np.add``, where ``DetectionFilter.run`` adds a
-bound ``dot`` of the loop matrix to the drive.  :func:`parity_weights_scan`
+``np.dot(out=)`` and ``np.add`` on a loop matrix of its own, where
+``DetectionFilter.run`` writes the bound ``dot`` of the one it keeps into
+the next row.  :func:`parity_weights_scan`
 is the parity-window search that rebuilds both window maps for every
 ``L = 1..n``, and :func:`run_residual_steps` steps the filter recursion
 one sample at a time, where ``netguard.fdi`` grows the maps once and
@@ -49,12 +50,18 @@ Esfahanian-Hakimi pairs of a single vertex.
 :func:`observability_kernel` is the unobservable subspace by the Kalman
 test, the kernel of the stacked ``C A^s`` for ``s < n``, where
 ``netguard.consensus`` takes V* with no inputs.
+:func:`write_trace_reference` writes ``trace.csv`` from row tuples of
+Python values in one ``orjson.dumps`` call, where ``netguard.cli`` hands
+orjson the float cells as one float64 array and formats each key column
+apart.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+import orjson
 import scipy.optimize
 import scipy.sparse
 import sympy
@@ -785,3 +792,23 @@ def vertex_connectivity_even(G: DiGraph) -> int:
         if pairs:
             best = min(best, int(_local_connectivities(G, pairs, n).min()))
     return best
+
+
+def write_trace_reference(path, header, columns):
+    """``netguard.cli._write_trace`` as one ``orjson.dumps`` call on the
+    rows: every column through ``tolist`` and ``zip`` into row tuples, the
+    outer brackets dropped, ``],[`` turned into CRLF and string quotes
+    removed; when a non-finite float was written as ``null``, the rows
+    are dumped again with such floats as ``str`` spells them."""
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                      for c in columns)))
+    body = orjson.dumps(rows)
+    if b"null" in body:
+        body = orjson.dumps([
+            [str(v) if isinstance(v, float) and not math.isfinite(v) else v
+             for v in row] for row in rows])
+    lines = [",".join(header).encode("utf-8")]
+    if rows:
+        lines.append(body[2:-2].replace(b"],[", b"\r\n").replace(b'"', b""))
+    with open(path, "wb") as fh:
+        fh.write(b"\r\n".join(lines) + b"\r\n")

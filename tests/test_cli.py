@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from netguard import cli, consensus, detect, fdi, numerics, sysan
 
 from fixtures import BENCH8_A, WEAK7_PARTITION, weak7_matrix
+from oracles import write_trace_reference
 
 
 def strict_json(path):
@@ -82,6 +83,39 @@ def test_overflowed_simulation_writes_nothing(tmp_path, capsys):
     assert err.startswith("error: cannot write verdict.json: Out of range "
                           "float values are not JSON compliant")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# The measuring commands refuse an overflowed run the same way: exit 2,
+# the error line alone and no file, where identify reported an empty
+# ambiguity, local-identify flagged an innocent agent below the crossing
+# and reported a calibration failure above it.
+def _overflowing(A, agent, **fields):
+    return {"matrix": {"rows": A.tolist()}, "observer": 1, "horizon": 30,
+            "attacks": [{"agent": agent, "kind": "constant",
+                         "value": 1.7e308}], **fields}
+
+
+_WEAK7_BLOCK = {"partition": [list(b) for b in WEAK7_PARTITION], "block": 1,
+                "k": 1}
+_OVERFLOWING = {
+    "detect": ("detect", _overflowing(BENCH8_A, 3)),
+    "identify": ("identify", _overflowing(BENCH8_A, 3, k=1)),
+    "local-identify": ("local-identify",
+                       _overflowing(weak7_matrix(0.01), 2, **_WEAK7_BLOCK)),
+    "local-identify-above-crossing": (
+        "local-identify", _overflowing(weak7_matrix(0.1), 2, **_WEAK7_BLOCK)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING))
+def test_overflowed_measurements_write_nothing(tmp_path, capsys, case):
+    code, out = run(tmp_path, *_OVERFLOWING[case])
+    assert code == cli.EXIT_INVALID
+    assert list(out.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: output sequence contains non-finite entries\n"
 
 
 def test_row_sum_error_exits_invalid(tmp_path):
@@ -443,6 +477,44 @@ def test_trace_writer_non_finite_cells(tmp_path, as_array):
     assert header == ["t", "candidate_set", "x"]
     assert rows == [["0", "1", "inf"], ["1", "2+5", "-inf"],
                     ["2", "3", "nan"], ["3", "4", "0.5"]]
+
+
+_CELL = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308,
+                     -2.2250738585072014e-308, 1e-7, 1e-05, 1e16,
+                     1.7976931348623157e308, float("inf"), -float("inf"),
+                     float("nan")]))
+
+
+# The float block goes to orjson as one ndarray where the reference writer
+# hands it Python floats row by row: the same bytes for every spelling,
+# whether the block comes as one 2-d array, as 1-d arrays or as lists.
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(0, 40), width=st.integers(1, 40),
+       pool=st.lists(_CELL, min_size=1, max_size=30),
+       seed=st.integers(0, 2**32 - 1), labels=st.none() | st.lists(
+           _LABEL, min_size=40, max_size=40),
+       form=st.sampled_from(["block", "arrays", "lists"]))
+def test_trace_writer_matches_reference(tmp_path_factory, rows, width, pool,
+                                        seed, labels, form):
+    rng = np.random.default_rng(seed)
+    # pool cells among wide-ranging random ones
+    values = np.where(rng.random((rows, width)) < 0.5,
+                      np.array(pool)[rng.integers(len(pool), size=(rows, width))],
+                      rng.standard_normal((rows, width))
+                      * 10.0 ** rng.integers(-300, 300, size=(rows, width)))
+    keys = [range(rows)] if labels is None else [list(range(rows)),
+                                                 labels[:rows]]
+    header = ["t", "candidate_set"][:len(keys)] + [
+        f"x{i}" for i in range(1, width + 1)]
+    floats = {"block": [values], "arrays": list(values.T),
+              "lists": [c.tolist() for c in values.T]}[form]
+    out = tmp_path_factory.mktemp("trace")
+    cli._write_trace(out / "got.csv", header, keys + floats)
+    write_trace_reference(out / "want.csv", header,
+                          keys + [c.tolist() for c in values.T])
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
 # The parser is built once per process: consecutive calls with different

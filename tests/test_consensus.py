@@ -151,6 +151,27 @@ def test_simulate_matches_step_loop(bench8, attacks):
     assert np.array_equal(got.inputs, want.inputs)
 
 
+# Long horizons on wider networks: the recursion stays the step loop's to
+# the bit (``tobytes`` also compares the sign of zero), through decays that
+# reach subnormal inputs and runs that settle at consensus.
+@pytest.mark.parametrize("n, T", [(15, 4000), (30, 3000)])
+@pytest.mark.parametrize("attacks", [
+    lambda A: [Attack.constant(3, 0.7)],
+    lambda A: [Attack.exponential(5, -0.75, 1.3)],
+    lambda A: [],
+    lambda A: [Attack.state_feedback(3, -A[2], offset=2.5)],
+], ids=["constant", "exponential", "none", "state_feedback"])
+def test_simulate_matches_step_loop_long_horizon(n, T, attacks):
+    rng = np.random.default_rng(n)
+    net = random_consensus_matrix(n, rng, extra_edges=n)
+    x0 = rng.uniform(-1, 1, n)
+    got = simulate(net, x0, attacks(net.A), T)
+    want = simulate_reference(net, x0, attacks(net.A), T)
+    assert got.input_agents == want.input_agents
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.inputs.tobytes() == want.inputs.tobytes()
+
+
 def test_stubborn_agent_steers_network(bench8):
     c = 2.5
     row = -bench8.A[2]

@@ -131,6 +131,26 @@ def test_run_matches_reference_loop(A, attack):
     assert np.array_equal(filt.z, want_z)
 
 
+@pytest.mark.parametrize("n, T", [(15, 4000), (30, 3000)])
+@pytest.mark.parametrize("attacks", [
+    lambda A: [consensus.Attack.constant(3, 1.0)],
+    lambda A: [consensus.Attack.exponential(5, 0.75, 2.0)],
+    lambda A: [],
+    lambda A: [consensus.Attack.state_feedback(3, -A[2], offset=2.5)],
+], ids=["constant", "exponential", "none", "state_feedback"])
+def test_run_matches_reference_loop_long_horizon(n, T, attacks):
+    rng = np.random.default_rng(n)
+    net = consensus.random_consensus_matrix(n, rng, extra_edges=n)
+    traj = consensus.simulate(net, rng.uniform(-1, 1, n), attacks(net.A), T)
+    ys = net.outputs(traj.states, 1)
+    filt = detect.DetectionFilter.from_network(net, 1)
+    estimates, residuals = filt.run(ys)
+    want_est, want_res, want_z = filter_run_reference(filt, ys)
+    assert estimates.tobytes() == want_est.tobytes()
+    assert residuals.tobytes() == want_res.tobytes()
+    assert filt.z.tobytes() == want_z.tobytes()
+
+
 # Leakage of the exact residual scales with the data; an absolute floor
 # flags clean data at 1e9 and misses the attacker at 1e-9.
 @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
