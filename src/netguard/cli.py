@@ -387,13 +387,18 @@ def cmd_identify(scn: dict, base: Path, seed: int, out: Path) -> int:
     ys = net.outputs(traj.states, j)
     verdict = detect.complete_identification(net, j, k, ys)
     guarantee = graph.resilience_at(verdict.connectivity).guarantee(k)
-    times, labels, norms = [], [], []
-    for D, d_norms in sorted(verdict.residual_norms.items()):
-        times += range(len(d_norms))
-        labels += ["+".join(str(a) for a in D)] * len(d_norms)
-        norms += d_norms.tolist()
+    sets = sorted(verdict.residual_norms)
+    columns = [[], [], []]
+    if sets:
+        norms = [verdict.residual_norms[D] for D in sets]
+        counts = [len(d_norms) for d_norms in norms]
+        # t restarts at 0 for each candidate set
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        columns = [np.arange(len(starts)) - starts,
+                   np.repeat(["+".join(str(a) for a in D) for D in sets], counts),
+                   np.concatenate(norms)]
     _write_trace(out / "trace.csv", ["t", "candidate_set", "residual_norm"],
-                 [times, labels, norms])
+                 columns)
     _write_json(out / "verdict.json", mode="identify", seed=seed, observer=j,
                 k=k, status=verdict.status,
                 identified=[int(a) for a in verdict.identified],

@@ -133,10 +133,12 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int,
     One parity-space residual generator is synthesized per candidate
     decoupled k-subset of the other agents: a parity relation on the
     shortest output window that cancels the initial state and the
-    decoupled inputs.  The candidates form one bank, synthesized in
-    stacked SVDs (``fdi._synthesize_bank``).  A candidate misbehaving set is consistent when
-    every generator decoupling it stays, past its horizon, below
-    ``_RESIDUAL_FLOOR`` (1e-7) times the largest measured magnitude.  The unique
+    decoupled inputs.  The candidates form one bank, synthesized as stacks
+    of equal shapes (``fdi._synthesize_bank``), and the generators of one
+    horizon read one array of sliding output windows.  A candidate
+    misbehaving set is consistent when every generator decoupling it
+    stays, past its horizon, below ``_RESIDUAL_FLOOR`` (1e-7) times the
+    largest measured magnitude.  The unique
     minimal consistent set is returned; several minimal survivors
     (colluding agents riding an invisible motion) yield an ambiguous
     verdict.  The verdict's ``horizon`` is the longest parity window.
@@ -159,6 +161,8 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int,
     unsolvable = set()
     norms = {}
     candidates = list(combinations(others, k))
+    # the generators of one horizon read the same windows of ys
+    windows = {}
     reports = fdi._synthesize_bank(
         net.A, C, [np.zeros((net.n, 0))] * len(candidates),
         [input_matrix(net.n, D) for D in candidates])
@@ -175,7 +179,9 @@ def complete_identification(net: ConsensusMatrix, j: int, k: int,
                                            for r in reports if r.solvable])
             raise ValueError(f"{ys.shape[0]} samples do not exceed the longest "
                              f"parity window {longest}")
-        res = fdi.run_residual(gen, ys)
+        if gen.horizon not in windows:
+            windows[gen.horizon] = fdi._output_windows(ys, gen.horizon)
+        res = fdi._residual_on_windows(gen, windows[gen.horizon])
         tail = res[gen.horizon:]
         fired[D] = not _negligible(tail, ys, _RESIDUAL_FLOOR)
         norms[D] = np.max(np.abs(res), axis=1)

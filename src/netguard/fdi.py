@@ -33,16 +33,21 @@ member, is synthesized as one computation.  V*, S*, S_M, the
 coordinates outside it and the parity null space at each window depend
 on the decoupled set alone, so each distinct set is computed once for
 all the members that carry it, and the members of a set that stop at
-one window share its generator.  The V* and S* fixpoints of the sets
-advance together, every SVD of a step stacked over them, and so do S_M,
-the coordinates outside it and the parity-window search, on powers
-``C A^s`` taken once for the bank.  A stack is capped by
-``numerics._STACK_ENTRIES`` entries in its largest SVD factor, and the
-bank advances at most as many sets at once as keep their V* iterates
-within that cap.  LAPACK factors each member of a stack on its own, so
-every generator is bit for bit the one its member alone gives;
-:func:`synthesize_residual_generator` and the two fixpoint functions are
-the same code with one member.
+one window share its generator.  The sets are carried as 3-d stacks, one
+per group of equal shapes, through every step: the V* and S* fixpoints,
+S_M and its coordinates outside, the parity-window search on powers
+``C A^s`` taken once for the bank (the Markov parameters, the block
+Toeplitz maps and the null-space operands written into one stack, and
+the test of the watched columns) and the echelon solve.  Each step of a
+group is one ``np.matmul`` per product, one stacked SVD through
+``numerics`` and one vectorised rank cut, and a group parts only where
+its members' rank decisions differ, so a bank of one runs the same code
+as a bank of many.  A stacked SVD is capped by ``numerics._STACK_ENTRIES``
+entries in its largest factor, and the bank advances at most as many
+sets at once as keep their V* iterates within that cap.  BLAS and LAPACK
+treat each member of a stack on its own, so every generator is bit for
+bit the one its member alone gives; :func:`synthesize_residual_generator`
+and the two fixpoint functions are the same code with one member.
 """
 
 from __future__ import annotations
@@ -93,46 +98,87 @@ def _controlled_invariants(A, Bs, C) -> list:
     The iteration of :func:`max_controlled_invariant` for all of them at
     once, run by the synthesis bank and by ``sysan``'s bank of pencil
     analyses, which both pass at most ``numerics._stack_size(n, n)``
-    members: ``Ker C`` and ``Im C^T`` come from one SVD of ``C``, and each
-    step takes one stacked split of the constraints ``D^T A V`` and two
-    stacked images over the iterates not yet fixed.  Each is cut against
-    the size of the map it restricts, not its own largest singular value,
-    so scaling A or B changes no decision above the ``zero_abs`` floor:
-    ``B^T Im C^T`` and ``B``'s part outside ``V`` against ``||B||``, the
-    projected ``R`` against 1 (its columns are orthonormal) and
-    ``D^T A V`` against ``||D^T A||``, all Frobenius norms.  Where ``V``
-    meets the new constraints up to the rounding it has gathered over the
-    steps, the largest singular value of ``D^T A V`` is that rounding,
-    which can pass the ``zero_abs`` floor.
+    members: ``Ker C`` and ``Im C^T`` come from one SVD of ``C``, and the
+    ``B`` of one shape advance as one stack (:func:`_controlled_stack`).
     """
-    Q_C, V0 = numerics._splits([C])[0]
-    Vs = [V0] * len(Bs)
-    if not V0.shape[1]:
-        return Vs
-    sizes = [np.linalg.norm(B) for B in Bs]
-    starts = numerics._splits([B.T @ Q_C for B in Bs], sizes)
-    Ds = [Q_C @ N for _, N in starts]
-    live = [i for i, D in enumerate(Ds) if D.shape[1]]
-    while live:
-        DAs = [Ds[i].T @ A for i in live]
-        cuts = numerics._splits([DA @ Vs[i] for i, DA in zip(live, DAs)],
-                                [np.linalg.norm(DA) for DA in DAs])
-        Rs = {}
-        for i, (removed, kept) in zip(live, cuts):
-            if removed.shape[1]:
-                Rs[i] = Vs[i] @ removed
-                Vs[i] = Vs[i] @ kept
-        live = [i for i in Rs if Vs[i].shape[1]]
-        # the removed directions off V + Im B: the new constraints
-        inputs = numerics._images([Bs[i] - Vs[i] @ (Vs[i].T @ Bs[i])
-                                   for i in live], [sizes[i] for i in live])
-        news = numerics._images([Rs[i] - Q @ (Q.T @ Rs[i])
-                                 for i, Q in zip(live, inputs)],
-                                [1.0] * len(live))
-        for i, D in zip(live, news):
-            Ds[i] = D
-        live = [i for i in live if Ds[i].shape[1]]
-    return Vs
+    (_, Q_C, V0), = numerics._splits(C[None])
+    Q_C, V0 = Q_C[0], V0[0]
+    out = [V0] * len(Bs)
+    if V0.shape[1]:
+        for members in _shape_groups(Bs):
+            B = np.stack([Bs[i] for i in members])
+            for at, V in _controlled_stack(A, B, Q_C, V0):
+                _scatter(out, members[at], V)
+    return out
+
+
+def _controlled_stack(A, B, Q_C, V0):
+    """V* of ``(A, B[i], C)`` for the members of the 3-d stack ``B`` that
+    the iteration cuts below ``V0 = Ker C``, as ``(positions, bases)``;
+    ``Q_C`` spans ``Im C^T``.
+
+    The members whose iterates have one shape advance as one stack: each
+    step takes one stacked split of the constraints ``D^T A V`` and two
+    stacked images, and a stack parts only where its members' ranks
+    differ.  Each is cut against the size of the map it restricts, not
+    its own largest singular value, so scaling A or B changes no decision
+    above the ``zero_abs`` floor: ``B^T Im C^T`` and ``B``'s part outside
+    ``V`` against ``||B||``, the projected ``R`` against 1 (its columns
+    are orthonormal) and ``D^T A V`` against ``||D^T A||``, all Frobenius
+    norms.  Where ``V`` meets the new constraints up to the rounding it
+    has gathered over the steps, the largest singular value of ``D^T A V``
+    is that rounding, which can pass the ``zero_abs`` floor.
+    """
+    sizes = numerics._frobenius(B)
+    everyone = np.arange(len(B))
+    V = np.broadcast_to(V0, (len(B),) + V0.shape)
+    todo = [(everyone[part], V[part], Q_C @ N) for part, _, N in
+            numerics._splits(B.transpose(0, 2, 1) @ Q_C, sizes) if N.shape[2]]
+    while todo:
+        at, V, D = todo.pop()
+        DA = D.transpose(0, 2, 1) @ A
+        for cut, removed, kept in numerics._splits(DA @ V,
+                                                   numerics._frobenius(DA)):
+            here, Vc = at[cut], V[cut]
+            if not removed.shape[2]:
+                yield here, Vc
+                continue
+            R, V_next = Vc @ removed, Vc @ kept
+            if not V_next.shape[2]:
+                yield here, V_next
+                continue
+            Bk = B[here]
+            # the removed directions off V + Im B: the new constraints
+            for part, Q in numerics._images(
+                    Bk - V_next @ (V_next.transpose(0, 2, 1) @ Bk), sizes[here]):
+                Rp = R[part]
+                for sub, D_next in numerics._images(
+                        Rp - Q @ (Q.transpose(0, 2, 1) @ Rp), 1.0):
+                    done = (here[part][sub], V_next[part][sub])
+                    if D_next.shape[2]:
+                        todo.append(done + (D_next,))
+                    else:
+                        yield done
+
+
+def _scatter(out: list, positions, stack) -> None:
+    """``out[positions[g]] = stack[g]`` for every member ``g`` of ``stack``."""
+    for i, member in zip(positions, stack):
+        out[i] = member
+
+
+def _groups(keys) -> list:
+    """Index arrays of the positions of ``keys`` that hold equal keys, in
+    the order the keys first appear."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [np.array(members) for members in groups.values()]
+
+
+def _shape_groups(arrays) -> list:
+    """:func:`_groups` of the shapes of ``arrays``."""
+    return _groups(a.shape for a in arrays)
 
 
 def min_conditioned_invariant(A, B, C) -> Subspace:
@@ -153,24 +199,31 @@ def _conditioned_invariants(A, Bs, C) -> list:
     """Bases of S* of ``(A, B, C)`` for every ``B`` in ``Bs``.
 
     The iteration of :func:`min_conditioned_invariant` for all of them at
-    once, one stacked kernel and one stacked image a step; each returns
-    the basis of the first step that keeps the dimension, or of step
-    ``n + 1``.
+    once, the ``B`` of one shape as one stack: each step takes one stacked
+    kernel and one stacked image over the iterates of one shape, and each
+    member returns the basis of the first step that keeps the dimension,
+    or of step ``n + 1``.
     """
-    n = A.shape[0]
-    Ss = numerics._images(Bs)
-    live = list(range(len(Bs)))
-    for _ in range(n + 1):
-        if not live:
-            break
-        meets = numerics._kernels([C @ Ss[i] for i in live])
-        nxts = numerics._images([np.hstack([Bs[i], A @ (Ss[i] @ K)])
-                                 for i, K in zip(live, meets)])
-        moving = [i for i, S in zip(live, nxts) if S.shape[1] != Ss[i].shape[1]]
-        for i, S in zip(live, nxts):
-            Ss[i] = S
-        live = moving
-    return Ss
+    out = [None] * len(Bs)
+    for members in _shape_groups(Bs):
+        B = np.stack([Bs[i] for i in members])
+        everyone = np.arange(len(B))
+        todo = [(everyone[part], S) for part, S in numerics._images(B)]
+        for _ in range(A.shape[0] + 1):
+            moving = []
+            for at, S in todo:
+                for meet, K in numerics._kernels(C @ S):
+                    here = at[meet]
+                    nxt = np.concatenate([B[here], A @ (S[meet] @ K)], axis=2)
+                    for part, S_next in numerics._images(nxt):
+                        if S_next.shape[2] == S.shape[2]:
+                            _scatter(out, members[here[part]], S_next)
+                        else:
+                            moving.append((here[part], S_next))
+            todo = moving
+        for at, S in todo:
+            _scatter(out, members[at], S)
+    return out
 
 
 def unobservability_subspace(A, B_others, C) -> Subspace:
@@ -365,29 +418,41 @@ def run_residual(gen: ResidualGenerator, ys) -> np.ndarray:
     parity weights.
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    return _residual_on_windows(gen, _output_windows(ys, gen.horizon))
+
+
+def _output_windows(ys: np.ndarray, h: int) -> np.ndarray:
+    """The zero-padded sliding windows ``[y(t-h); ...; y(t)]`` of the
+    ``(T, p)`` outputs ``ys``, one row per ``t``, ``y`` zero before the
+    first sample: what every generator of horizon ``h`` reads."""
     T, p = ys.shape
-    h = gen.horizon
-    K = _markov_blocks(gen)[::-1]
-    K = K.transpose(1, 0, 2).reshape(gen.output_dim, (h + 1) * p)
     if T == 0:
-        return np.zeros((0, gen.output_dim))
+        return np.zeros((0, (h + 1) * p))
     padded = np.vstack([np.zeros((h, p)), ys])
     windows = np.lib.stride_tricks.sliding_window_view(padded, (h + 1, p))
-    return windows.reshape(T, (h + 1) * p) @ K.T
+    return windows.reshape(T, (h + 1) * p)
+
+
+def _residual_on_windows(gen: ResidualGenerator,
+                         windows: np.ndarray) -> np.ndarray:
+    """:func:`run_residual` on the :func:`_output_windows` of its horizon."""
+    K = _markov_blocks(gen)[::-1]
+    K = K.transpose(1, 0, 2).reshape(gen.output_dim, windows.shape[1])
+    return windows @ K.T
 
 
 def _block_toeplitz(markov: np.ndarray) -> np.ndarray:
     """Block Toeplitz map of the ``L`` Markov parameters ``markov``, an
-    ``(L, p, m)`` array.
+    ``(..., L, p, m)`` array, one map per leading index.
 
-    Block ``(s, tau)``, ``s, tau = 0..L``, is ``markov[s - tau - 1]`` below
-    the diagonal and zero on and above it.
+    Block ``(s, tau)``, ``s, tau = 0..L``, is ``markov[..., s - tau - 1,
+    :, :]`` below the diagonal and zero on and above it.
     """
-    L, p, m = markov.shape
+    *lead, L, p, m = markov.shape
     s, tau, lag = _toeplitz_pattern(L)
-    T = np.zeros((L + 1, p, L + 1, m))
-    T[s, :, tau, :] = markov[lag]
-    return T.reshape((L + 1) * p, (L + 1) * m)
+    T = np.zeros((*lead, L + 1, p, L + 1, m))
+    T[..., s, :, tau, :] = np.moveaxis(markov[..., lag, :, :], -3, 0)
+    return T.reshape(*lead, (L + 1) * p, (L + 1) * m)
 
 
 @lru_cache(maxsize=32)
@@ -423,69 +488,136 @@ def _parity_weights(powers: np.ndarray, Bds, watched) -> list:
     is nonzero, relative to ``T_L b``, for each of its columns ``b``, with
     that ``W``.  The null space depends on the decoupled set alone, so it is
     taken once per set and window, and every matrix of the set still
-    pending there is tested against that one ``W``.  The Markov parameters
-    ``C A^s [Bd, watched...]`` of a set grow by one power, one product, per
-    window.  No null space is taken while every pending matrix of the set
-    has some watched ``C A^s b``, ``s < L``, still exactly zero: that
-    ``T_L b`` is zero, so the window fails the test.  The null spaces of
-    the sets at one window are taken in stacked kernels of at most
-    ``numerics._stack_size`` members, and all columns of a watched matrix
-    are tested with one product.
+    pending there is tested against that one ``W``.  No null space is taken
+    while every pending matrix of the set has some watched ``C A^s b``,
+    ``s < L``, still exactly zero: that ``T_L b`` is zero, so the window
+    fails the test.
+
+    The sets whose decoupled and watched matrices have the same widths
+    advance as one stack (:class:`_WindowSearch`): the Markov parameters
+    ``C A^s [Bd, watched...]`` grow by one stacked product per window.  At
+    each window the null-space operands of every set due there with the
+    same ``Bd`` width are written into one stack, for one stacked kernel,
+    and the pending matrices of one width are tested against their sets'
+    ``W`` in one call of :func:`_sees_every_column` per null-space
+    dimension.
     """
     n = powers.shape[0] - 1
     atol = numerics.get_policy().membership
-    Bs = [np.hstack([Bd, *ws]) for Bd, ws in zip(Bds, watched)]
-    mds = [Bd.shape[1] for Bd in Bds]
-    # the columns of Bs[s] that each watched matrix of the set occupies
-    cols = []
-    for md, ws in zip(mds, watched):
-        ends = list(accumulate((Bw.shape[1] for Bw in ws), initial=md))
-        cols.append([slice(a, b) for a, b in zip(ends, ends[1:])])
-    markov = [[] for _ in Bs]
-    unseen = [np.ones(B.shape[1], dtype=bool) for B in Bs]
     found = [[None] * len(ws) for ws in watched]
-    pending = {s: list(range(len(ws))) for s, ws in enumerate(watched) if ws}
+    shapes = {}
+    for s, (Bd, ws) in enumerate(zip(Bds, watched)):
+        if ws:
+            key = (Bd.shape[1], tuple(Bw.shape[1] for Bw in ws))
+            shapes.setdefault(key, []).append(s)
+    searches = [_WindowSearch(np.array(sets), md, widths,
+                              [np.hstack([Bds[s], *watched[s]]) for s in sets],
+                              powers)
+                for (md, widths), sets in shapes.items()]
     for L in range(1, n + 1):
-        ready = {}
-        for s, members in pending.items():
-            markov[s].append(powers[L - 1] @ Bs[s])
-            unseen[s] &= ~markov[s][-1].any(axis=0)
-            at = [m for m in members if not unseen[s][cols[s][m]].any()]
-            if at:
-                ready[s] = at
-        if not ready:
-            continue
+        due = {}
+        for search in searches:
+            rows = search.advance(powers[L - 1])
+            if rows.size:
+                due.setdefault(search.md, []).append((search, rows))
         O = powers[:L + 1].reshape(-1, n)
-        sets = list(ready)
-        chunk = numerics._stack_size(n + (L + 1) * max(mds[s] for s in sets),
-                                     O.shape[0])
-        for lo in range(0, len(sets), chunk):
-            part = sets[lo:lo + chunk]
-            maps = [np.array(markov[s]) for s in part]
-            nulls = numerics._kernels(
-                [np.hstack([O, _block_toeplitz(G[:, :, :mds[s]])]).T
-                 for s, G in zip(part, maps)])
-            for s, G, N in zip(part, maps, nulls):
-                W = N.T
-                if not W.shape[0]:
+        for md, parts in due.items():
+            markov = np.concatenate([search.markov[rows, :, :, :md]
+                                     for search, rows in parts])
+            # the search and the row of each member of the stack
+            owner = np.repeat(np.arange(len(parts)),
+                              [len(rows) for _, rows in parts])
+            row = np.concatenate([rows for _, rows in parts])
+            for members, N in numerics._kernels(_parity_operands(O, markov)):
+                if not N.shape[2]:
                     continue
-                for m in ready[s]:
-                    if _sees_every_column(W, G[:, :, cols[s][m]], atol):
-                        found[s][m] = (L, W)
-                        pending[s].remove(m)
-                if not pending[s]:
-                    del pending[s]
+                W = N.transpose(0, 2, 1)
+                for k in np.unique(owner[members]):
+                    mine = owner[members] == k
+                    parts[k][0].test(row[members][mine], W[mine], atol, found)
+        searches = [search for search in searches if search.prune()]
     return found
 
 
-def _sees_every_column(W, markov, atol) -> bool:
-    """Whether ``||W T_L b|| > atol ||T_L b||`` for every column ``b`` of the
-    ``(L, p, m)`` Markov parameters, all columns in one product."""
-    L, _, m = markov.shape
+class _WindowSearch:
+    """The parity-window search of the sets ``sets`` of
+    :func:`_parity_weights`, whose decoupled matrices have ``md`` columns
+    and whose watched matrices have the columns ``widths``, one row of each
+    stack per set: the matrices ``B = [Bd, watched...]``, their Markov
+    parameters ``C A^s B`` so far, the columns still unseen by all of them
+    and the watched matrices still pending."""
+
+    def __init__(self, sets, md: int, widths: tuple, Bs: list,
+                 powers: np.ndarray):
+        self.sets, self.md = sets, md
+        self.B = np.stack(Bs)
+        g, _, m = self.B.shape
+        self.markov = np.empty((g, 0, powers.shape[1], m))
+        self.starts = np.array(list(accumulate(widths, initial=md))[:-1])
+        self.widths = np.array(widths)
+        self.unseen = np.ones((g, m), dtype=bool)
+        self.pending = np.ones((g, len(widths)), dtype=bool)
+
+    def advance(self, power: np.ndarray) -> np.ndarray:
+        """Add the Markov parameter ``power @ B`` of the next window; the rows
+        with a pending matrix whose columns have all been reached, which
+        need that window's null space."""
+        step = power @ self.B
+        self.markov = np.concatenate([self.markov, step[:, None]], axis=1)
+        self.unseen &= ~step.any(axis=1)
+        unseen = np.logical_or.reduceat(self.unseen, self.starts, axis=1)
+        self.ready = self.pending & ~unseen
+        return np.flatnonzero(self.ready.any(axis=1))
+
+    def test(self, rows, W, atol: float, found: list) -> None:
+        """Test the ready matrices of ``rows`` against their sets' parity
+        weights ``W`` of the last window, one stack per width; record each
+        matrix seen in ``found``."""
+        L = self.markov.shape[1]
+        pick, slot = np.nonzero(self.ready[rows])
+        for width in np.unique(self.widths[slot]):
+            keep = self.widths[slot] == width
+            who, j = pick[keep], slot[keep]
+            cols = self.starts[j][:, None] + np.arange(width)
+            markov = self.markov[rows[who][:, None], :, :, cols]
+            seen = _sees_every_column(W[who], np.moveaxis(markov, 1, -1), atol)
+            for k in np.flatnonzero(seen):
+                row = rows[who[k]]
+                found[self.sets[row]][j[k]] = (L, W[who[k]])
+                self.pending[row, j[k]] = False
+
+    def prune(self) -> bool:
+        """Drop the rows with nothing pending; whether any row is left."""
+        keep = self.pending.any(axis=1)
+        if not keep.all():
+            for name in ("sets", "B", "markov", "unseen", "pending"):
+                setattr(self, name, getattr(self, name)[keep])
+        return bool(len(self.sets))
+
+
+def _parity_operands(O: np.ndarray, markov: np.ndarray) -> np.ndarray:
+    """``[O, T_L]^T`` for the block Toeplitz map ``T_L`` of each member of
+    the ``(g, L, p, md)`` Markov stack, written into one ``(g, n + (L + 1)
+    md, (L + 1) p)`` stack: its left null space is the parity space."""
+    g, L, p, md = markov.shape
+    n = O.shape[1]
+    ops = np.zeros((g, n + (L + 1) * md, (L + 1) * p))
+    ops[:, :n] = O.T
+    s, tau, lag = _toeplitz_pattern(L)
+    ops[:, n:].reshape(g, L + 1, md, L + 1, p)[:, tau, :, s, :] = (
+        np.moveaxis(markov[:, lag], 1, 0).swapaxes(-1, -2))
+    return ops
+
+
+def _sees_every_column(W, markov, atol) -> np.ndarray:
+    """Whether ``||W T_L b|| > atol ||T_L b||`` for every column ``b`` of
+    the ``(L, p, m)`` Markov parameters, for each member of the stacks
+    ``W`` and ``markov``: one product for all members and columns."""
+    g, L, _, m = markov.shape
     T = _block_toeplitz(markov)
-    response = (W @ T).reshape(-1, L + 1, m)
-    return bool(np.all(np.linalg.norm(response, axis=(0, 1))
-                       > atol * np.linalg.norm(T.reshape(-1, L + 1, m), axis=(0, 1))))
+    response = (W @ T).reshape(g, -1, L + 1, m)
+    scale = np.linalg.norm(T.reshape(g, -1, L + 1, m), axis=(1, 2))
+    return np.all(np.linalg.norm(response, axis=(1, 2)) > atol * scale, axis=1)
 
 
 def _echelon(W: np.ndarray, p: int) -> np.ndarray:
@@ -495,12 +627,28 @@ def _echelon(W: np.ndarray, p: int) -> np.ndarray:
     pivot columns of ``H`` chosen by pivoted QR, so the residual no longer
     depends on the basis the null-space solver returned.
     """
-    H = W[:, -p:]
-    q = W.shape[0]
-    if q > p or numerics.rank(H) < q:
-        return W
-    _, _, piv = scipy.linalg.qr(H, pivoting=True)
-    return np.linalg.solve(H[:, np.sort(piv[:q])], W)
+    return _echelons([W], p)[0]
+
+
+def _echelons(Ws: list, p: int) -> list:
+    """:func:`_echelon` of each of the equal-shaped ``Ws``: the ranks of
+    their ``H`` blocks from one stacked SVD, the pivots from one pivoted
+    QR each, without its ``Q``, and one stacked solve; a ``W`` left as it
+    is comes back as the same object."""
+    out = list(Ws)
+    q = Ws[0].shape[0]
+    if q > p:
+        return out
+    H = np.stack([W[:, -p:] for W in Ws])
+    full = np.flatnonzero(numerics._ranks(H) == q)
+    if full.size:
+        pivots = np.array([np.sort(scipy.linalg.qr(H[i], mode="r",
+                                                   pivoting=True)[1][:q])
+                           for i in full])
+        square = np.take_along_axis(H[full], pivots[:, None, :], axis=2)
+        _scatter(out, full, np.linalg.solve(square,
+                                            np.stack([Ws[i] for i in full])))
+    return out
 
 
 def synthesize_residual_generator(A, B_target, B_decouple, C) -> SynthesisReport:
@@ -535,16 +683,17 @@ def _synthesize_bank(A, C, targets, decouples):
     of their decoupled matrices and each distinct set is computed once,
     for all its members.  Per member there remain only the target test
     against S_M and the test of its watched columns against the set's
-    null space at each window (:func:`_parity_weights`); the members of a
-    set that stop at one window share one generator.  The powers ``C A^s``
+    null space at each window (:func:`_parity_weights`), both stacked over
+    the members of one shape; the members of a set that stop at one
+    window share one generator.  The powers ``C A^s``
     are taken once for the bank.  The distinct sets advance together, in
     the order they first appear, in slices of as many as one stacked SVD
     of ``n x n`` operands takes (``numerics._stack_size``), so that their
     V* iterates hold about ``numerics._STACK_ENTRIES`` entries; a slice is
     computed when its first member is due, and a set's results are held
     until its last member is yielded.  Each computation of a slice runs on
-    stacked SVDs, and every member comes out bit for bit as a bank of one
-    computes it.
+    stacks of equal shapes (:func:`_synthesize_slice`), and every member
+    comes out bit for bit as a bank of one computes it.
     """
     n = A.shape[0]
     powers = _output_powers(A, C)
@@ -565,18 +714,36 @@ def _synthesize_bank(A, C, targets, decouples):
 
 def _synthesize_slice(A, C, powers, targets, decouples, sets):
     """``(i, report)`` for every member ``i`` of the decoupled sets ``sets``
-    of :func:`_synthesize_bank`, each set a list of member indices."""
+    of :func:`_synthesize_bank`, each set a list of member indices.
+
+    The sets advance as stacks of equal shapes through every step: V*
+    and S*, S_M with the coordinates outside it, the parity-window search
+    and the echelon solve each take one stacked SVD or solve per group of
+    equal shapes, and a group parts only where its members' rank decisions
+    differ.
+    """
     n, p = A.shape[0], C.shape[0]
     eye = np.eye(n)
     Bds = [decouples[members[0]] for members in sets]
     Vs = _controlled_invariants(A, Bds, C)
     Ss = _conditioned_invariants(A, Bds, C)
-    Ms = numerics._images([np.hstack([V, S]) for V, S in zip(Vs, Ss)])
-    outside = [tuple(np.flatnonzero(f).tolist())
-               for f in _meet_each(Ms, [eye[:, :, None]] * len(Ms))]
+    Ms = [None] * len(sets)
+    outside = [None] * len(sets)
+    for group in _groups((V.shape[1], S.shape[1]) for V, S in zip(Vs, Ss)):
+        VS = np.concatenate([np.stack([Vs[s] for s in group]),
+                             np.stack([Ss[s] for s in group])], axis=2)
+        for part, Q in numerics._images(VS):
+            _scatter(Ms, group[part], Q)
+            flags = _meets_trivially(Q[:, None], eye[:, :, None])
+            _scatter(outside, group[part],
+                     [tuple(np.flatnonzero(f).tolist()) for f in flags])
     aimed = [(s, i) for s, members in enumerate(sets) for i in members
              if targets[i].shape[1]]
-    images = numerics._images([targets[i] for _, i in aimed])
+    images = [None] * len(aimed)
+    for group in _shape_groups([targets[i] for _, i in aimed]):
+        for part, U in numerics._images(np.stack([targets[aimed[a][1]]
+                                                  for a in group])):
+            _scatter(images, group[part], U)
     target_free = dict(zip((i for _, i in aimed),
                            _meet_each([Ms[s] for s, _ in aimed],
                                       [U[None] for U in images])))
@@ -592,20 +759,25 @@ def _synthesize_slice(A, C, powers, targets, decouples, sets):
                 searched[s].append(i)
                 watched[s].append(Bw)
     found = _parity_weights(powers, Bds, watched)
+    # one generator per set and window: the members stopping there share it
+    windows = {}
+    for s in range(len(sets)):
+        for hit in found[s]:
+            if hit is not None:
+                windows.setdefault((s, hit[0]), hit[1])
+    keys, Ws = list(windows), list(windows.values())
+    gens = {}
+    for group in _shape_groups(Ws):
+        for g, W in zip(group, _echelons([Ws[g] for g in group], p)):
+            gens[keys[g]] = _shift_register(W, keys[g][1], p)
     for s, members in enumerate(sets):
         V_star = Subspace(n, Vs[s])
         S_star = numerics._trusted(n, Ss[s])
         S_M = numerics._trusted(n, Ms[s])
         hits = dict(zip(searched[s], found[s]))
-        # one generator per window: the members stopping there share its W
-        gens = {}
         for i in members:
-            gen = None
-            if hits.get(i) is not None:
-                L, W = hits[i]
-                if L not in gens:
-                    gens[L] = _shift_register(_echelon(W, p), L, p)
-                gen = gens[L]
+            hit = hits.get(i)
+            gen = None if hit is None else gens[s, hit[0]]
             yield i, SynthesisReport(V_star=V_star, S_star=S_star, S_M=S_M,
                                      outside=outside[s],
                                      solvable=gen is not None, generator=gen)

@@ -23,13 +23,16 @@ the zero subspace, the identity basis of a full kernel, and the
 singular-vector factors that ``image`` and ``kernel`` take from an
 SVD, which LAPACK returns orthonormal to working precision.
 
-``image`` and ``kernel`` are the one-operand case of private stacked
-forms that take many operands at once: operands of one shape share one
-``np.linalg.svd`` call, in chunks capped by ``_STACK_ENTRIES``, and every
-member is cut by the same :func:`_numeric_rank`, against its own largest
-singular value or a scale the caller knows, such as the size of the map
-an operand restricts.  A stacked split returns the row space with the
-null space, for fixpoints that need both.
+``image``, ``kernel`` and ``rank`` are the one-operand case of private
+stacked forms that take a 3-d stack of equal-shaped operands: one
+``np.linalg.svd`` call, in chunks capped by ``_STACK_ENTRIES``, and one
+vectorised cut by :func:`_numeric_ranks` for all members, each against
+its own largest singular value or a scale the caller knows, such as the
+size of the map an operand restricts.  The bases come back grouped by
+dimension, one stack per group, so a caller keeps its members stacked
+and splits them only where their rank decisions differ.  A stacked
+split returns the row space with the null space, for fixpoints that
+need both.
 """
 
 from __future__ import annotations
@@ -188,17 +191,21 @@ def zero_subspace(n: int) -> Subspace:
 def _numeric_rank(s: np.ndarray, scale: float | None = None) -> int:
     """Singular values above ``rank_rel`` times ``scale``, the largest
     singular value unless given, and above ``zero_abs``."""
-    if s.size == 0:
-        return 0
-    thresh = max((s[0] if scale is None else scale) * _POLICY.rank_rel,
-                 _POLICY.zero_abs)
-    return int(np.count_nonzero(s > thresh))
+    return int(_numeric_ranks(s[None], scale)[0])
 
 
-# Most entries the largest SVD factor of one stack holds.  ``_images`` and
-# ``_splits`` split a larger group of equal-shaped operands into chunks,
-# and ``netguard.fdi`` sizes what it advances at once by the same measure,
-# which bounds the memory of the stacked calls.
+def _numeric_ranks(s: np.ndarray, scales=None) -> np.ndarray:
+    """:func:`_numeric_rank` of each row of the ``(g, k)`` singular values
+    ``s``, against ``scales[i]`` (or one scale for all) or, by default, the
+    row's largest."""
+    top = s[:, :1] if scales is None else np.reshape(scales, (-1, 1))
+    thresh = np.maximum(top * _POLICY.rank_rel, _POLICY.zero_abs)
+    return np.add.reduce(s > thresh, axis=1, dtype=np.intp)
+
+
+# Most entries the largest SVD factor of one stack holds.  A larger stack
+# is factored in chunks, and ``netguard.fdi`` sizes what it advances at
+# once by the same measure, which bounds the memory of the stacked calls.
 _STACK_ENTRIES = 1 << 16
 
 
@@ -208,94 +215,114 @@ def _stack_size(rows: int, cols: int) -> int:
     return max(1, _STACK_ENTRIES // max(rows, cols, 1) ** 2)
 
 
-def _stacked_svds(Ms, full_matrices: bool) -> list:
-    """``np.linalg.svd`` of each matrix in ``Ms``, as ``(U, s, Vh)``.
-
-    Operands of one shape and dtype share a call, in chunks of at most
-    :func:`_stack_size` members; a chunk of one is passed as a view, with
-    no copy.  LAPACK factors each member of a stack on its own, so every
-    result is bitwise the one a separate call returns.
-    """
-    groups = {}
-    for i, M in enumerate(Ms):
-        groups.setdefault((M.shape, M.dtype), []).append(i)
-    out = [None] * len(Ms)
-    for (shape, _), members in groups.items():
-        chunk = _stack_size(*shape)
-        for lo in range(0, len(members), chunk):
-            part = members[lo:lo + chunk]
-            stack = (Ms[part[0]][None] if len(part) == 1
-                     else np.stack([Ms[i] for i in part]))
-            U, s, Vh = np.linalg.svd(stack, full_matrices=full_matrices)
-            for g, i in enumerate(part):
-                out[i] = (U[g], s[g], Vh[g])
+def _ranked_svds(M: np.ndarray, full_matrices: bool, scales) -> list:
+    """``np.linalg.svd`` of the 3-d stack ``M``, one call per chunk of at
+    most :func:`_stack_size` members, and the members of each chunk
+    grouped by :func:`_numeric_ranks` against ``scales``: ``(r, members,
+    local, U, Vh)`` for each group, ``members`` its positions in ``M`` and
+    ``local`` in the chunk's factors ``U`` and ``Vh``.  LAPACK factors
+    each member of a stack on its own, so every result is bitwise the one
+    a separate call returns."""
+    step = _stack_size(*M.shape[1:])
+    if scales is not None:
+        scales = np.broadcast_to(np.reshape(scales, (-1, 1)), (len(M), 1))
+    out = []
+    for lo in range(0, len(M), step):
+        chunk = slice(lo, lo + step) if len(M) > step else slice(None)
+        U, s, Vh = np.linalg.svd(M[chunk], full_matrices=full_matrices)
+        ranks = _numeric_ranks(s, None if scales is None else scales[chunk])
+        for r, local in _rank_groups(ranks):
+            members = (local if chunk == slice(None)
+                       else np.arange(lo, lo + len(s))[local])
+            out.append((r, members, local, U, Vh))
     return out
 
 
-def _images(Ms, scales=None) -> list:
-    """Orthonormal bases of the column spaces of the 2-d arrays ``Ms``.
+def _rank_groups(ranks: np.ndarray) -> list:
+    """``(r, members)`` for each distinct rank ``r``: ``members`` indexes the
+    stack positions of that rank, ``slice(None)`` when they are all."""
+    first = ranks[0]
+    if len(ranks) == 1 or (ranks == first).all():
+        return [(int(first), slice(None))]
+    return [(int(r), np.flatnonzero(ranks == r)) for r in np.unique(ranks)]
 
-    An operand with no nonzero entry has the zero subspace; the others are
-    cut at :func:`_numeric_rank` of their singular values against
-    ``scales[i]`` (by default their own largest), their SVDs stacked by
-    :func:`_stacked_svds`.
+
+def _frobenius(M: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each real matrix of the stack ``M``, bit for bit:
+    the square root of the same dot product of its entries in row order."""
+    flat = M.reshape(len(M), 1, -1)
+    return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _images(M: np.ndarray, scales=None) -> list:
+    """Orthonormal bases of the column spaces of the 3-d stack ``M``,
+    grouped by dimension: ``(members, bases)`` for each, ``bases`` the
+    ``(.., rows, r)`` stack of the members it indexes.
+
+    One stacked SVD (:func:`_ranked_svds`) and one rank cut for all: each
+    member is cut at :func:`_numeric_ranks` of its singular values against
+    ``scales[i]`` (by default its own largest); an operand with no nonzero
+    entry has the zero subspace.
     """
-    bases = [np.zeros((M.shape[0], 0)) for M in Ms]
-    live = [i for i, M in enumerate(Ms) if M.any()]
-    for i, (U, s, _) in zip(live, _stacked_svds([Ms[i] for i in live], False)):
-        scale = None if scales is None else scales[i]
-        bases[i] = U[:, :_numeric_rank(s, scale)].copy()
-    return bases
+    return [(members, np.ascontiguousarray(U[local, :, :r]))
+            for r, members, local, U, _ in _ranked_svds(M, False, scales)]
 
 
-def _splits(Ms, scales=None) -> list:
+def _splits(M: np.ndarray, scales=None) -> list:
     """Orthonormal bases ``(R, N)`` of the row space and the null space of
-    each 2-d array in ``Ms``, one the complement of the other.
+    each matrix of the 3-d stack ``M``, one the complement of the other,
+    grouped by rank: ``(members, R, N)`` for each, stacks of the members
+    it indexes.
 
     An operand with no nonzero entry (no rows included) has no row space
-    and the full null space; the others split their right singular
-    vectors at :func:`_numeric_rank` of their singular values against
-    ``scales[i]`` (by default their own largest), their SVDs stacked by
-    :func:`_stacked_svds`.
+    and the identity as its null space basis; the others split their right
+    singular vectors, from one stacked SVD, at :func:`_numeric_ranks` of
+    their singular values against ``scales[i]`` (by default their own
+    largest).
     """
-    out = [None] * len(Ms)
-    live = []
-    for i, M in enumerate(Ms):
-        if M.any():
-            live.append(i)
-        else:
-            out[i] = (np.zeros((M.shape[1], 0)), np.eye(M.shape[1]))
-    for i, (_, s, Vh) in zip(live, _stacked_svds([Ms[i] for i in live], True)):
-        r = _numeric_rank(s, None if scales is None else scales[i])
-        out[i] = (Vh[:r].conj().T.copy(), Vh[r:].conj().T.copy())
-    return out
+    return [(members, V[:, :, :r].copy(), V[:, :, r:].copy())
+            for r, members, V in _right_vectors(M, scales)]
 
 
-def _kernels(Ms) -> list:
-    """Orthonormal bases of the null spaces of the 2-d arrays ``Ms``: the
-    null-space half of :func:`_splits`, each cut against its own largest
-    singular value."""
-    return [N for _, N in _splits(Ms)]
+def _kernels(M: np.ndarray) -> list:
+    """Orthonormal bases of the null spaces of the 3-d stack ``M``: the
+    null-space half of :func:`_splits`, ``(members, N)`` for each rank,
+    each member cut against its own largest singular value."""
+    return [(members, V[:, :, r:].copy())
+            for r, members, V in _right_vectors(M, None)]
+
+
+def _right_vectors(M: np.ndarray, scales) -> list:
+    """``(r, members, V)`` for each rank ``r`` of the members of the 3-d
+    stack ``M`` (:func:`_numeric_ranks`): ``V`` stacks their right singular
+    vectors as columns.  LAPACK factors an operand with no nonzero entry
+    with identity singular vectors, and so does numpy an empty one."""
+    return [(r, members, Vh[local].transpose(0, 2, 1).conj())
+            for r, members, local, _, Vh in _ranked_svds(M, True, scales)]
 
 
 def image(M) -> Subspace:
     """Orthonormal basis of the column space of ``M``."""
     M = _operand(M)
-    return _trusted(M.shape[0], _images([M])[0])
+    return _trusted(M.shape[0], _images(M[None])[0][1][0])
 
 
 def kernel(M) -> Subspace:
     """Orthonormal basis of the null space of ``M``."""
     M = _operand(M)
-    return _trusted(M.shape[1], _kernels([M])[0])
+    return _trusted(M.shape[1], _kernels(M[None])[0][1][0])
 
 
 def rank(M) -> int:
     """Numeric rank of ``M`` under the shared policy."""
     M = _operand(M)
-    if M.size == 0:
-        return 0
-    return _numeric_rank(np.linalg.svd(M, compute_uv=False))
+    return int(_ranks(M[None])[0])
+
+
+def _ranks(M: np.ndarray) -> np.ndarray:
+    """Numeric rank of each matrix of the 3-d stack ``M``, from one stacked
+    SVD without singular vectors."""
+    return _numeric_ranks(np.linalg.svd(M, compute_uv=False))
 
 
 def subspace_sum(S1: Subspace, S2: Subspace) -> Subspace:

@@ -195,3 +195,16 @@ def directed_cycle(n: int, self_weight: float = 0.5) -> np.ndarray:
     for i in range(n):
         A[i, (i - 1) % n] = 1.0 - self_weight
     return A
+
+
+def circulant_network(n: int, c: int, rng: np.random.Generator) -> np.ndarray:
+    """Consensus matrix on the circulant digraph with offsets +-1..+-c (the
+    Harary graph H_{2c,n}, 2c-connected) and self-loops, weights uniform on
+    [0.1, 1], agents relabelled at random."""
+    mask = np.eye(n, dtype=bool)
+    ring = np.arange(n)
+    for off in range(1, c + 1):
+        mask[ring, (ring + off) % n] = mask[ring, (ring - off) % n] = True
+    perm = rng.permutation(n)
+    A = np.where(mask[np.ix_(perm, perm)], rng.uniform(0.1, 1.0, (n, n)), 0.0)
+    return A / A.sum(axis=1, keepdims=True)

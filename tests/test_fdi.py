@@ -9,7 +9,7 @@ from netguard import cli, consensus, fdi, numerics, sysan
 
 from fixtures import (BENCH8_A, BENCH8_SM_37, LOCAL_GEN2, LOCAL_GEN3, RING9_A,
                       SYMMETRIC4_A, UNSTABLE_ZEROS_A, WEAK7_BLOCKS,
-                      observer_matrix)
+                      circulant_network, observer_matrix)
 from oracles import (controlled_invariant_recompute,
                      exact_conditioned_invariant, exact_controlled_invariant,
                      observability_kernel, parity_weights_scan,
@@ -357,14 +357,19 @@ def assert_banks_equal(got, want):
 
 # The bank advances all candidates of an observer in stacked SVDs; each
 # member must come out bit for bit as the candidate's own loops compute it.
+# The networks are random rings with chords, or circulants (the Harary
+# graphs of the identify benchmark), on which the candidates share shapes.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data(), n=st.integers(4, 14), k=st.integers(1, 2),
-       targeted=st.booleans())
-def test_bank_matches_separate_syntheses(data, n, k, targeted):
+       targeted=st.booleans(), circulant=st.booleans())
+def test_bank_matches_separate_syntheses(data, n, k, targeted, circulant):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
                                           label="seed"))
-    net = consensus.random_consensus_matrix(
-        n, rng, extra_edges=int(rng.integers(0, 2 * n)))
+    if circulant:
+        net = consensus.validate(circulant_network(n, k + 1, rng))
+    else:
+        net = consensus.random_consensus_matrix(
+            n, rng, extra_edges=int(rng.integers(0, 2 * n)))
     j = data.draw(st.integers(1, n), label="observer")
     C, targets, Bds = bank_inputs(net, j, k, targeted, rng)
     got = bank_arrays(fdi._synthesize_bank(net.A, C, targets, Bds))
@@ -377,6 +382,30 @@ def test_bank_matches_separate_syntheses(data, n, k, targeted):
     assert_banks_equal(got, want)
     dims = {tuple(a.shape[1] for a in member[:3]) for member in want}
     event(f"shape groups split: {len(dims) > 1}")
+
+
+# On the identify benchmark's largest shape, a circulant of 12 agents at
+# k = 2, the C(11, 2) = 55 candidates fall into a few shape groups: the
+# parity search tests the watched columns of each group in one stacked call
+# per window and null-space dimension, never one call per candidate.
+def test_parity_search_tests_each_shape_group_once_per_window(monkeypatch):
+    rng = np.random.default_rng(1)
+    net = consensus.validate(circulant_network(12, 3, rng))
+    C, targets, Bds = bank_inputs(net, 1, 2, False, rng)
+    assert len(Bds) == 55
+    calls, tested = [], []
+    original = fdi._sees_every_column
+
+    def spy(W, markov, atol):
+        # the window, p and watched columns; the parity space's shape
+        calls.append((markov.shape[1:], W.shape[1:]))
+        tested.append(len(W))
+        return original(W, markov, atol)
+
+    monkeypatch.setattr(fdi, "_sees_every_column", spy)
+    reports = list(fdi._synthesize_bank(net.A, C, targets, Bds))
+    assert len(calls) == len(set(calls)) < 10
+    assert sum(tested) >= sum(r.solvable for r in reports) > 0
 
 
 # A cap small enough to split every stack and slice, or to leave a partial
