@@ -197,7 +197,13 @@ def _numeric_rank(s: np.ndarray, scale: float | None = None) -> int:
 def _numeric_ranks(s: np.ndarray, scales=None) -> np.ndarray:
     """:func:`_numeric_rank` of each row of the ``(g, k)`` singular values
     ``s``, against ``scales[i]`` (or one scale for all) or, by default, the
-    row's largest."""
+    row's largest.  A stack cuts all rows in a few array calls; one row,
+    the stack of a bank of one, is cut with the same arithmetic on
+    scalars, which costs it less."""
+    if len(s) == 1 and s.shape[1]:
+        top = s[0, 0] if scales is None else np.ravel(scales)[0]
+        thresh = max(top * _POLICY.rank_rel, _POLICY.zero_abs)
+        return np.array([np.count_nonzero(s[0] > thresh)])
     top = s[:, :1] if scales is None else np.reshape(scales, (-1, 1))
     thresh = np.maximum(top * _POLICY.rank_rel, _POLICY.zero_abs)
     return np.add.reduce(s > thresh, axis=1, dtype=np.intp)
@@ -224,16 +230,20 @@ def _ranked_svds(M: np.ndarray, full_matrices: bool, scales) -> list:
     each member of a stack on its own, so every result is bitwise the one
     a separate call returns."""
     step = _stack_size(*M.shape[1:])
-    if scales is not None:
-        scales = np.broadcast_to(np.reshape(scales, (-1, 1)), (len(M), 1))
+    if len(M) <= step:
+        chunks = [(slice(None), scales)]
+    else:
+        if scales is not None:
+            scales = np.broadcast_to(np.reshape(scales, (-1, 1)), (len(M), 1))
+        chunks = [(slice(lo, lo + step),
+                   None if scales is None else scales[lo:lo + step])
+                  for lo in range(0, len(M), step)]
     out = []
-    for lo in range(0, len(M), step):
-        chunk = slice(lo, lo + step) if len(M) > step else slice(None)
+    for chunk, chunk_scales in chunks:
         U, s, Vh = np.linalg.svd(M[chunk], full_matrices=full_matrices)
-        ranks = _numeric_ranks(s, None if scales is None else scales[chunk])
-        for r, local in _rank_groups(ranks):
-            members = (local if chunk == slice(None)
-                       else np.arange(lo, lo + len(s))[local])
+        for r, local in _rank_groups(_numeric_ranks(s, chunk_scales)):
+            members = (local if chunk.start is None
+                       else np.arange(chunk.start, chunk.start + len(s))[local])
             out.append((r, members, local, U, Vh))
     return out
 

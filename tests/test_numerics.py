@@ -3,9 +3,9 @@ import pytest
 
 from netguard.consensus import input_matrix
 from netguard.fdi import _meets_trivially
-from netguard.numerics import (Subspace, _negligible, get_policy, image,
-                               kernel, left_fixed_vector, rank, subspace_sum,
-                               zero_subspace)
+from netguard.numerics import (Subspace, _negligible, _numeric_ranks,
+                               get_policy, image, kernel, left_fixed_vector,
+                               rank, subspace_sum, zero_subspace)
 from netguard.sysan import Triple, pencil
 
 from fixtures import (BENCH8_A, UNSTABLE_ZEROS_A, UNSTABLE_ZEROS_INPUTS,
@@ -161,6 +161,28 @@ def test_rank_nullity(seed):
     rng = np.random.default_rng(100 + seed)
     M = rng.standard_normal((4, 6)) @ np.diag(rng.integers(0, 2, 6).astype(float))
     assert image(M).dim + kernel(M).dim == M.shape[1]
+
+
+# The rank cut of a stack takes array calls, and of one row scalar ones; both
+# make the same decisions, also for values a rounding away from the cut, with
+# each row's largest singular value, one scale per row or one for all.
+@pytest.mark.parametrize("seed", range(5))
+def test_rank_cut_of_one_row_matches_the_stack(seed):
+    rng = np.random.default_rng(seed)
+    rel, floor = get_policy().rank_rel, get_policy().zero_abs
+    s = np.sort(rng.uniform(0.0, 2.0, (40, 6)), axis=1)[:, ::-1].copy()
+    scales = rng.uniform(0.5, 2.0, 40)
+    s[::4, 3] = s[::4, 0] * rel
+    s[1::4, 2] = np.nextafter(scales[1::4] * rel, np.inf)
+    s[2::4, 4:] = floor
+    s[3::4] = 0.0
+    for cut in (None, scales, 1.0):
+        rows = [None if cut is None else (cut if np.isscalar(cut) else cut[i:i + 1])
+                for i in range(len(s))]
+        stacked = _numeric_ranks(s, cut)
+        assert len(set(stacked.tolist())) > 1
+        assert stacked.tolist() == [int(_numeric_ranks(s[i:i + 1], c)[0])
+                                    for i, c in enumerate(rows)]
 
 
 def test_left_fixed_vector_doubly_stochastic():
